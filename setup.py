@@ -45,7 +45,7 @@ setup(
     packages=find_packages(where="src"),
     package_dir={"": "src"},
     python_requires=">=3.9",
-    install_requires=["numpy", "scipy"],
+    install_requires=["numpy>=2.0", "scipy"],
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
     classifiers=[
         "Development Status :: 4 - Beta",

@@ -93,12 +93,13 @@ class LIFTrevisanCircuit(NeuromorphicCircuit):
     def engine_plan(self):
         """Batch-execution recipe for :class:`repro.engine.BatchedSolverEngine`.
 
-        The read-out is ``"plasticity"``: each trial owns an anti-Hebbian
-        learner (seeded exactly as the sequential path seeds it) that consumes
-        every post-burn-in membrane row.  A sparse Trevisan weight builder is
-        provided so the engine's ``auto`` backend can switch to CSR products
-        on large low-density graphs; it reuses the graph's cached CSR
-        adjacency rather than rebuilding it per call.
+        The read-out is ``"plasticity"``: each trial block shares one
+        anti-Hebbian learner with one weight row per trial (each row seeded
+        exactly as the sequential path seeds its learner), which consumes
+        every post-burn-in membrane row of all trials at once.  A sparse
+        Trevisan weight builder is provided so the engine's ``auto`` backend
+        can switch to CSR products on large low-density graphs; it reuses the
+        graph's cached CSR adjacency rather than rebuilding it per call.
         """
         import scipy.sparse as sp
 
@@ -106,15 +107,6 @@ class LIFTrevisanCircuit(NeuromorphicCircuit):
 
         config = self.config
         n = self.graph.n_vertices
-
-        def build_learner(rng):
-            return AntiHebbianMinorComponent(
-                n_inputs=n,
-                learning_rate=config.learning_rate,
-                learning_rate_decay=config.learning_rate_decay,
-                normalize_inputs=config.normalize_plasticity_inputs,
-                seed=rng,
-            )
 
         def sparse_weights():
             return config.weight_scale * (
@@ -129,9 +121,20 @@ class LIFTrevisanCircuit(NeuromorphicCircuit):
             readout="plasticity",
             n_devices=n,
             pool_builder=self.build_device_pool,
-            plasticity_builder=build_learner,
+            plasticity_builder=self._build_learner,
             sparse_weights=sparse_weights,
             metadata={"learning_rate": config.learning_rate},
+        )
+
+    def _build_learner(self, seed) -> AntiHebbianMinorComponent:
+        """The plasticity learner; a list of seeds gives one weight row each."""
+        config = self.config
+        return AntiHebbianMinorComponent(
+            n_inputs=self.graph.n_vertices,
+            learning_rate=config.learning_rate,
+            learning_rate_decay=config.learning_rate_decay,
+            normalize_inputs=config.normalize_plasticity_inputs,
+            seed=seed,
         )
 
     # ------------------------------------------------------------------
@@ -149,34 +152,23 @@ class LIFTrevisanCircuit(NeuromorphicCircuit):
         population = self.build_population()
         config = self.config
         n = self.graph.n_vertices
-
-        learner = AntiHebbianMinorComponent(
-            n_inputs=n,
-            learning_rate=config.learning_rate,
-            learning_rate_decay=config.learning_rate_decay,
-            normalize_inputs=config.normalize_plasticity_inputs,
-            seed=plasticity_rng,
-        )
+        learner = self._build_learner(plasticity_rng)
 
         n_steps = config.burn_in_steps + n_samples * config.sample_interval
         device_states = pool.sample(n_steps)
-        # Subthreshold membrane trajectory after burn-in drives the plasticity.
+        # Subthreshold membrane trajectory after burn-in drives the plasticity:
+        # exactly n_samples * sample_interval rows, one read-out per interval.
         potentials = population.run_subthreshold(
             device_states, burn_in=config.burn_in_steps
         )
 
         assignments = np.empty((n_samples, n), dtype=np.int8)
-        sample_index = 0
-        for t in range(potentials.shape[0]):
-            learner.step(potentials[t])
-            if (t + 1) % config.sample_interval == 0 and sample_index < n_samples:
-                assignments[sample_index] = learner.sign_assignment()
-                sample_index += 1
-        # If rounding of steps left trailing samples unfilled (cannot happen with
-        # the exact step count above, but guard anyway), repeat the last state.
-        while sample_index < n_samples:
+        for sample_index, block in enumerate(
+            potentials.reshape(n_samples, config.sample_interval, n)
+        ):
+            for row in block:
+                learner.step(row)
             assignments[sample_index] = learner.sign_assignment()
-            sample_index += 1
 
         weights = cut_weights_batch(self.graph, assignments)
         best_index = int(np.argmax(weights))

@@ -42,7 +42,7 @@ from repro.neurons.encoding import (
     membrane_sign_assignments_xp,
     spikes_to_assignments_xp,
 )
-from repro.obs.trace import span
+from repro.obs.trace import accumulate, span
 from repro.utils.logging import get_logger
 from repro.utils.validation import ValidationError
 
@@ -232,12 +232,13 @@ class BatchedSolverEngine:
         currents = simulator.drive_currents(xp.asarray(states), split_at=split)
         del states
 
-        learners = None
+        learner = None
         if plan.readout == "plasticity":
-            learners = [
-                plan.plasticity_builder(sampler.aux_generator(trial))
-                for trial in trials
-            ]
+            # One learner for the block, one weight row per trial, each row
+            # seeded from its own trial's auxiliary stream.
+            learner = plan.plasticity_builder(
+                [sampler.aux_generator(trial) for trial in trials]
+            )
             rounds = simulator.iter_subthreshold_rounds(
                 currents, plan.burn_in, plan.interval, rounds_limit
             )
@@ -285,16 +286,18 @@ class BatchedSolverEngine:
                     readout_rows = None
                     assignments = spikes_to_assignments_xp(xp, payload)
                 else:
-                    # Plasticity learners are host objects (the circuits' own
-                    # rule implementations), so this read-out bridges each
-                    # round's rows back to NumPy before stepping them.
+                    # The learner is the circuit's own host-side rule, so this
+                    # read-out bridges each round's rows back to NumPy and
+                    # steps every trial at once, one call per interval step.
                     rows = xp.to_numpy(payload)
                     readout_rows = rows[:, -1]
-                    assignments = np.empty((n_trials, plan.n_neurons), dtype=np.int8)
-                    for j, learner in enumerate(learners):
-                        for k in range(plan.interval):
-                            learner.step(rows[j, k])
-                        assignments[j] = learner.sign_assignment()
+                    step_start = time.perf_counter()
+                    for k in range(plan.interval):
+                        learner.step(rows[:, k])
+                    assignments = learner.sign_assignment()
+                    # No-ops unless tracing is enabled.
+                    accumulate("plasticity_seconds", time.perf_counter() - step_start)
+                    accumulate("plasticity_steps", plan.interval)
 
                 weights = xp.to_numpy(evaluator.weights(assignments))
                 assignments = xp.to_numpy(assignments)

@@ -21,15 +21,20 @@ along the trials axis; this module extends it along the graph axis).
 Fusion requirements (checked by :meth:`InstanceBlock.build`): identical
 execution shape (``n_neurons``, ``n_devices``, ``burn_in``, ``interval``,
 read-out mode, LIF parameters, ``n_samples``), the same resolved array
-backend and weight-backend name, a ``membrane`` or ``spike`` read-out
-(plasticity learners are stateful host objects with per-trial RNG — fusing
-them buys nothing), and no ``early_stop``/``deadline_seconds`` (a stop
-driven by the fused distribution would couple instances to their
-block-mates).  :func:`solve_instance_block` is the lenient front door: it
-fuses when it can and transparently falls back to per-request
+backend and weight-backend name, a ``membrane`` or ``spike`` read-out, and
+no ``early_stop``/``deadline_seconds`` (a stop driven by the fused
+distribution would couple instances to their block-mates).
+:func:`solve_instance_block` is the lenient front door: it fuses when it can
+and transparently falls back to per-request
 :func:`~repro.engine.engine.solve` calls when it cannot, so callers (the
 workload executor, the serve batch loop, the bench harness) need no
 pre-checks.
+
+Plasticity read-outs are not fused yet.  The engine already steps a trial
+block through one ``(trials, n)`` learner, but that learner is shaped and
+configured per graph: one circuit's ``plasticity_builder`` fixes its rule
+parameters (learning rate, decay, input normalisation), and a fused block
+would need one learner spanning every instance's rows.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ A circuit that supports trial-parallel execution exposes
 ``engine_plan() -> BatchPlan`` describing everything the engine needs to
 replay it in batch: the weight matrix, LIF parameters, read-out cadence and
 mode, how to build one trial's device pool, and (for plasticity read-outs)
-how to build one trial's learner.  The plan deliberately lives in its own
+how to build a trial block's learner.  The plan deliberately lives in its own
 dependency-free module so :mod:`repro.circuits` can import it without
 creating a cycle with :mod:`repro.engine`.
 """
@@ -41,16 +41,21 @@ class BatchPlan:
         Steps between consecutive read-outs.
     readout:
         ``"membrane"`` (sign of the membrane row), ``"spike"`` (spiking vs.
-        silent at the read-out step), or ``"plasticity"`` (a per-trial learner
-        consumes every post-burn-in membrane row and its weight signs are the
-        read-out).
+        silent at the read-out step), or ``"plasticity"`` (a learner with one
+        weight row per trial consumes every post-burn-in membrane row and its
+        weight signs are the read-out).
     n_devices:
         Devices per trial (pool width).
     pool_builder:
         ``(rng) -> DevicePool`` building one trial's device pool.
     plasticity_builder:
-        ``(rng) -> learner`` for ``"plasticity"`` read-outs; the learner must
-        provide ``step(x)`` and ``sign_assignment()``.
+        ``(rngs) -> learner`` for ``"plasticity"`` read-outs, called once per
+        trial block with one generator per trial (that trial's auxiliary
+        stream).  The learner holds ``(len(rngs), n_neurons)`` weights, row
+        ``i`` seeded from ``rngs[i]``; ``step(x)`` takes one ``(trials,
+        n_neurons)`` membrane row per trial and ``sign_assignment()`` returns
+        the ``(trials, n_neurons)`` int8 read-out.  Rows must evolve exactly
+        as a single trial's learner would on its own.
     sparse_weights:
         Optional zero-argument builder of a sparse (CSR-compatible) weight
         matrix, enabling the ``sparse`` backend for low-density graphs.

@@ -125,23 +125,25 @@ class TestSeededEquivalence:
         assert np.array_equal(large.trajectories[:2], small.trajectories)
 
     def test_blocked_execution_is_identical(self, medium_er_graph):
-        """A tiny memory cap (many trial blocks) changes nothing."""
-        circuit = _gw(medium_er_graph)
-        one_block = solve(
-            SolveRequest(circuit=circuit, n_trials=6, n_samples=10, seed=4)
-        )
-        bytes_per_trial = (
-            (GW_CONFIG.burn_in_steps + 10 * GW_CONFIG.sample_interval)
-            * medium_er_graph.n_vertices * 8
-        )
-        many_blocks = solve(
-            SolveRequest(
-                circuit=circuit, n_trials=6, n_samples=10, seed=4,
-                max_block_bytes=2 * bytes_per_trial,
+        """A tiny memory cap (many trial blocks) changes nothing, on either circuit."""
+        for circuit, config in (
+            (_gw(medium_er_graph), GW_CONFIG), (_tr(medium_er_graph), TR_CONFIG),
+        ):
+            request = SolveRequest(circuit=circuit, n_trials=6, n_samples=10, seed=4)
+            one_block = solve(request)
+            bytes_per_trial = (
+                (config.burn_in_steps + 10 * config.sample_interval)
+                * medium_er_graph.n_vertices * 8
             )
-        )
-        assert many_blocks.metadata["n_blocks"] > 1
-        _assert_bit_identical(many_blocks, one_block)
+            many_blocks = solve(
+                SolveRequest(
+                    circuit=circuit, n_trials=6, n_samples=10, seed=4,
+                    max_block_bytes=2 * bytes_per_trial,
+                )
+            )
+            assert many_blocks.metadata["n_blocks"] > 1
+            _assert_bit_identical(many_blocks, one_block)
+            _assert_bit_identical(many_blocks, sequential_solve(request))
 
     def test_circuit_method_fast_path(self, medium_er_graph):
         """The circuits' opt-in sample_cuts_batch wrapper hits the engine."""

@@ -170,3 +170,111 @@ class TestAntiHebbianMinorComponent:
         learner = AntiHebbianMinorComponent(2, seed=12)
         learner.train(rng.standard_normal((7, 2)))
         assert learner.n_updates == 7
+
+
+def _reference_anti_hebbian_step(w, x, eta, normalize_inputs):
+    """The 1-D learner step as it stood before the rule was made batchable.
+
+    Kept verbatim (update function inlined) as the bitwise reference: a
+    test-local copy, unlike a golden hash, does not depend on the host's BLAS
+    kernel.  Returns ``(weights, y, renormalised)``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if normalize_inputs:
+        rms = float(np.sqrt(np.mean(x * x)))
+        if rms > 1e-12:
+            x = x / rms
+    y = float(w @ x)
+    # anti_hebbian_oja_update(w, x, eta), which recomputed y:
+    y_update = float(w @ x)
+    w = w + eta * (-y_update * x + (y_update * y_update + 1.0 - float(w @ w)) * w)
+    norm = float(np.linalg.norm(w))
+    renormalised = norm > 10.0
+    if renormalised:
+        w /= norm
+    return w, y, renormalised
+
+
+class TestBatchedAntiHebbian:
+    """A (T, n) learner steps every row exactly as T independent 1-D learners."""
+
+    @pytest.mark.parametrize("normalize_inputs", [True, False])
+    @pytest.mark.parametrize("n", [3, 60, 100])
+    @pytest.mark.parametrize("n_rows", [1, 4, 16])
+    def test_rows_match_independent_learners_bitwise(
+        self, n_rows, n, normalize_inputs
+    ):
+        n_steps = 1000
+        seeds = [np.random.SeedSequence(314, spawn_key=(i,)) for i in range(n_rows)]
+        params = dict(
+            # Small enough that only the scaled-up row trips the norm guard.
+            learning_rate=0.05 / np.sqrt(n), learning_rate_decay=0.01,
+            normalize_inputs=normalize_inputs,
+        )
+        batch = AntiHebbianMinorComponent(n, seed=seeds, **params)
+        singles = [AntiHebbianMinorComponent(n, seed=s, **params) for s in seeds]
+        reference = [single.weights.copy() for single in singles]
+        assert np.array_equal(batch.weights, np.array(reference))
+
+        rng = np.random.default_rng(n * 100 + n_rows)
+        zero_row, huge_row = (1, 2) if n_rows > 2 else (None, None)
+        renormalised = np.zeros(n_rows, dtype=bool)
+        for _ in range(n_steps):
+            # Unnormalised inputs stay small enough for the rule to be stable.
+            scale = rng.uniform(0.1, 10.0) if normalize_inputs else 0.5 / np.sqrt(n)
+            # A strided (rows, n) view, as the engine passes rows[:, k].
+            inputs = rng.standard_normal((n_rows, 2, n)) * scale
+            if zero_row is not None:
+                inputs[zero_row] = 0.0  # rms guard
+                inputs[huge_row] *= 1e3  # norm > 10 guard without normalisation
+            x = inputs[:, 1]
+            eta = batch.current_learning_rate()
+            y = batch.step(x)
+            for i, single in enumerate(singles):
+                assert single.step(x[i]) == y[i]
+                reference[i], y_ref, tripped = _reference_anti_hebbian_step(
+                    reference[i], x[i], eta, normalize_inputs
+                )
+                assert y_ref == y[i]
+                renormalised[i] |= tripped
+            assert np.array_equal(batch.weights, np.array(reference))
+        assert np.array_equal(batch.weights, np.array([s.weights for s in singles]))
+        assert np.all(np.isfinite(batch.weights))
+        assert batch.n_updates == n_steps
+        if zero_row is not None:
+            assert renormalised[huge_row] == (not normalize_inputs)
+            mates = np.delete(renormalised, huge_row)
+            assert not mates.any()
+        assert np.array_equal(
+            batch.sign_assignment(), np.array([s.sign_assignment() for s in singles])
+        )
+
+    def test_one_dimensional_step_returns_float(self):
+        learner = AntiHebbianMinorComponent(3, seed=13)
+        assert isinstance(learner.step(np.array([1.0, 2.0, 3.0])), float)
+
+    def test_batched_train(self, rng):
+        seeds = [21, 22]
+        batch = AntiHebbianMinorComponent(3, seed=seeds)
+        singles = [AntiHebbianMinorComponent(3, seed=s) for s in seeds]
+        inputs = rng.standard_normal((50, 2, 3))
+        outputs = batch.train(inputs)
+        assert outputs.shape == (50, 2)
+        for i, single in enumerate(singles):
+            assert np.array_equal(single.train(inputs[:, i]), outputs[:, i])
+            assert np.array_equal(single.weights, batch.weights[i])
+
+    def test_step_shape_mismatch_raises(self):
+        batch = AntiHebbianMinorComponent(3, seed=[1, 2])
+        with pytest.raises(ValidationError):
+            batch.step(np.ones(3))
+        with pytest.raises(ValidationError):
+            batch.train(np.ones((5, 3)))
+
+    def test_update_functions_accept_row_batches(self, rng):
+        w = rng.standard_normal((4, 5))
+        x = rng.standard_normal((4, 5))
+        for update in (hebbian_update, oja_update, anti_hebbian_oja_update):
+            batched = update(w, x, 0.05)
+            rows = np.array([update(w[i], x[i], 0.05) for i in range(4)])
+            assert np.array_equal(batched, rows)

@@ -23,6 +23,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.circuits.config import LIFTrevisanConfig
 from repro.cli import main
 from repro.experiments.runner import run_circuit_trials
 from repro.graphs.generators import erdos_renyi
@@ -219,6 +220,10 @@ class TestEngineIntegration:
         assert integrate.attrs.get("cut_evaluations", 0) > 0
         assert integrate.attrs.get("cut_eval_seconds", 0.0) >= 0.0
         assert integrate.attrs["rounds_completed"] == 12
+        # The block's batched plasticity steps: one call per interval step.
+        interval = LIFTrevisanConfig().sample_interval
+        assert integrate.attrs["plasticity_steps"] == 12 * interval
+        assert integrate.attrs["plasticity_seconds"] > 0.0
         solve_span = next(s for s in trace.spans if s.name == "engine.solve")
         assert solve_span.attrs["backend"] == traced.backend_name
 
