@@ -19,8 +19,10 @@ from benchmarks.conftest import sample_budget
 from repro.analysis.scaling import HardwareModel, throughput_report
 from repro.cuts.cut import cut_weights_batch
 from repro.devices.bernoulli import FairCoinPool
+from repro.engine.backends import DenseBackend
+from repro.engine.simulator import BatchLIFSimulator
 from repro.graphs.generators import erdos_renyi
-from repro.neurons.lif import LIFPopulation
+from repro.neurons.lif import LIFParameters
 from repro.sdp.burer_monteiro import solve_maxcut_sdp
 from repro.spectral.trevisan import trevisan_simple_spectral
 from repro.utils.timers import time_call
@@ -79,8 +81,10 @@ def test_bench_lif_integration(benchmark):
     states = FairCoinPool(500, seed=5).sample(steps)
 
     def run():
-        population = LIFPopulation(weights)
-        return population.run_subthreshold(states)
+        simulator = BatchLIFSimulator(DenseBackend(weights), LIFParameters(), 500)
+        currents = simulator.drive_currents(states[None])
+        ((_, rows),) = simulator.iter_subthreshold_rounds(currents, 0, steps, 1)
+        return rows[0]
 
     trajectory = benchmark.pedantic(run, iterations=1, rounds=3)
     assert trajectory.shape == (steps, 500)

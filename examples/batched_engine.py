@@ -2,9 +2,10 @@
 """Trial-parallel solving with the batched engine (repro.engine).
 
 Runs a batch of independent LIF-GW trials on one Erdős–Rényi graph through
-the batched solver engine, then repeats the identical trials through the
-sequential per-trial path to demonstrate (a) the throughput gap and (b) the
-bit-identical results guaranteed by the engine's seeding contract.  Finally
+the batched solver engine, then repeats the identical trials one at a time
+(the same request with ``max_block_bytes=1``) to demonstrate (a) the
+throughput gap and (b) the bit-identical results guaranteed by the engine's
+seeding contract.  Finally
 shows early stopping: the same batch with a plateau rule terminates as soon
 as the best-cut distribution converges.
 
@@ -17,13 +18,14 @@ Usage:
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 
 import numpy as np
 
 from repro.circuits.config import LIFGWConfig, LIFTrevisanConfig
 from repro.circuits.lif_gw import LIFGWCircuit
 from repro.circuits.lif_trevisan import LIFTrevisanCircuit
-from repro.engine import EarlyStopConfig, SolveRequest, sequential_solve, solve
+from repro.engine import EarlyStopConfig, SolveRequest, solve
 from repro.graphs.generators import erdos_renyi
 
 
@@ -57,8 +59,8 @@ def main() -> None:
           f"{batched.samples_per_second:,.0f} read-outs/s "
           f"({batched.elapsed_seconds:.3f}s)")
 
-    reference = sequential_solve(request)
-    print("sequential per-trial loop:")
+    reference = solve(replace(request, max_block_bytes=1))
+    print("one trial at a time:")
     print(f"  best cut {reference.best_weight:g}, "
           f"{reference.samples_per_second:,.0f} read-outs/s "
           f"({reference.elapsed_seconds:.3f}s)")

@@ -62,7 +62,6 @@ from repro.devices import (
 )
 from repro.neurons import (
     LIFParameters,
-    LIFPopulation,
     AntiHebbianMinorComponent,
     OjaPrincipalComponent,
 )
@@ -78,7 +77,6 @@ from repro.engine import (
     EarlyStopConfig,
     SolveRequest,
     SolveResult,
-    sequential_solve,
 )
 from repro.algorithms import (
     goemans_williamson,
@@ -171,7 +169,6 @@ __all__ = [
     "TelegraphNoisePool",
     # neurons
     "LIFParameters",
-    "LIFPopulation",
     "AntiHebbianMinorComponent",
     "OjaPrincipalComponent",
     # circuits
@@ -185,7 +182,6 @@ __all__ = [
     "EarlyStopConfig",
     "SolveRequest",
     "SolveResult",
-    "sequential_solve",
     # algorithms
     "goemans_williamson",
     "trevisan_spectral",

@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.cuts.cut import Cut
 from repro.graphs.graph import Graph
-from repro.utils.rng import RandomState
+from repro.utils.rng import RandomState, as_seed_sequence
 from repro.utils.validation import ValidationError
 
 __all__ = ["SampleTrajectory", "CircuitResult", "NeuromorphicCircuit"]
@@ -101,28 +101,35 @@ class NeuromorphicCircuit(abc.ABC):
             raise ValidationError("circuits require a graph with at least one vertex")
         self.graph = graph
 
-    @abc.abstractmethod
     def sample_cuts(
         self, n_samples: int, seed: RandomState = None
     ) -> CircuitResult:
-        """Generate *n_samples* cut read-outs and return the full result."""
+        """Generate *n_samples* cut read-outs and return the full result.
+
+        A one-trial engine solve (dense weights) whose trial seed is *seed*
+        itself, so ``sample_cuts(k, seed=SeedSequence(s, spawn_key=(i,)))``
+        is bitwise trial *i* of a batched solve with root seed ``s``.  An
+        integer or ``None`` seeds a new ``SeedSequence``; a ``Generator``
+        contributes four draws from its stream.
+        """
+        from repro.engine import SolveRequest, solve
+
+        request = SolveRequest(
+            circuit=self, n_trials=1, n_samples=n_samples,
+            trial_seeds=(as_seed_sequence(seed),), backend="dense",
+        )
+        return solve(request).circuit_result(0)
 
     def solve(self, n_samples: int, seed: RandomState = None) -> Cut:
         """Convenience wrapper returning only the best cut found."""
         return self.sample_cuts(n_samples, seed=seed).best_cut
 
     # ------------------------------------------------------------------
-    # Batched fast path (repro.engine)
+    # Batched execution (repro.engine)
     # ------------------------------------------------------------------
+    @abc.abstractmethod
     def engine_plan(self):
-        """Describe how to run this circuit in batch (a ``BatchPlan``).
-
-        Circuits that support the trial-parallel engine override this; the
-        base implementation reports the circuit as sequential-only.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support the batched engine"
-        )
+        """Describe how the engine runs this circuit (a ``BatchPlan``)."""
 
     def sample_cuts_batch(
         self,
@@ -133,7 +140,7 @@ class NeuromorphicCircuit(abc.ABC):
         early_stop=None,
         **request_options,
     ):
-        """Opt-in fast path: run *n_trials* independent trials in batch.
+        """Run *n_trials* independent trials in one batch.
 
         With ``backend="dense"``/``"auto"`` (dense selected) and
         ``early_stop=None``, trial *i* of the returned

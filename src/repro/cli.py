@@ -22,7 +22,8 @@ solve       Run one solver (circuit or classical) on a graph and print the cut.
 engine      Run trial-parallel batched circuit simulation (repro.engine):
             many independent trials of one circuit on one graph in a single
             vectorised solve, with dense/sparse weight backends and optional
-            early stopping; ``--compare`` also times the sequential path.
+            early stopping; ``--compare`` also times the same request run
+            one trial per block.
 serve       Run the solver as a daemon (repro.serve): an async request queue
             over HTTP or a unix socket that coalesces same-shape requests
             into single engine batches, caches served results by content,
@@ -187,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run the performance benchmark workload (perf-gating artifact)",
         description=(
-            "Time engine-vs-sequential and sharded-vs-monolithic execution "
+            "Time batched-vs-one-trial engine and sharded-vs-monolithic execution "
             "on an arena suite, print the speedup leaderboard, and write the "
             "schema'd benchmark artifact. With --check, exit non-zero when "
             "any measured speedup falls below the committed baseline floors."
@@ -201,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trials per scenario (default: 16, quick: 6)")
     bench.add_argument("--samples", type=int, default=None,
                        help="read-outs per trial (default: 128, quick: 48)")
-    bench.add_argument("--out", type=str, default="BENCH_4.json", metavar="FILE",
-                       help="benchmark artifact path (default: BENCH_4.json)")
+    bench.add_argument("--out", type=str, default="bench.json", metavar="FILE",
+                       help="benchmark artifact path (default: bench.json)")
     bench.add_argument("--check", type=str, default=None, metavar="BASELINE",
                        help="baseline JSON with per-scenario min_speedup floors; "
                             "exit 1 when the gate fails")
@@ -256,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Run many independent trials of one circuit on one graph through "
             "the batched solver engine. Trial i is seeded with "
             "SeedSequence(seed, spawn_key=(i,)), so results are reproducible "
-            "and (dense backend, no early stop) bit-identical to running the "
-            "sequential circuit once per trial."
+            "and (numpy dense backend, no early stop) bit-identical to running "
+            "the trials one at a time or through circuit.sample_cuts."
         ),
     )
     engine.add_argument("--circuit", choices=["lif_gw", "lif_tr"], default="lif_gw")
@@ -278,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stop after this many non-improving read-out rounds "
                              "(0 disables early stopping)")
     engine.add_argument("--compare", action="store_true",
-                        help="also run the sequential per-trial path and report speedup")
+                        help="also run the same request one trial per block "
+                             "(max_block_bytes=1) and report the speedup")
 
     # serve ------------------------------------------------------------------
     serve = subparsers.add_parser(
@@ -410,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--workers", type=int, default=1,
                          help="process workers for sequential solvers' trials")
     compare.add_argument("--no-engine", action="store_true",
-                         help="run batchable circuits through the sequential path too")
+                         help="run batchable circuits trial by trial (sample_cuts) too")
     compare.add_argument("--plot", action="store_true",
                          help="render an ASCII bar chart of the leaderboard")
     # SUPPRESS (not None) so a global `repro --save out.json compare ...`
@@ -804,8 +806,8 @@ def _command_solve(args: argparse.Namespace) -> int:
     spec = get_spec(args.solver)
     engine_note = ""
     if args.backend != "auto":
-        # An explicit backend routes batchable solvers through the engine
-        # (the sequential circuit path has no backend seam).  Non-batchable
+        # An explicit backend routes batchable solvers through the batched
+        # engine (a per-trial sample_cuts always runs dense).  Non-batchable
         # solvers cannot honour the request — say so instead of ignoring it.
         if not spec.batchable:
             print(
@@ -975,19 +977,23 @@ def _command_engine(args: argparse.Namespace) -> int:
     print(f"throughput : {result.samples_per_second:,.0f} read-outs/s "
           f"({result.elapsed_seconds:.3f}s wall)")
     if args.compare:
+        # The reference is the engine one trial at a time: the same seeds,
+        # so per-trial bests must match bit for bit.
         reference = run_circuit_trials(
             circuit=circuit,
             graph=None,
             n_trials=args.trials,
             n_samples=args.samples,
             seed=args.seed,
-            use_engine=False,
+            backend=args.backend,
+            early_stop=early_stop,
+            max_block_bytes=1,
         )
         # Per-read-out throughput ratio, so an early-stopped (truncated)
         # engine run is not credited for the rounds it skipped.
         speedup = (result.samples_per_second / reference.samples_per_second
                    if reference.samples_per_second > 0 else float("inf"))
-        print(f"sequential : {reference.samples_per_second:,.0f} read-outs/s "
+        print(f"1 per block: {reference.samples_per_second:,.0f} read-outs/s "
               f"({reference.elapsed_seconds:.3f}s wall)")
         if result.n_rounds == reference.n_rounds:
             match = bool(

@@ -96,32 +96,33 @@ def cut_weights_batch(graph: Graph, assignments: np.ndarray) -> np.ndarray:
     if graph.n_edges == 0:
         return np.zeros(assignments.shape[0], dtype=np.float64)
     edges = graph.edges
-    # (k, m) boolean crossing mask computed with two gathers and one compare.
-    left = assignments[:, edges[:, 0]]
-    right = assignments[:, edges[:, 1]]
-    crossing = left != right
-    return crossing @ graph.edge_weights
+    # (m, k) edge-major crossing mask: two gathers of contiguous vertex rows
+    # and one compare.
+    vertex_major = np.ascontiguousarray(assignments.T)
+    crossing = vertex_major[edges[:, 0]] != vertex_major[edges[:, 1]]
+    # One dot per contiguous cut row: a cut's weight does not depend on how
+    # many cuts the call evaluates, which a (k, m) @ (m,) product does not
+    # promise.
+    return np.vecdot(np.ascontiguousarray(crossing.T, dtype=np.float64), graph.edge_weights)
 
 
 class BatchCutEvaluator:
     """Repeated batch cut evaluation with the per-call overhead hoisted out.
 
-    The streaming engine evaluates a ``(trials,)`` batch of cuts every
-    read-out round — thousands of :func:`cut_weights_batch` calls per solve.
-    This helper captures the edge arrays once and skips input validation
-    (callers guarantee ±1 rows of the right width), while computing the same
-    ``crossing @ edge_weights`` product, so its results are bitwise equal to
-    :func:`cut_weights_batch`.
+    The streaming engine evaluates blocks of cuts (trials x read-out rounds)
+    many times per solve.  This helper captures the edge arrays once and
+    skips input validation (callers guarantee ±1 rows of the right width),
+    while computing the same per-row ``vecdot(crossing, edge_weights)``, so
+    its results are bitwise equal to :func:`cut_weights_batch` — and, since
+    every row is reduced on its own, a cut's weight is the same whichever
+    rows share its call (batch size and chunking never change a bit).
 
     Evaluation runs in an array namespace
     (:class:`repro.engine.xp.ArrayBackend`, default numpy): edge arrays are
     transferred once at construction and the result stays in the namespace —
-    on numpy that means every call lowers to the exact host expressions
-    above, so outputs are unchanged bitwise.  The weighted product uses an
-    explicit ``bool -> float64`` cast before the matmul (accelerators cannot
-    multiply booleans); NumPy's implicit promotion computes the identical
-    product, so the cast keeps one code path without perturbing host
-    results.
+    on numpy every call lowers to the exact host expressions above.  The
+    crossing mask is cast ``bool -> float64`` before the row dots
+    (accelerators cannot multiply booleans).
     """
 
     __slots__ = ("_array", "_heads", "_tails", "_weights", "_n_edges", "_unit_weights")
@@ -142,9 +143,9 @@ class BatchCutEvaluator:
         self._heads = array_backend.asarray(np.ascontiguousarray(edges[:, 0]), dtype="int64")
         self._tails = array_backend.asarray(np.ascontiguousarray(edges[:, 1]), dtype="int64")
         self._weights = array_backend.asarray(host_weights)
-        # For unit weights, `crossing @ 1-vector` is an exact integer sum, so
-        # counting crossing edges gives the bitwise-identical result without
-        # the bool->float promotion of the matmul.
+        # For unit weights the row dot is an exact integer sum, so counting
+        # crossing edges gives the bitwise-identical result without the
+        # bool->float cast.
         self._unit_weights = bool(self._n_edges) and bool(
             np.all(host_weights == 1.0)
         )
@@ -174,10 +175,14 @@ class BatchCutEvaluator:
         assignments = xp.asarray(assignments)
         if self._n_edges == 0:
             return xp.zeros((assignments.shape[0],), dtype="float64")
-        crossing = assignments[:, self._heads] != assignments[:, self._tails]
+        # Edge-major (m, k) crossing mask: the gathers copy contiguous vertex
+        # rows and the count runs down whole rows of the mask, about twice
+        # as fast as gathering columns of the (k, n) block.
+        vertex_major = xp.copy(assignments.T)
+        crossing = vertex_major[self._heads] != vertex_major[self._tails]
         if self._unit_weights:
-            return xp.astype(xp.count_nonzero(crossing, axis=1), "float64")
-        return xp.matmul(xp.astype(crossing, "float64"), self._weights)
+            return xp.astype(xp.count_nonzero(crossing, axis=0), "float64")
+        return xp.vecdot(xp.astype(crossing.T, "float64"), self._weights)
 
 
 @dataclass(frozen=True)

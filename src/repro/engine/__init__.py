@@ -5,10 +5,8 @@ Public API
 :class:`SolveRequest` / :class:`SolveResult`
     Describe and report a batch of independent circuit trials on one graph.
 :class:`BatchedSolverEngine` / :func:`solve`
-    Execute a request with trial-parallel simulation.
-:func:`sequential_solve`
-    Reference loop over the sequential circuit path with the same per-trial
-    seeds (for equivalence tests and benchmarks).
+    Execute a request with trial-parallel simulation — the circuits' only
+    dynamics implementation (``sample_cuts`` is a one-trial solve).
 :class:`EarlyStopConfig`
     Plateau rule for streaming best-cut early stopping.
 :func:`resolve_backend` / :meth:`WeightBackend.for_graph`
@@ -43,7 +41,7 @@ from repro.engine.coalesce import (
     request_trial_seeds,
     split_result,
 )
-from repro.engine.engine import BatchedSolverEngine, sequential_solve, solve
+from repro.engine.engine import BatchedSolverEngine, solve
 from repro.engine.instances import (
     InstanceBlock,
     fusion_compatible,
@@ -102,7 +100,6 @@ __all__ = [
     "request_trial_seeds",
     "resolve_backend",
     "select_backend",
-    "sequential_solve",
     "solve",
     "solve_instance_block",
     "split_result",

@@ -8,10 +8,8 @@ matrix is a skinny ``(n, rank)`` dense array; for LIF-Trevisan it is the
 the product through a small registry of backends:
 
 * ``dense`` — namespace matmul through an :class:`~repro.engine.xp.ArrayBackend`
-  (NumPy by default, torch/cupy opt-in).  On the NumPy array path the product
-  is evaluated with exactly the same expression as
-  :meth:`repro.neurons.lif.LIFPopulation._drive_current`, so the fast path
-  stays bit-identical to the sequential circuits.
+  (NumPy by default, torch/cupy opt-in).  On the NumPy array path this is
+  the bitwise-pinned reference (``tests/test_engine_goldens.py``).
 * ``sparse`` — :mod:`scipy.sparse` CSR product, built from the graph's cached
   CSR adjacency (:meth:`repro.graphs.graph.Graph.to_csr`) when the circuit
   provides a sparse weight builder.  Results agree with ``dense`` to
@@ -168,8 +166,8 @@ class WeightBackend:
 
 
 class DenseBackend(WeightBackend):
-    """Namespace matmul backend — bit-identical to the sequential LIF drive
-    on the NumPy array path."""
+    """Namespace matmul backend — the bitwise-pinned drive on the NumPy
+    array path."""
 
     name = "dense"
 
@@ -182,16 +180,23 @@ class DenseBackend(WeightBackend):
         weights = np.asarray(weights, dtype=np.float64)
         if weights.ndim != 2:
             raise ValidationError(f"weights must be 2-D, got shape {weights.shape}")
+        if not np.all(np.isfinite(weights)):
+            raise ValidationError("weights must be finite")
         self.array = array_backend or get_array_backend("numpy")
-        # On numpy this is the transpose *view* of the float64 weights — the
-        # identical operand LIFPopulation._drive_current's `@ weights.T`
-        # sees; accelerator backends get a device copy.
+        # On numpy this is the transpose *view* of the float64 weights, the
+        # operand the pinned goldens were computed with; accelerator
+        # backends get a device copy.
         self._weights_t = self.array.asarray(weights.T)
 
     def drive(self, device_block, input_offset: float, out=None):
-        # Same expression (dtype, order, transpose-view) as
-        # LIFPopulation._drive_current, which is what makes the engine's dense
-        # numpy path bitwise-reproducible against the sequential circuits.
+        # One 2-D product per call: `(s - offset) @ W^T` on a transpose view.
+        # The engine calls it once per trial, so a trial's currents do not
+        # depend on which trials share its block.
+        if device_block.shape[-1] != self._weights_t.shape[0]:
+            raise ValidationError(
+                f"device block has {device_block.shape[-1]} devices, the weights "
+                f"expect {self._weights_t.shape[0]}"
+            )
         xp = self.array
         centred = xp.astype(device_block, "float64") - input_offset
         return xp.matmul(centred, self._weights_t, out=out)

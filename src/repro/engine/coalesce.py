@@ -194,6 +194,10 @@ def split_result(
                 result.assignments[lo:hi] if result.assignments is not None
                 else None
             ),
+            learner_weights=(
+                result.learner_weights[lo:hi]
+                if result.learner_weights is not None else None
+            ),
             metadata={
                 **result.metadata,
                 "coalesced": True,

@@ -1,7 +1,8 @@
 """The batched solver engine: trial-parallel device + LIF simulation.
 
-:class:`BatchedSolverEngine` owns batched stochastic-circuit simulation end
-to end.  Given a :class:`repro.engine.request.SolveRequest` it
+:class:`BatchedSolverEngine` owns the circuits' stochastic dynamics end to
+end — it is their only implementation; ``NeuromorphicCircuit.sample_cuts``
+is a one-trial solve.  Given a :class:`repro.engine.request.SolveRequest` it
 
 1. resolves the circuit (building it — SDP solve included — when given a
    name),
@@ -11,13 +12,17 @@ to end.  Given a :class:`repro.engine.request.SolveRequest` it
 4. integrates all trials' membranes in lock-step
    (:class:`repro.engine.simulator.BatchLIFSimulator`) with the weight
    product routed through a pluggable dense/sparse backend, and
-5. streams cut read-outs through a :class:`repro.engine.tracker.BestCutTracker`,
+5. evaluates the cut read-outs in chunks of rounds and streams them, one
+   round at a time, through a :class:`repro.engine.tracker.BestCutTracker`,
    optionally terminating early once the best-cut distribution plateaus.
 
-With the default dense backend and early stopping disabled, the engine's
-read-outs are bit-identical to running ``circuit.sample_cuts`` sequentially
-once per trial with the matching ``SeedSequence(root, spawn_key=(i,))`` seed
-— :func:`sequential_solve` implements exactly that reference loop.
+Numerical contract: on the numpy array path every trial row is computed on
+its own — per-trial drive products, elementwise integration, per-row
+plasticity and per-row cut dots — so results are bitwise invariant to the
+trial-block size (``max_block_bytes``), to batch composition (coalesced or
+fused requests) and to the cut-evaluation chunking, and ``sample_cuts`` equals
+trial 0 of a solve with the same seed.  Accelerator backends agree to
+floating-point round-off.
 
 Trials are processed in memory-bounded blocks, so graph size x step count
 never forces the full ``trials x steps x neurons`` current tensor into RAM.
@@ -46,9 +51,12 @@ from repro.obs.trace import accumulate, span
 from repro.utils.logging import get_logger
 from repro.utils.validation import ValidationError
 
-__all__ = ["BatchedSolverEngine", "solve", "sequential_solve"]
+__all__ = ["BatchedSolverEngine", "solve"]
 
 _logger = get_logger("engine")
+
+#: Cut evaluation covers up to this many (read-out row, edge) pairs per call.
+CUT_CHUNK_ELEMENTS = 1 << 21
 
 
 class BatchedSolverEngine:
@@ -109,6 +117,10 @@ class BatchedSolverEngine:
 
         trial_best_weights = np.full(request.n_trials, -np.inf)
         trial_best_assignments = np.zeros((request.n_trials, n_neurons), dtype=np.int8)
+        learner_weights = (
+            np.zeros((request.n_trials, n_neurons))
+            if plan.readout == "plasticity" else None
+        )
         trajectory_blocks: List[np.ndarray] = []
         potential_blocks: List[np.ndarray] = []
         assignment_blocks: List[np.ndarray] = []
@@ -126,7 +138,7 @@ class BatchedSolverEngine:
                 completed = self._run_block(
                     request, plan, graph, sampler, simulator, tracker,
                     trials, n_steps, rounds_limit,
-                    trial_best_weights, trial_best_assignments,
+                    trial_best_weights, trial_best_assignments, learner_weights,
                     trajectory_blocks, potential_blocks, assignment_blocks,
                     allow_stop=(block_index == 0),
                 )
@@ -182,6 +194,7 @@ class BatchedSolverEngine:
                 np.vstack([a[:, :n_rounds] for a in assignment_blocks])
                 if assignment_blocks else None
             ),
+            learner_weights=learner_weights,
             metadata={
                 "n_blocks": len(blocks),
                 "n_devices": plan.n_devices,
@@ -190,6 +203,10 @@ class BatchedSolverEngine:
                 "array_device": xp.device_label(),
                 "early_stop_round": tracker.stop_round if early_stopped else None,
                 "deadline_exceeded": tracker.deadline_exceeded,
+                **(
+                    {"n_plasticity_updates": n_rounds * plan.interval}
+                    if learner_weights is not None else {}
+                ),
                 **plan.metadata,
             },
         )
@@ -208,6 +225,7 @@ class BatchedSolverEngine:
         rounds_limit: int,
         trial_best_weights: np.ndarray,
         trial_best_assignments: np.ndarray,
+        learner_weights: Optional[np.ndarray],
         trajectory_blocks: List[np.ndarray],
         potential_blocks: List[np.ndarray],
         assignment_blocks: List[np.ndarray],
@@ -219,10 +237,10 @@ class BatchedSolverEngine:
         xp = simulator.xp
         evaluator = BatchCutEvaluator(graph, array_backend=xp)
         # Device sampling always covers the full requested step count so each
-        # trial's RNG consumption matches the sequential path (the RNG bridge:
-        # sampling stays on host NumPy whatever the array backend), but blocks
-        # that replay an earlier block's truncated round count only pay the
-        # weight product for the steps they will actually integrate.
+        # trial consumes the same random numbers whatever the block layout
+        # (the RNG bridge: sampling stays on host NumPy whatever the array
+        # backend), but blocks that replay an earlier block's truncated round
+        # count only pay the weight product for the steps they integrate.
         states = sampler.sample_block(trials, n_steps)
         needed_steps = plan.burn_in + rounds_limit * plan.interval
         if needed_steps < n_steps:
@@ -235,10 +253,11 @@ class BatchedSolverEngine:
         learner = None
         if plan.readout == "plasticity":
             # One learner for the block, one weight row per trial, each row
-            # seeded from its own trial's auxiliary stream.
-            learner = plan.plasticity_builder(
-                [sampler.aux_generator(trial) for trial in trials]
-            )
+            # seeded from its own trial's auxiliary stream.  A one-trial
+            # block builds a 1-D learner, whose per-row values stay NumPy
+            # scalars (its fast path); a row evolves bitwise alike either way.
+            aux = [sampler.aux_generator(trial) for trial in trials]
+            learner = plan.plasticity_builder(aux if n_trials > 1 else aux[0])
             rounds = simulator.iter_subthreshold_rounds(
                 currents, plan.burn_in, plan.interval, rounds_limit
             )
@@ -263,27 +282,34 @@ class BatchedSolverEngine:
             if request.record_assignments
             else None
         )
+        # Read-outs wait in `pending` until a chunk of rounds is evaluated in
+        # one call; the tracker still sees them one round at a time.  A run
+        # that may stop early (a plateau rule or a deadline) evaluates every
+        # round before integrating the next, so it never simulates past its
+        # stop round and its learner rows end exactly there.
+        may_stop = request.early_stop is not None or request.deadline_seconds is not None
+        chunk = 1 if may_stop else chunk_rounds(n_trials, graph.n_edges, rounds_limit)
+        pending = xp.empty((chunk, n_trials, plan.n_neurons), dtype="int8")
+        n_pending = 0
 
         tracker.start_block()
         completed = 0
         with span(
             "engine.integrate", n_trials=n_trials, rounds_limit=rounds_limit,
-            readout=plan.readout,
+            readout=plan.readout, chunk_rounds=chunk,
         ) as integrate_span:
             for r, payload in rounds:
                 # Assignments are computed in the array namespace; only the
-                # small per-round products (cut weights, int8 assignments,
-                # recorded potentials) cross back to the host, where the
-                # tracker and the per-trial bests live.  Every `to_numpy`
-                # below is the identity on the numpy backend, so the host
-                # path is unchanged bitwise.
+                # small products (cut weights, int8 assignments, recorded
+                # potentials) cross back to the host, where the tracker and
+                # the per-trial bests live.  Every `to_numpy` below is the
+                # identity on the numpy backend.
+                readout_rows = None
                 if plan.readout == "membrane":
-                    readout_rows = None
                     if potentials_out is not None:
                         readout_rows = xp.to_numpy(payload)
                     assignments = membrane_sign_assignments_xp(xp, payload)
                 elif plan.readout == "spike":
-                    readout_rows = None
                     assignments = spikes_to_assignments_xp(xp, payload)
                 else:
                     # The learner is the circuit's own host-side rule, so this
@@ -292,36 +318,48 @@ class BatchedSolverEngine:
                     rows = xp.to_numpy(payload)
                     readout_rows = rows[:, -1]
                     step_start = time.perf_counter()
-                    for k in range(plan.interval):
-                        learner.step(rows[:, k])
-                    assignments = learner.sign_assignment()
+                    for x in rows[0] if n_trials == 1 else rows.swapaxes(0, 1):
+                        learner.step(x)
+                    assignments = xp.asarray(learner.sign_assignment())
                     # No-ops unless tracing is enabled.
                     accumulate("plasticity_seconds", time.perf_counter() - step_start)
                     accumulate("plasticity_steps", plan.interval)
-
-                weights = xp.to_numpy(evaluator.weights(assignments))
-                assignments = xp.to_numpy(assignments)
-                trajectories[:, r] = weights
-                if potentials_out is not None and readout_rows is not None:
+                pending[n_pending] = assignments
+                n_pending += 1
+                if potentials_out is not None:
                     potentials_out[:, r] = readout_rows
-                if assignments_out is not None:
-                    assignments_out[:, r] = assignments
+                if n_pending < chunk and r + 1 < rounds_limit:
+                    continue
 
-                improved = weights > trial_best_weights[trial_index]
-                if improved.any():
-                    trial_best_weights[trial_index[improved]] = weights[improved]
-                    trial_best_assignments[trial_index[improved]] = assignments[improved]
-
-                completed = r + 1
-                if tracker.update(r, weights) and (
-                    allow_stop or tracker.deadline_exceeded
-                ):
-                    # Plateau/ceiling stops are only honoured in the first
-                    # block (later blocks replay its round count); the
-                    # wall-clock deadline truncates wherever it fires.
+                first = r + 1 - n_pending
+                block = pending[:n_pending]
+                weights = xp.to_numpy(
+                    evaluator.weights(block.reshape(n_pending * n_trials, -1))
+                ).reshape(n_pending, n_trials)
+                host = xp.to_numpy(block)
+                stop_at = None
+                for j in range(n_pending):
+                    if tracker.update(first + j, weights[j]) and (
+                        allow_stop or tracker.deadline_exceeded
+                    ):
+                        # Plateau/ceiling stops are only honoured in the
+                        # first block (later blocks replay its round count);
+                        # the wall-clock deadline truncates wherever it fires.
+                        stop_at = j
+                        break
+                used = n_pending if stop_at is None else stop_at + 1
+                n_pending = 0
+                completed = first + used
+                fold_chunk(
+                    weights[:used], host[:used], first, trial_index, trajectories,
+                    assignments_out, trial_best_weights, trial_best_assignments,
+                )
+                if stop_at is not None:
                     break
             integrate_span.set(rounds_completed=completed)
 
+        if learner is not None:
+            learner_weights[trial_index] = learner.weights
         trajectory_blocks.append(trajectories[:, :completed])
         if potentials_out is not None:
             potential_blocks.append(potentials_out[:, :completed])
@@ -388,57 +426,48 @@ class BatchedSolverEngine:
         )
 
 
+def chunk_rounds(n_rows: int, n_edges: int, rounds_limit: int) -> int:
+    """Read-out rounds per cut-evaluation call for *n_rows* cuts a round.
+
+    A chunk holds up to :data:`CUT_CHUNK_ELEMENTS` (row, edge) pairs, and
+    at least one round.
+    """
+    by_size = CUT_CHUNK_ELEMENTS // max(1, n_rows * n_edges)
+    return int(max(1, min(rounds_limit, by_size)))
+
+
+def fold_chunk(
+    weights: np.ndarray,
+    assignments: np.ndarray,
+    first: int,
+    trial_index: np.ndarray,
+    trajectories: np.ndarray,
+    assignments_out: Optional[np.ndarray],
+    trial_best_weights: np.ndarray,
+    trial_best_assignments: np.ndarray,
+) -> None:
+    """Record a chunk of ``(rounds, trials)`` read-outs starting at round *first*.
+
+    A trial's best is the earliest read-out with its highest weight:
+    ``argmax`` picks the first maximum inside the chunk, and only a
+    strictly better chunk best replaces an earlier chunk's, which is
+    what a round-by-round strict-improvement scan keeps.
+    """
+    n_rounds, n_trials = weights.shape
+    trajectories[:, first:first + n_rounds] = weights.T
+    if assignments_out is not None:
+        assignments_out[:, first:first + n_rounds] = assignments.swapaxes(0, 1)
+    best_round = np.argmax(weights, axis=0)
+    columns = np.arange(n_trials)
+    chunk_best = weights[best_round, columns]
+    improved = chunk_best > trial_best_weights[trial_index]
+    if improved.any():
+        trial_best_weights[trial_index[improved]] = chunk_best[improved]
+        trial_best_assignments[trial_index[improved]] = assignments[
+            best_round[improved], columns[improved]
+        ]
+
+
 def solve(request: SolveRequest) -> SolveResult:
     """Module-level convenience wrapper: ``BatchedSolverEngine().solve(request)``."""
     return BatchedSolverEngine().solve(request)
-
-
-def sequential_solve(request: SolveRequest) -> SolveResult:
-    """Reference implementation: one ``sample_cuts`` call per trial.
-
-    Runs the *sequential* circuit path with exactly the per-trial seeds the
-    engine derives, and packages the outcome as a :class:`SolveResult`.  Used
-    by the equivalence tests and the throughput benchmarks; early stopping
-    and backend selection do not apply.
-    """
-    start = time.perf_counter()
-    engine = BatchedSolverEngine()
-    circuit = engine._resolve_circuit(request)
-    graph = circuit.graph
-    plan = circuit.engine_plan()
-    n_steps = plan.burn_in + request.n_samples * plan.interval
-    if request.n_trials == 0:
-        return engine._empty_result(request, circuit, "sequential", graph)
-
-    seeds = _request_trial_seeds(request)
-    trajectories = np.zeros((request.n_trials, request.n_samples))
-    best_weights = np.full(request.n_trials, -np.inf)
-    best_assignments = np.zeros(
-        (request.n_trials, graph.n_vertices), dtype=np.int8
-    )
-    for i, trial_seed in enumerate(seeds):
-        result = circuit.sample_cuts(request.n_samples, seed=trial_seed)
-        trajectories[i] = result.trajectory.weights
-        best_weights[i] = result.best_cut.weight
-        best_assignments[i] = result.best_cut.assignment
-    best_trial = int(np.argmax(best_weights))
-    best_cut = Cut(
-        assignment=best_assignments[best_trial].copy(),
-        weight=float(best_weights[best_trial]),
-        graph_name=graph.name,
-    )
-    return SolveResult(
-        graph_name=graph.name,
-        circuit_name=circuit.name,
-        backend_name="sequential",
-        n_trials=request.n_trials,
-        n_samples=request.n_samples,
-        n_rounds=request.n_samples,
-        n_steps=n_steps,
-        best_cut=best_cut,
-        trial_best_weights=best_weights,
-        trial_best_assignments=best_assignments,
-        trajectories=trajectories,
-        elapsed_seconds=time.perf_counter() - start,
-        metadata={"sequential": True},
-    )

@@ -48,7 +48,7 @@ import numpy as np
 from repro.cuts.cut import BatchCutEvaluator, Cut
 from repro.engine.backends import WeightBackend
 from repro.engine.coalesce import request_trial_seeds
-from repro.engine.engine import BatchedSolverEngine
+from repro.engine.engine import BatchedSolverEngine, chunk_rounds, fold_chunk
 from repro.engine.request import SolveRequest, SolveResult
 from repro.engine.sampler import BatchDeviceSampler
 from repro.engine.simulator import BatchLIFSimulator
@@ -258,6 +258,14 @@ class InstanceBlock:
             BatchCutEvaluator(inst.circuit.graph, array_backend=xp)
             for inst in prepared
         ]
+        # Read-outs wait in `pending` until a chunk of rounds is evaluated,
+        # one evaluator call per instance (fused blocks never stop early).
+        chunk = chunk_rounds(
+            self._total_trials,
+            max(inst.circuit.graph.n_edges for inst in prepared), n_samples,
+        )
+        pending = xp.empty((chunk, self._total_trials, n_neurons), dtype="int8")
+        n_pending = 0
         trajectories = np.zeros((self._total_trials, n_samples))
         best_weights = np.full(self._total_trials, -np.inf)
         best_assignments = np.zeros(
@@ -282,23 +290,27 @@ class InstanceBlock:
         ):
             for r, payload in rounds:
                 if plan0.readout == "membrane":
-                    assignments = membrane_sign_assignments_xp(xp, payload)
+                    pending[n_pending] = membrane_sign_assignments_xp(xp, payload)
                 else:
-                    assignments = spikes_to_assignments_xp(xp, payload)
+                    pending[n_pending] = spikes_to_assignments_xp(xp, payload)
+                n_pending += 1
+                for i, inst in enumerate(prepared):
+                    if potential_rows[i] is not None:
+                        potential_rows[i][:, r] = xp.to_numpy(payload[inst.lo:inst.hi])
+                if n_pending < chunk and r + 1 < n_samples:
+                    continue
+                first = r + 1 - n_pending
+                host = xp.to_numpy(pending[:n_pending])
                 for i, inst in enumerate(prepared):
                     lo, hi = inst.lo, inst.hi
-                    rows = assignments[lo:hi]
+                    rows = pending[:n_pending, lo:hi].reshape(n_pending * (hi - lo), n_neurons)
                     weights = xp.to_numpy(evaluators[i].weights(rows))
-                    rows_host = xp.to_numpy(rows)
-                    trajectories[lo:hi, r] = weights
-                    improved = weights > best_weights[lo:hi]
-                    if improved.any():
-                        best_weights[lo:hi][improved] = weights[improved]
-                        best_assignments[lo:hi][improved] = rows_host[improved]
-                    if potential_rows[i] is not None:
-                        potential_rows[i][:, r] = xp.to_numpy(payload[lo:hi])
-                    if assignment_rows[i] is not None:
-                        assignment_rows[i][:, r] = rows_host
+                    fold_chunk(
+                        weights.reshape(n_pending, hi - lo), host[:, lo:hi], first,
+                        np.arange(lo, hi), trajectories[lo:hi], assignment_rows[i],
+                        best_weights, best_assignments,
+                    )
+                n_pending = 0
 
         elapsed = time.perf_counter() - start
         _logger.debug(

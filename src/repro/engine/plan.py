@@ -54,8 +54,10 @@ class BatchPlan:
         stream).  The learner holds ``(len(rngs), n_neurons)`` weights, row
         ``i`` seeded from ``rngs[i]``; ``step(x)`` takes one ``(trials,
         n_neurons)`` membrane row per trial and ``sign_assignment()`` returns
-        the ``(trials, n_neurons)`` int8 read-out.  Rows must evolve exactly
-        as a single trial's learner would on its own.
+        the ``(trials, n_neurons)`` int8 read-out.  A one-trial block passes
+        its single generator instead of a list and steps the resulting 1-D
+        learner.  Rows must evolve exactly as a single trial's learner would
+        on its own.
     sparse_weights:
         Optional zero-argument builder of a sparse (CSR-compatible) weight
         matrix, enabling the ``sparse`` backend for low-density graphs.

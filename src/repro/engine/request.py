@@ -12,13 +12,13 @@ Seeding contract
 Trial *i* of a request with root seed ``s`` receives the seed sequence
 ``SeedSequence(entropy=s, spawn_key=(i,))`` — the same child that
 :class:`repro.utils.rng.SeedStream` and :func:`repro.parallel.seeds.seeded_tasks`
-hand to work item *i*.  Running the engine with ``n_trials=k`` is therefore
-bit-identical (dense backend) to the sequential loop
+hand to work item *i*.  On the numpy array path trial *i* is bitwise the
+same whatever the trial-block size (``max_block_bytes``) or the batch it
+shares (coalesced requests), and equal to the one-trial solve
 
-    for i in range(k):
-        circuit.sample_cuts(n_samples, seed=SeedSequence(s, spawn_key=(i,)))
+    circuit.sample_cuts(n_samples, seed=SeedSequence(s, spawn_key=(i,)))
 
-regardless of trial-block size or execution order.
+Sparse and accelerator backends agree with it to floating-point round-off.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class EarlyStopConfig:
     have completed.  While a rule is active, a cut equal to the graph's total
     edge weight (every edge cut) stops immediately — no later sample can beat
     it.  Without a rule (``early_stop=None``) the engine never truncates, the
-    ceiling included, preserving exact sequential equivalence.
+    ceiling included.
 
     Attributes
     ----------
@@ -118,12 +118,12 @@ class SolveRequest:
         ``"<array>:<weight>"`` form (e.g. ``"torch:dense"``).  An explicit
         weight name is always honoured; ``"auto"`` picks ``sparse`` for
         large low-density graphs with square weight matrices and ``dense``
-        otherwise.  Only the numpy array path guarantees bitwise identity
-        with the sequential circuits; sparse and accelerator (torch/cupy)
-        paths agree to floating-point round-off.
+        otherwise.  Only the numpy dense path is pinned bitwise (the
+        seeding contract above); sparse and accelerator (torch/cupy) paths
+        agree with it to floating-point round-off.
     early_stop:
-        Optional plateau rule; ``None`` disables early stopping (required for
-        exact sample-for-sample equivalence with the sequential path).
+        Optional plateau rule; ``None`` disables early stopping (every trial
+        then runs all ``n_samples`` read-outs).
     deadline_seconds:
         Optional hard wall-clock deadline for the whole batch, independent of
         the plateau rule.  Once exceeded, the engine stops launching further
@@ -239,6 +239,9 @@ class SolveResult:
         ``(n_trials, n_rounds, n)`` read-out membrane rows when requested.
     assignments:
         ``(n_trials, n_rounds, n)`` read-out assignments when requested.
+    learner_weights:
+        ``(n_trials, n)`` plasticity learner row of each trial after its last
+        simulated step (``"plasticity"`` read-outs only).
     metadata:
         Engine extras (block count, device count, early-stop round, ...).
     """
@@ -258,6 +261,7 @@ class SolveResult:
     elapsed_seconds: float = 0.0
     potentials: Optional[np.ndarray] = None
     assignments: Optional[np.ndarray] = None
+    learner_weights: Optional[np.ndarray] = None
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -274,7 +278,13 @@ class SolveResult:
         return total / self.elapsed_seconds
 
     def circuit_result(self, trial: int) -> CircuitResult:
-        """View one trial as a sequential-style :class:`CircuitResult`."""
+        """View one trial as a :class:`CircuitResult` (what ``sample_cuts`` returns).
+
+        The metadata carries the batch's metadata (the circuit's own keys
+        included: ``rank``/``sdp_objective`` for LIF-GW, ``learning_rate``
+        and ``n_plasticity_updates`` for LIF-TR), plus the trial's
+        ``final_plasticity_weights`` row for plasticity read-outs.
+        """
         if not (0 <= trial < self.n_trials):
             raise ValidationError(
                 f"trial must be in [0, {self.n_trials}), got {trial}"
@@ -286,12 +296,15 @@ class SolveResult:
             weight=float(self.trial_best_weights[trial]),
             graph_name=self.graph_name,
         )
+        metadata = {**self.metadata, "engine": True, "backend": self.backend_name,
+                    "trial": trial, "best_round": best_index}
+        if self.learner_weights is not None:
+            metadata["final_plasticity_weights"] = self.learner_weights[trial].copy()
         return CircuitResult(
             graph_name=self.graph_name,
             best_cut=cut,
             trajectory=SampleTrajectory(weights=weights),
             n_samples=int(weights.shape[0]),
             n_steps=self.n_steps,
-            metadata={"engine": True, "backend": self.backend_name,
-                      "trial": trial, "best_round": best_index},
+            metadata=metadata,
         )

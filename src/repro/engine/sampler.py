@@ -1,11 +1,11 @@
 """Trial-parallel device sampling for the batched solver engine.
 
-:class:`BatchDeviceSampler` replays, for every trial, exactly the RNG chain
-the sequential circuits use — ``spawn_generators(trial_seed, 2)`` to split
-device and auxiliary (plasticity) randomness, then one
-:meth:`repro.devices.base.DevicePool.sample` call for the whole step block —
-so the batched engine consumes bit-for-bit the same random numbers as
-``circuit.sample_cuts(n_samples, seed=trial_seed)`` would, trial by trial.
+:class:`BatchDeviceSampler` runs, for every trial, one fixed RNG chain —
+``spawn_generators(trial_seed, 2)`` to split device and auxiliary
+(plasticity) randomness, then one :meth:`repro.devices.base.DevicePool.sample`
+call for the whole step block — so a trial consumes the same random numbers
+whatever block it runs in, and ``circuit.sample_cuts(n_samples,
+seed=trial_seed)`` (a one-trial solve) reproduces it exactly.
 
 Trial seeds are derived from the request's root seed as
 ``SeedSequence(entropy=root, spawn_key=(i,))`` (the
@@ -105,7 +105,7 @@ class BatchDeviceSampler:
 
         Only valid after :meth:`sample_block` has covered the trial — the
         generator is created by the same ``spawn_generators(seed, 2)`` call
-        that seeds the device pool, mirroring the sequential circuits.
+        that seeds the device pool.
         """
         aux = self._aux_generators[trial]
         if aux is None:
@@ -118,8 +118,7 @@ class BatchDeviceSampler:
         """Device states for a block of trials: ``(len(trials), n_steps, d)`` int8.
 
         Each trial's block comes from a freshly built pool seeded with that
-        trial's own generator, in one vectorised ``pool.sample`` call — the
-        same single call the sequential circuits make.
+        trial's own generator, in one vectorised ``pool.sample`` call.
         """
         if n_steps < 0:
             raise ValidationError(f"n_steps must be >= 0, got {n_steps}")

@@ -1,13 +1,12 @@
 """Batched (trial-parallel) LIF membrane integration.
 
-:class:`BatchLIFSimulator` advances *all trials at once*: the membrane state
-is a ``(trials, neurons)`` matrix and every Euler step is a single vectorised
-update ``V <- leak * V + gain * I_t`` on that matrix, with the synaptic
-currents ``I`` produced by one weight-application matmul per trial (dense or
-sparse backend).  Where the sequential :class:`repro.neurons.lif.LIFPopulation`
-runs a Python loop of ``trials x steps`` iterations, the batched simulator
-loops ``steps`` times over ``(trials, neurons)`` arrays — the source of the
-engine's throughput win.
+:class:`BatchLIFSimulator` is the one implementation of the LIF dynamics:
+it advances *all trials at once* — the membrane state is a ``(trials,
+neurons)`` matrix and every Euler step is a single vectorised update
+``V <- leak * V + gain * I_t`` on that matrix, with the synaptic currents
+``I`` produced by one weight-application matmul per trial (dense or sparse
+backend).  A one-trial block (``sample_cuts``) is the same loop over a
+``(1, neurons)`` matrix.
 
 Every array operation is issued through the weight backend's
 :class:`~repro.engine.xp.ArrayBackend` namespace, so the same integration
@@ -15,12 +14,10 @@ code runs on NumPy, torch, or cupy state tensors; the state lives wherever
 the array backend puts it (host or device) for the whole integration.
 
 Numerical contract: every per-element operation (leak, gain, threshold,
-reset) is evaluated with the same scalar arithmetic as ``LIFPopulation``'s
-``_integrate`` / ``run_subthreshold``, and on the NumPy array path each
-namespace call *is* the module-level NumPy call the pre-seam simulator made,
-with the dense backend evaluating the drive matmul with the identical
-expression and operand shapes — so batched trajectories are bit-identical to
-sequential trials under the same seeds.  Accelerator paths agree to
+reset) acts on each trial row alone, and each trial's currents come from
+its own 2-D product, so on the NumPy path a trial's trajectory is bitwise
+the same whatever the block it shares (pinned by
+``tests/test_engine_goldens.py``).  Accelerator paths agree to
 floating-point round-off (kernel summation order differs).
 
 The fused currents entry point (``drive_currents(..., out=...)``) lets the
@@ -52,9 +49,8 @@ class BatchLIFSimulator:
         synaptic currents.  Its ``array`` attribute fixes the array
         namespace the integration runs in.
     params:
-        Electrical parameters shared by all neurons and trials (the same
-        :class:`LIFParameters` the sequential circuits use, including
-        threshold/reset semantics).
+        Electrical parameters shared by all neurons and trials, including
+        threshold/reset semantics.
     n_neurons:
         Number of neurons per trial.
     array_backend:
@@ -89,14 +85,12 @@ class BatchLIFSimulator:
     def drive_currents(self, device_states, split_at: int = 0, out=None):
         """Synaptic currents ``(trials, steps, neurons)`` for a state block.
 
-        Each trial's currents come from its own 2-D weight application — the
-        same call shape the sequential circuits issue — so dense numpy
-        results are bitwise reproducible.  ``split_at`` mirrors the
-        sequential spike path, which computes burn-in head and recorded tail
-        in *separate* products (:meth:`LIFPopulation.run`): pass ``burn_in``
-        there to keep the spike read-out bit-identical; the
-        membrane/subthreshold path uses one product over all steps
-        (``split_at=0``), as ``run_subthreshold`` does.
+        Each trial's currents come from its own 2-D weight application, so a
+        trial's currents do not depend on its block-mates.  ``split_at``
+        computes the first ``split_at`` steps and the rest as *separate*
+        products — the spike read-out passes its burn-in there (the split
+        its pinned goldens were computed with); the membrane/subthreshold
+        read-outs use one product over all steps (``split_at=0``).
 
         ``out``, when given, receives the currents in place — a
         ``(trials, steps, neurons)`` buffer in the simulator's array
@@ -142,9 +136,8 @@ class BatchLIFSimulator:
     ) -> Iterator[Tuple[int, object]]:
         """Subthreshold integration yielding ``(round, potentials)`` per read-out.
 
-        Spiking is disabled (no reset), matching
-        :meth:`LIFPopulation.run_subthreshold`; the yielded ``(trials,
-        neurons)`` rows are the membrane potentials at read-out steps
+        Spiking is disabled (no reset); the yielded ``(trials, neurons)``
+        rows are the membrane potentials at read-out steps
         ``burn_in + (r + 1) * interval - 1``.
 
         The ``currents`` buffer is scaled by ``dt / C`` in place on first
@@ -176,9 +169,9 @@ class BatchLIFSimulator:
     ) -> Iterator[Tuple[int, object]]:
         """Spiking integration yielding ``(round, fired)`` boolean masks.
 
-        Threshold crossings reset the membrane to ``reset_potential`` exactly
-        as :meth:`LIFPopulation.run` does (including during burn-in); the
-        yielded mask is the spike raster row at each read-out step.
+        A crossing of ``threshold`` resets the membrane to
+        ``reset_potential`` (during burn-in too); the yielded mask is the
+        spike raster row at each read-out step.
         """
         xp = self._xp
         params = self._params
@@ -228,8 +221,11 @@ class BatchLIFSimulator:
         for r in range(n_rounds):
             base = burn_in + r * interval
             rows = xp.empty((n_trials, interval, self._n_neurons), dtype="float64")
+            # Each step writes straight into its row of the round's block,
+            # reading the previous row as V: no per-step state copy.
             for k in range(interval):
-                xp.multiply(potentials, leak, out=potentials)
-                xp.add(potentials, currents[:, base + k], out=potentials)
-                rows[:, k] = potentials
+                row = rows[:, k]
+                xp.multiply(potentials, leak, out=row)
+                xp.add(row, currents[:, base + k], out=row)
+                potentials = row
             yield r, rows

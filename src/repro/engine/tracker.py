@@ -109,8 +109,8 @@ class BestCutTracker:
         config = self._config
         if config is None:
             # Stopping (even at the ceiling) is only allowed when an early-stop
-            # rule is configured, so the default engine run keeps exact
-            # sample-for-sample equivalence with the sequential circuits.
+            # rule is configured, so a default run always completes all
+            # n_samples read-outs.
             return False
         if self._ceiling is not None and self.best_weight >= self._ceiling:
             self._stop_round = round_index

@@ -4,14 +4,14 @@ The batched engine's hot loop — device-state transfer, the weight matmul,
 the lock-step membrane updates, the cut read-out — is pure ndarray math.
 This module abstracts *which* ndarray library executes it behind an
 :class:`ArrayBackend`: a thin, registered adapter exposing the handful of
-namespace operations the engine uses (``matmul``, ``multiply``, ``add``,
-``where``, allocation, host transfer) with NumPy semantics.  Three adapters
+namespace operations the engine uses (``matmul``, ``vecdot``, ``multiply``,
+``add``, ``where``, allocation, host transfer) with NumPy semantics.  Three adapters
 ship:
 
 ``numpy`` (default)
     The identity adapter.  Every operation *is* the module-level NumPy call
-    the engine historically made, so the engine's NumPy path remains
-    bit-identical to the sequential circuits.
+    the engine historically made, so the engine's NumPy path keeps its
+    pinned bits.
 ``torch`` / ``cupy``
     Optional GPU-capable adapters, registered unconditionally but gated by
     an availability probe (importable? device visible?).  Resolving one
@@ -130,6 +130,16 @@ class ArrayBackend:
     def matmul(self, a: Any, b: Any, out: Optional[Any] = None) -> Any:
         raise NotImplementedError
 
+    def vecdot(self, a: Any, b: Any) -> Any:
+        """Row-wise dot product over the last axis.
+
+        Each row is reduced on its own and by the same kernel, so a row's
+        result does not depend on how many rows the call carries or on the
+        memory layout of *a* (a matrix-vector ``matmul`` may sum a row
+        differently for different row counts).
+        """
+        raise NotImplementedError
+
     def multiply(self, a: Any, b: Any, out: Optional[Any] = None) -> Any:
         raise NotImplementedError
 
@@ -199,6 +209,11 @@ class NumpyArrayBackend(ArrayBackend):
         if out is None:
             return np.matmul(a, b)
         return np.matmul(a, b, out=out)
+
+    def vecdot(self, a: Any, b: Any) -> Any:
+        # Contiguous rows take BLAS ddot; strided ones (a column-major gather
+        # result) would take a different summation order.
+        return np.vecdot(np.ascontiguousarray(a), b)
 
     def multiply(self, a: Any, b: Any, out: Optional[Any] = None) -> Any:
         if out is None:
@@ -303,6 +318,9 @@ class TorchArrayBackend(ArrayBackend):
         torch.matmul(a, b, out=out)
         return out
 
+    def vecdot(self, a: Any, b: Any) -> Any:
+        return self._torch().linalg.vecdot(a, b, dim=-1)
+
     def multiply(self, a: Any, b: Any, out: Optional[Any] = None) -> Any:
         torch = self._torch()
         if out is None:
@@ -385,6 +403,9 @@ class CupyArrayBackend(ArrayBackend):
         if out is None:
             return cupy.matmul(a, b)
         return cupy.matmul(a, b, out=out)
+
+    def vecdot(self, a: Any, b: Any) -> Any:
+        return self._cupy().multiply(a, b).sum(axis=-1)
 
     def multiply(self, a: Any, b: Any, out: Optional[Any] = None) -> Any:
         cupy = self._cupy()

@@ -8,10 +8,8 @@ plain JSON-serialisable dictionaries with a metadata header (experiment id,
 configuration summary, library version, timestamp).
 
 It is also the experiments-layer entry point to the batched solver engine:
-:func:`run_circuit_trials` replaces the historical "loop ``sample_cuts`` once
-per trial" pattern with a single trial-parallel engine solve (falling back to
-the sequential loop on request, for reference timings and equivalence
-checks).
+:func:`run_circuit_trials` runs many trials of a circuit as one
+trial-parallel engine solve.
 """
 
 from __future__ import annotations
@@ -194,18 +192,14 @@ def run_circuit_trials(
     config: Optional[Any] = None,
     backend: str = "auto",
     early_stop: Optional[Any] = None,
-    use_engine: bool = True,
     **request_options: Any,
 ):
     """Run *n_trials* independent circuit trials on one graph — batched.
 
-    The modern replacement for looping ``circuit.sample_cuts`` per trial:
-    one :class:`repro.engine.SolveRequest` is dispatched to the batched
+    One :class:`repro.engine.SolveRequest` is dispatched to the batched
     engine, which simulates every trial's devices and membranes together.
-    ``use_engine=False`` selects :func:`repro.engine.sequential_solve`, the
-    trial-by-trial reference path with identical per-trial seeding (useful
-    for equivalence checks and speedup measurements); both paths return the
-    same :class:`repro.engine.SolveResult` shape.
+    Trial *i* equals ``sample_cuts(n_samples,
+    seed=SeedSequence(seed, spawn_key=(i,)))`` bit for bit (dense backend).
 
     Parameters
     ----------
@@ -219,10 +213,10 @@ def run_circuit_trials(
         ``SeedSequence(seed, spawn_key=(i,))``).
     config:
         Circuit configuration forwarded when *circuit* is a name.
-    backend, early_stop, use_engine, request_options:
+    backend, early_stop, request_options:
         Engine options; see :class:`repro.engine.SolveRequest`.
     """
-    from repro.engine import SolveRequest, sequential_solve, solve
+    from repro.engine import SolveRequest, solve
 
     if isinstance(circuit, str):
         request = SolveRequest(
@@ -248,7 +242,7 @@ def run_circuit_trials(
             seed=seed, backend=backend, early_stop=early_stop,
             **request_options,
         )
-    return solve(request) if use_engine else sequential_solve(request)
+    return solve(request)
 
 
 def load_results(path: PathLike) -> ExperimentRecord:

@@ -1,6 +1,6 @@
-"""Neuron substrate: LIF dynamics, membrane covariance theory, synaptic plasticity."""
+"""Neuron substrate: LIF parameters, membrane covariance theory, synaptic plasticity."""
 
-from repro.neurons.lif import LIFParameters, LIFPopulation, LIFState
+from repro.neurons.lif import LIFParameters
 from repro.neurons.covariance import (
     theoretical_membrane_covariance,
     empirical_covariance,
@@ -17,8 +17,6 @@ from repro.neurons.encoding import spikes_to_assignments, membrane_sign_assignme
 
 __all__ = [
     "LIFParameters",
-    "LIFPopulation",
-    "LIFState",
     "theoretical_membrane_covariance",
     "empirical_covariance",
     "covariance_from_weights",

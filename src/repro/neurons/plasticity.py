@@ -15,9 +15,9 @@ Each rule is provided both as a pure update function (for property tests) and
 as a small stateful learner class used by the circuits.
 
 Every rule is rank-agnostic: weights and inputs are ``(..., n)`` arrays of
-equal shape and each leading index is an independent row.  The sequential
-circuits step a 1-D learner; the batched engine steps one ``(trials, n)``
-learner per trial block through the *same* code.  Row dots use
+equal shape and each leading index is an independent row.  The engine steps
+a 1-D learner for a one-trial block and one ``(trials, n)`` learner per
+larger trial block, through the *same* code.  Row dots use
 ``np.vecdot``, which calls BLAS ``ddot`` once per row exactly as ``w @ x``
 does on a 1-D pair, and the per-row means and norms reduce along the
 contiguous last axis, so a batched row is bitwise identical to the same row

@@ -23,7 +23,7 @@ Collection is process-global and explicitly switched:
 Two invariants the engine relies on:
 
 * tracing **never touches seeding** — no RNG is consumed anywhere in this
-  module, so every bit-identity pin (engine vs sequential, fused vs
+  module, so every bit-identity pin (goldens, block-size invariance, fused vs
   per-instance, served vs standalone) holds with tracing on or off;
 * span bookkeeping is strictly additive — instrumented code computes the
   same values in the same order whether or not a trace is being collected.

@@ -8,6 +8,7 @@ from repro.utils.rng import (
     RandomState,
     SeedStream,
     as_generator,
+    as_seed_sequence,
     spawn_generators,
 )
 from repro.utils.validation import (
@@ -27,6 +28,7 @@ __all__ = [
     "RandomState",
     "SeedStream",
     "as_generator",
+    "as_seed_sequence",
     "spawn_generators",
     "ValidationError",
     "check_probability",

@@ -46,6 +46,21 @@ def as_generator(seed: RandomState = None) -> np.random.Generator:
     )
 
 
+def as_seed_sequence(seed: RandomState) -> np.random.SeedSequence:
+    """Normalise *seed* into a :class:`numpy.random.SeedSequence`.
+
+    A ``SeedSequence`` is returned unchanged; a ``Generator`` contributes
+    four integers drawn from its own bit stream (so the result stays
+    reproducible given the generator state, and advances it); ``None`` or
+    an integer seeds a new sequence.
+    """
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    if isinstance(seed, np.random.Generator):
+        return np.random.SeedSequence(seed.integers(0, 2**63 - 1, size=4).tolist())
+    return np.random.SeedSequence(seed)
+
+
 def spawn_generators(seed: RandomState, n: int) -> list[np.random.Generator]:
     """Spawn *n* statistically independent generators from a single seed.
 
@@ -55,15 +70,7 @@ def spawn_generators(seed: RandomState, n: int) -> list[np.random.Generator]:
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    elif isinstance(seed, np.random.Generator):
-        # Derive a child SeedSequence from the generator's own bit stream so
-        # the spawn remains reproducible given the generator state.
-        ss = np.random.SeedSequence(seed.integers(0, 2**63 - 1, size=4).tolist())
-    else:
-        ss = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(n)]
+    return [np.random.default_rng(child) for child in as_seed_sequence(seed).spawn(n)]
 
 
 @dataclass

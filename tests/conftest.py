@@ -79,3 +79,29 @@ def path_of_three():
 def empty_graph():
     """Graph with vertices but no edges."""
     return Graph(5, [], name="empty5")
+
+
+@pytest.fixture
+def subthreshold_membranes():
+    """Integrate device states into a subthreshold membrane trajectory.
+
+    Returns ``run(weights, states, burn_in=0, params=None)`` giving the
+    ``(n_steps - burn_in, n_neurons)`` membrane rows after burn-in, computed
+    by the engine's :class:`~repro.engine.simulator.BatchLIFSimulator`
+    (spiking disabled, one read-out per step).
+    """
+    from repro.engine.backends import DenseBackend
+    from repro.engine.simulator import BatchLIFSimulator
+    from repro.neurons.lif import LIFParameters
+
+    def run(weights, states, burn_in=0, params=None):
+        weights = np.asarray(weights, dtype=np.float64)
+        simulator = BatchLIFSimulator(
+            DenseBackend(weights), params or LIFParameters(), weights.shape[0]
+        )
+        currents = simulator.drive_currents(np.asarray(states)[None])
+        n_rounds = currents.shape[1] - burn_in
+        rows = [r for _, r in simulator.iter_subthreshold_rounds(currents, burn_in, 1, n_rounds)]
+        return np.concatenate(rows, axis=1)[0] if rows else np.zeros((0, weights.shape[0]))
+
+    return run

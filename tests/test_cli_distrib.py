@@ -154,7 +154,7 @@ class TestMergeCommand:
 class TestBenchCommand:
     @pytest.fixture(scope="class")
     def bench_run(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("bench") / "BENCH_4.json"
+        out = tmp_path_factory.mktemp("bench") / "bench.json"
         argv = ["bench", "--quick", "--trials", "4", "--samples", "16",
                 "--out", str(out)]
         return argv, out

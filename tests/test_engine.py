@@ -1,14 +1,18 @@
 """Seeded-equivalence and behaviour tests for the batched solver engine.
 
-The load-bearing property: for any graph and root seed, the engine's dense
-fast path produces *bit-identical* cuts, cut trajectories and membrane traces
-to running the sequential circuits once per trial with the matching
-``SeedSequence(root, spawn_key=(i,))`` seeds.  These tests sweep that claim
-across both circuits, both GW read-outs, several seeds, and structural edge
-cases (0/1 trials, disconnected graphs, graphs with no edges).
+The load-bearing property: on the numpy dense path a trial's cuts, cut
+trajectory and membrane trace do not depend on how the trials are batched.
+The reference is the same request run one trial per block
+(``max_block_bytes=1``), i.e. the engine executing trials sequentially with
+the same ``SeedSequence(root, spawn_key=(i,))`` seeds.  These tests sweep
+that claim across both circuits, both GW read-outs, several seeds, weighted
+graphs, and structural edge cases (0/1 trials, disconnected graphs, graphs
+with no edges); ``tests/test_engine_goldens.py`` pins the absolute bits.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +23,6 @@ from repro.circuits.lif_trevisan import LIFTrevisanCircuit
 from repro.engine import (
     EarlyStopConfig,
     SolveRequest,
-    sequential_solve,
     solve,
     trial_seed_sequences,
 )
@@ -49,6 +52,18 @@ def _tr(graph, config=TR_CONFIG):
     return LIFTrevisanCircuit(graph, config=config)
 
 
+def _one_trial_at_a_time(request):
+    """*request* run one trial per block: its trials execute one after another."""
+    return solve(replace(request, max_block_bytes=1))
+
+
+def _weighted_er40() -> Graph:
+    base = erdos_renyi(40, 0.25, seed=2024)
+    weights = np.random.default_rng(5).uniform(0.1, 3.0, base.n_edges)
+    edges = [(int(u), int(v), float(w)) for (u, v), w in zip(base.edges, weights)]
+    return Graph(40, edges, name="weighted_er40")
+
+
 def _assert_bit_identical(result, reference):
     assert result.n_rounds == reference.n_rounds
     assert np.array_equal(result.trajectories, reference.trajectories)
@@ -61,25 +76,25 @@ def _assert_bit_identical(result, reference):
 
 
 class TestSeededEquivalence:
-    """engine.solve == sequential circuit loop, bit for bit (dense backend)."""
+    """A batched solve == the same trials run one at a time, bit for bit."""
 
     @pytest.mark.parametrize("seed", [0, 1, 1234, 2**31])
     def test_gw_membrane_matches_sequential(self, medium_er_graph, seed):
         circuit = _gw(medium_er_graph)
         request = SolveRequest(circuit=circuit, n_trials=5, n_samples=12, seed=seed)
-        _assert_bit_identical(solve(request), sequential_solve(request))
+        _assert_bit_identical(solve(request), _one_trial_at_a_time(request))
 
     @pytest.mark.parametrize("seed", [0, 77])
     def test_gw_spike_matches_sequential(self, medium_er_graph, seed):
         circuit = _gw(medium_er_graph, config=GW_SPIKE_CONFIG)
         request = SolveRequest(circuit=circuit, n_trials=4, n_samples=10, seed=seed)
-        _assert_bit_identical(solve(request), sequential_solve(request))
+        _assert_bit_identical(solve(request), _one_trial_at_a_time(request))
 
     @pytest.mark.parametrize("seed", [0, 77, 987654])
     def test_trevisan_matches_sequential(self, medium_er_graph, seed):
         circuit = _tr(medium_er_graph)
         request = SolveRequest(circuit=circuit, n_trials=4, n_samples=10, seed=seed)
-        _assert_bit_identical(solve(request), sequential_solve(request))
+        _assert_bit_identical(solve(request), _one_trial_at_a_time(request))
 
     @pytest.mark.parametrize("build", [_gw, _tr], ids=["lif_gw", "lif_tr"])
     def test_seeded_sweep_many_graphs(self, build):
@@ -94,10 +109,10 @@ class TestSeededEquivalence:
             request = SolveRequest(
                 circuit=circuit, n_trials=3, n_samples=8, seed=graph_index
             )
-            _assert_bit_identical(solve(request), sequential_solve(request))
+            _assert_bit_identical(solve(request), _one_trial_at_a_time(request))
 
-    def test_membrane_traces_match_sequential(self, medium_er_graph):
-        """Read-out membrane rows equal the sequential subthreshold trajectory."""
+    def test_membrane_traces_match_sequential(self, medium_er_graph, subthreshold_membranes):
+        """Read-out membrane rows equal each trial's own subthreshold trajectory."""
         config = GW_CONFIG
         circuit = _gw(medium_er_graph)
         n_samples = 9
@@ -110,12 +125,35 @@ class TestSeededEquivalence:
         for i, trial_seed in enumerate(trial_seed_sequences(99, 3)):
             device_rng, _ = spawn_generators(trial_seed, 2)
             pool = circuit.build_device_pool(device_rng)
-            population = circuit.build_population()
-            potentials = population.run_subthreshold(
-                pool.sample(n_steps), burn_in=config.burn_in_steps
+            potentials = subthreshold_membranes(
+                circuit.weights, pool.sample(n_steps),
+                burn_in=config.burn_in_steps, params=config.lif,
             )
             rows = potentials[config.sample_interval - 1 :: config.sample_interval]
             assert np.array_equal(result.potentials[i], rows[:n_samples])
+
+    @pytest.mark.parametrize("build", [_gw, _tr], ids=["lif_gw", "lif_tr"])
+    def test_cut_chunking_changes_nothing(self, build, monkeypatch):
+        """Evaluating one round per call equals evaluating chunks of rounds."""
+        import repro.engine.engine as engine_module
+
+        request = SolveRequest(
+            circuit=build(_weighted_er40()), n_trials=3, n_samples=40, seed=6,
+            record_assignments=True,
+        )
+        chunked = solve(request)
+        assert chunked.metadata["n_blocks"] == 1
+        monkeypatch.setattr(engine_module, "CUT_CHUNK_ELEMENTS", 1)
+        per_round = solve(request)
+        _assert_bit_identical(chunked, per_round)
+        assert np.array_equal(chunked.assignments, per_round.assignments)
+
+    @pytest.mark.parametrize("build", [_gw, _tr], ids=["lif_gw", "lif_tr"])
+    def test_weighted_graph_invariant_to_block_size(self, build):
+        """Non-integer cut weights are summed per row, whatever the block size."""
+        circuit = build(_weighted_er40())
+        request = SolveRequest(circuit=circuit, n_trials=8, n_samples=100, seed=3)
+        _assert_bit_identical(solve(request), _one_trial_at_a_time(request))
 
     def test_trial_results_independent_of_batch_size(self, small_er_graph):
         """Trial i's trajectory does not depend on how many trials run."""
@@ -143,13 +181,13 @@ class TestSeededEquivalence:
             )
             assert many_blocks.metadata["n_blocks"] > 1
             _assert_bit_identical(many_blocks, one_block)
-            _assert_bit_identical(many_blocks, sequential_solve(request))
+            _assert_bit_identical(many_blocks, _one_trial_at_a_time(request))
 
     def test_circuit_method_fast_path(self, medium_er_graph):
         """The circuits' opt-in sample_cuts_batch wrapper hits the engine."""
         circuit = _tr(medium_er_graph)
         result = circuit.sample_cuts_batch(3, 8, seed=21)
-        reference = sequential_solve(
+        reference = _one_trial_at_a_time(
             SolveRequest(circuit=circuit, n_trials=3, n_samples=8, seed=21)
         )
         _assert_bit_identical(result, reference)
@@ -182,7 +220,7 @@ class TestEdgeCases:
         graph = _disconnected_graph()
         for build in (_gw, _tr):
             request = SolveRequest(circuit=build(graph), n_trials=2, n_samples=6, seed=5)
-            _assert_bit_identical(solve(request), sequential_solve(request))
+            _assert_bit_identical(solve(request), _one_trial_at_a_time(request))
 
     def test_edgeless_graph_gives_zero_cuts(self):
         graph = Graph(4, [], name="no_edges")
@@ -227,8 +265,8 @@ class TestEarlyStop:
         assert result.n_rounds < 300
         assert result.trajectories.shape == (4, result.n_rounds)
         assert result.metadata["early_stop_round"] == result.n_rounds - 1
-        # The simulated prefix is still bit-identical to the sequential run.
-        reference = sequential_solve(
+        # The simulated prefix is bit-identical to an untruncated shorter run.
+        reference = solve(
             SolveRequest(circuit=circuit, n_trials=4, n_samples=result.n_rounds, seed=5)
         )
         assert np.array_equal(result.trajectories, reference.trajectories)
@@ -286,8 +324,24 @@ class TestResultApi:
         assert view.n_samples == 8
         assert view.best_cut.weight == result.trial_best_weights[1]
         assert view.trajectory.weights.shape == (8,)
+        assert {"rank", "n_devices", "sdp_objective", "readout"} <= set(view.metadata)
         with pytest.raises(ValidationError):
             result.circuit_result(3)
+
+    def test_circuit_result_carries_each_trials_learner_row(self, medium_er_graph):
+        result = solve(SolveRequest(
+            circuit=_tr(medium_er_graph), n_trials=3, n_samples=8, seed=2
+        ))
+        assert result.learner_weights.shape == (3, medium_er_graph.n_vertices)
+        for trial in range(3):
+            view = result.circuit_result(trial)
+            assert np.array_equal(
+                view.metadata["final_plasticity_weights"], result.learner_weights[trial]
+            )
+            assert view.metadata["n_plasticity_updates"] == 8 * TR_CONFIG.sample_interval
+        assert solve(SolveRequest(
+            circuit=_gw(medium_er_graph), n_trials=1, n_samples=4, seed=2
+        )).learner_weights is None
 
     def test_record_assignments(self, small_er_graph):
         circuit = _gw(small_er_graph)
@@ -371,7 +425,7 @@ class TestRunnerIntegration:
         )
         reference = run_circuit_trials(
             small_er_graph, circuit="lif_tr", n_trials=3, n_samples=6, seed=7,
-            config=TR_CONFIG, use_engine=False,
+            config=TR_CONFIG, max_block_bytes=1,
         )
         _assert_bit_identical(engine_result, reference)
 
@@ -418,6 +472,7 @@ class TestCoalesce:
         for request, part in zip(requests, parts):
             standalone = solve(request)
             _assert_bit_identical(part, standalone)
+            assert np.array_equal(part.learner_weights, standalone.learner_weights)
             assert part.metadata["coalesced"] is True
             assert part.metadata["batch_trials"] == merged.n_trials
 

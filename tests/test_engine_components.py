@@ -262,6 +262,24 @@ class TestBatchCutEvaluator:
             cut_weights_batch(weighted_graph, assignments),
         )
 
+    def test_weighted_rows_independent_of_batch_size(self, rng):
+        """A weighted cut sums its edges on its own, whatever shares the call."""
+        base = erdos_renyi(40, 0.25, seed=2024)
+        weights = rng.uniform(0.1, 3.0, base.n_edges)
+        graph = Graph(40, [(int(u), int(v), float(w))
+                           for (u, v), w in zip(base.edges, weights)])
+        assignments = rng.choice([-1, 1], size=(64, 40)).astype(np.int8)
+        evaluator = BatchCutEvaluator(graph)
+        batched = cut_weights_batch(graph, assignments)
+        one_by_one = np.array([cut_weights_batch(graph, row)[0] for row in assignments])
+        assert np.array_equal(batched, one_by_one)
+        assert np.array_equal(evaluator.weights(assignments), batched)
+        assert np.array_equal(
+            np.concatenate([evaluator.weights(assignments[:5]),
+                            evaluator.weights(assignments[5:])]),
+            batched,
+        )
+
     def test_edgeless_graph(self, empty_graph, rng):
         assignments = rng.choice([-1, 1], size=(4, 5)).astype(np.int8)
         assert np.array_equal(

@@ -10,6 +10,8 @@ dependency is absent.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,6 @@ from repro.engine import (
     probe_weight_backends,
     register_array_backend,
     resolve_backend,
-    sequential_solve,
     solve,
 )
 from repro.engine.backends import SPARSE_MIN_VERTICES
@@ -166,6 +167,13 @@ class TestNumpyIdentityAdapter:
         )
         assert xp.astype(a, "float32").dtype == np.float32
         assert np.array_equal(xp.zeros((2, 2), "int8"), np.zeros((2, 2), np.int8))
+        row_weights = rng.standard_normal(5)
+        assert np.array_equal(xp.vecdot(a, row_weights), np.vecdot(a, row_weights))
+        # One dot per row: a row's value is the same alone or in a batch.
+        assert np.array_equal(
+            xp.vecdot(a, row_weights),
+            [xp.vecdot(row, row_weights) for row in a],
+        )
 
 
 class TestForGraph:
@@ -216,13 +224,14 @@ class TestForGraph:
 
 class TestNumpyBitIdentity:
     def test_numpy_spec_bit_identical_to_sequential(self):
+        """The explicit numpy spec equals its trials run one at a time."""
         graph = erdos_renyi(30, 0.4, seed=2)
         request = SolveRequest(
             circuit="lif_tr", graph=graph, n_trials=3, n_samples=6,
             seed=11, backend="numpy:dense",
         )
         engine = solve(request)
-        reference = sequential_solve(request)
+        reference = solve(replace(request, max_block_bytes=1))
         assert np.array_equal(engine.trajectories, reference.trajectories)
         assert np.array_equal(
             engine.trial_best_weights, reference.trial_best_weights

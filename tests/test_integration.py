@@ -21,8 +21,8 @@ from repro.cuts.exact import exact_maxcut_value
 from repro.devices.bernoulli import FairCoinPool
 from repro.graphs.generators import erdos_renyi, planted_partition
 from repro.graphs.repository import load_empirical_graph
-from repro.neurons.covariance import empirical_covariance
-from repro.neurons.lif import LIFPopulation
+from repro.neurons.covariance import empirical_covariance, theoretical_membrane_covariance
+from repro.neurons.lif import LIFParameters
 from repro.sdp.burer_monteiro import solve_maxcut_sdp
 from repro.spectral.trevisan import trevisan_simple_spectral
 
@@ -72,21 +72,26 @@ class TestCovarianceMotif:
     """Paper §III.C: the LIF population turns device randomness into membranes
     whose covariance is proportional to the Gram matrix of the weights."""
 
-    def test_membrane_covariance_proportional_to_gram(self):
+    def test_membrane_covariance_proportional_to_gram(self, subthreshold_membranes):
         graph = erdos_renyi(10, 0.5, seed=7)
         sdp = solve_maxcut_sdp(graph, rank=4, seed=8)
         W = sdp.vectors
-        population = LIFPopulation(W)
         states = FairCoinPool(4, seed=9).sample(60000)
-        membranes = population.run_subthreshold(states, burn_in=2000)
+        membranes = subthreshold_membranes(W, states, burn_in=2000)
         empirical = empirical_covariance(membranes)
-        gram = W @ W.T
-        # compare correlation structure (overall scale depends on R, C, dt)
+        theoretical = theoretical_membrane_covariance(W)
+        # The correlations are those of (R/C) W Sigma W^T ...
         d_emp = np.sqrt(np.diag(empirical))
-        d_gram = np.sqrt(np.diag(gram))
+        d_theory = np.sqrt(np.diag(theoretical))
         corr_emp = empirical / np.outer(d_emp, d_emp)
-        corr_gram = gram / np.outer(d_gram, d_gram)
-        assert np.max(np.abs(corr_emp - corr_gram)) < 0.15
+        corr_theory = theoretical / np.outer(d_theory, d_theory)
+        assert np.max(np.abs(corr_emp - corr_theory)) < 0.15
+        # ... and the scale is the forward-Euler AR(1) gain: V <- leak V + gain I
+        # has stationary variance gain^2 / (1 - leak^2) per unit input variance.
+        params = LIFParameters()
+        leak, gain = params.leak_factor, params.dt / params.capacitance
+        expected = gain**2 / (1.0 - leak**2) / (params.resistance / params.capacitance)
+        assert np.trace(empirical) / np.trace(theoretical) == pytest.approx(expected, rel=0.15)
 
     def test_gw_rounding_from_membranes_matches_direct_rounding(self):
         """Cuts sampled by the circuit have statistics close to software rounding."""
