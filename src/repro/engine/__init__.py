@@ -17,39 +17,29 @@ Public API
 :func:`register_array_backend` / :func:`list_array_backends`
     Extend or inspect the weight- and array-backend registries
     (``dense``/``sparse`` and ``numpy``/``torch``/``cupy`` ship by default).
-:func:`coalesce_requests` / :func:`split_result`
-    Batch split/merge seams: fuse same-shape requests into one engine batch
-    and slice the result back per requester, bit-identically (the solve
-    service's cross-request batching).
-:class:`InstanceBlock` / :func:`solve_instance_block`
-    Graph-axis batching: fuse same-shape instances × trials into one kernel
-    invocation (arena/problem suites, the serve batch loop).
+:func:`solve_instance_block`
+    Run many requests at once: requests of equal execution shape share one
+    engine run as row segments of one group, bitwise per request (the solve
+    service's batches, the workload executor's cell units).
 """
 
 from repro.engine.backends import (
     DenseBackend,
     SparseBackend,
     WeightBackend,
-    get_backend,
     list_backends,
     probe_weight_backends,
     register_backend,
-    select_backend,
-)
-from repro.engine.coalesce import (
-    coalesce_requests,
-    request_trial_seeds,
-    split_result,
 )
 from repro.engine.engine import BatchedSolverEngine, solve
-from repro.engine.instances import (
-    InstanceBlock,
-    fusion_compatible,
-    solve_instance_block,
-)
+from repro.engine.instances import solve_instance_block
 from repro.engine.plan import BatchPlan
 from repro.engine.request import EarlyStopConfig, SolveRequest, SolveResult
-from repro.engine.sampler import BatchDeviceSampler, trial_seed_sequences
+from repro.engine.sampler import (
+    BatchDeviceSampler,
+    request_trial_seeds,
+    trial_seed_sequences,
+)
 from repro.engine.simulator import BatchLIFSimulator
 from repro.engine.tracker import BestCutTracker
 from repro.engine.xp import (
@@ -78,7 +68,6 @@ __all__ = [
     "CupyArrayBackend",
     "DenseBackend",
     "EarlyStopConfig",
-    "InstanceBlock",
     "NumpyArrayBackend",
     "ResolvedBackend",
     "SolveRequest",
@@ -86,10 +75,7 @@ __all__ = [
     "SparseBackend",
     "TorchArrayBackend",
     "WeightBackend",
-    "coalesce_requests",
-    "fusion_compatible",
     "get_array_backend",
-    "get_backend",
     "list_array_backends",
     "list_backends",
     "parse_backend_spec",
@@ -99,9 +85,7 @@ __all__ = [
     "register_backend",
     "request_trial_seeds",
     "resolve_backend",
-    "select_backend",
     "solve",
     "solve_instance_block",
-    "split_result",
     "trial_seed_sequences",
 ]

@@ -28,16 +28,11 @@ heuristic — ``sparse`` when the weights are square, the graph is large
 (>= ``SPARSE_MIN_VERTICES``) and its edge density is below
 ``SPARSE_DENSITY_THRESHOLD``, ``dense`` otherwise.  New backends (GPU,
 blocked, ...) can be registered with :func:`register_backend`.
-
-The former free functions :func:`select_backend` and :func:`get_backend`
-remain as thin shims that warn once (``DeprecationWarning``) and delegate,
-with outputs pinned equal to the old behaviour.
 """
 
 from __future__ import annotations
 
 import inspect
-import warnings
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -56,9 +51,7 @@ __all__ = [
     "DenseBackend",
     "SparseBackend",
     "register_backend",
-    "get_backend",
     "list_backends",
-    "select_backend",
     "SPARSE_DENSITY_THRESHOLD",
     "SPARSE_MIN_VERTICES",
 ]
@@ -317,56 +310,3 @@ def probe_weight_backends() -> list[dict]:
 
 register_backend("dense", DenseBackend)
 register_backend("sparse", SparseBackend)
-
-
-# ---------------------------------------------------------------------------
-# Deprecated entry points (thin warn-once shims)
-# ---------------------------------------------------------------------------
-
-_DEPRECATION_WARNED: set = set()
-
-
-def _warn_once(old: str, new: str) -> None:
-    if old in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(old)
-    warnings.warn(
-        f"{old} is deprecated; use {new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def get_backend(name: str) -> Callable[..., WeightBackend]:
-    """Deprecated: look up a registered backend factory by name.
-
-    Use :func:`repro.engine.xp.resolve_backend` +
-    :meth:`WeightBackend.for_graph` instead.  This shim warns once per
-    process and delegates; lookups and errors are unchanged.
-    """
-    _warn_once(
-        "repro.engine.backends.get_backend",
-        "repro.engine.xp.resolve_backend / WeightBackend.for_graph",
-    )
-    return _get_factory(name)
-
-
-def select_backend(
-    name: str,
-    weights: np.ndarray,
-    graph=None,
-    sparse_weights=None,
-) -> WeightBackend:
-    """Deprecated: resolve *name* (possibly ``"auto"``) into a backend.
-
-    Use :meth:`WeightBackend.for_graph` instead.  This shim warns once per
-    process and delegates; constructed backends are pinned equal to the old
-    behaviour (same routing heuristic, same factories).
-    """
-    _warn_once(
-        "repro.engine.backends.select_backend",
-        "WeightBackend.for_graph",
-    )
-    return WeightBackend.for_graph(
-        graph, weights, policy=name, sparse_weights=sparse_weights
-    )

@@ -14,7 +14,7 @@ Trial *i* of a request with root seed ``s`` receives the seed sequence
 :class:`repro.utils.rng.SeedStream` and :func:`repro.parallel.seeds.seeded_tasks`
 hand to work item *i*.  On the numpy array path trial *i* is bitwise the
 same whatever the trial-block size (``max_block_bytes``) or the batch it
-shares (coalesced requests), and equal to the one-trial solve
+shares (a request group), and equal to the one-trial solve
 
     circuit.sample_cuts(n_samples, seed=SeedSequence(s, spawn_key=(i,)))
 
@@ -103,11 +103,9 @@ class SolveRequest:
     trial_seeds:
         Optional explicit per-trial ``SeedSequence`` list overriding the
         root-seed derivation entirely (``seed`` and ``trial_offset`` are
-        then ignored; the length must equal ``n_trials``).  This is the
-        batch *merge seam*: a request coalesced from several requests
-        (:mod:`repro.engine.coalesce`, the solve service) carries each
-        constituent's own paired seeds, so every trial computes exactly
-        what it would have computed in its original standalone request.
+        then ignored; the length must equal ``n_trials``).  Pinning a
+        trial's seed pins its whole computation, whatever requests share
+        its engine run.
     config:
         Circuit configuration forwarded when the engine builds the circuit.
     backend:

@@ -24,7 +24,7 @@ from repro.obs.trace import span
 from repro.utils.rng import spawn_generators
 from repro.utils.validation import ValidationError
 
-__all__ = ["BatchDeviceSampler", "trial_seed_sequences"]
+__all__ = ["BatchDeviceSampler", "request_trial_seeds", "trial_seed_sequences"]
 
 
 def trial_seed_sequences(
@@ -64,6 +64,19 @@ def trial_seed_sequences(
         np.random.SeedSequence(entropy=entropy, spawn_key=base_key + (i,))
         for i in range(start, start + n_trials)
     ]
+
+
+def request_trial_seeds(request) -> List[np.random.SeedSequence]:
+    """The exact per-trial seeds a :class:`~repro.engine.request.SolveRequest` runs with.
+
+    Explicit ``trial_seeds`` verbatim, else the root-seed derivation
+    (``SeedSequence(seed, spawn_key=(trial_offset + i,))``).
+    """
+    if request.trial_seeds is not None:
+        return list(request.trial_seeds)
+    return trial_seed_sequences(
+        request.seed, request.n_trials, start=request.trial_offset
+    )
 
 
 class BatchDeviceSampler:

@@ -20,10 +20,10 @@ the same whatever the block it shares (pinned by
 ``tests/test_engine_goldens.py``).  Accelerator paths agree to
 floating-point round-off (kernel summation order differs).
 
-The fused currents entry point (``drive_currents(..., out=...)``) lets the
-graph-axis batcher (:mod:`repro.engine.instances`) drive several instances'
-weight products into row slices of one shared ``(trials, steps, neurons)``
-buffer and integrate them in a single lock-step loop.
+``drive_currents(..., out=...)`` drives into row slices of one shared
+``(rows, steps, neurons)`` buffer: the engine gives each segment of a
+request group (one circuit instance, :mod:`repro.engine.engine`) its own
+simulator for the drive, and integrates every row in one lock-step loop.
 """
 
 from __future__ import annotations
@@ -94,8 +94,9 @@ class BatchLIFSimulator:
 
         ``out``, when given, receives the currents in place — a
         ``(trials, steps, neurons)`` buffer in the simulator's array
-        namespace.  The instance batcher passes row slices of a block-wide
-        buffer here so several graphs' drives land in one tensor.
+        namespace.  The engine passes each segment's row slice of a
+        block-wide buffer here, so several circuits' drives land in one
+        tensor.
         """
         if device_states.ndim != 3:
             raise ValidationError(

@@ -33,9 +33,8 @@ the host, kernels stay on the device.
 
 Backend specs
 -------------
-:func:`resolve_backend` is the single entry point for backend selection —
-the redesigned API that replaces the ad-hoc ``select_backend`` free
-function.  It accepts a compact spec naming either or both seams::
+:func:`resolve_backend` is the single entry point for backend selection.
+It accepts a compact spec naming either or both seams::
 
     resolve_backend("auto")          # numpy array path, auto weight routing
     resolve_backend("dense")         # numpy + dense weights, forced

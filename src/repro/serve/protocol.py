@@ -129,7 +129,8 @@ class SolveSpec:
     deadline_seconds:
         Engine wall-clock deadline forwarded to
         :attr:`repro.engine.SolveRequest.deadline_seconds` (partial-but-valid
-        truncation).  The tightest deadline in a coalesced batch applies.
+        truncation).  A job with a deadline always runs alone, so its
+        truncation never reaches another job.
     """
 
     graph: Optional[Graph]

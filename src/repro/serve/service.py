@@ -14,23 +14,24 @@ it).  A request's life:
    backend, seeds, batch geometry) indexes previously served responses —
    an identical re-ask is answered immediately without touching the queue.
 3. **Batching** (worker thread).  The scheduler pops the oldest queued job
-   and coalesces every other queued job sharing its *shape* — (graph
-   fingerprint, circuit, backend, setup seed, sample count) — into one
-   engine batch along the (trials, neurons) axis, up to
-   ``max_batch_trials`` trials, via :func:`repro.engine.coalesce_requests`.
-   Jobs that merely share the *fuse* shape (same circuit, backend, sample
-   count, and vertex count on **different** graphs) join the batch too, as
-   separate instance lanes stacked along the graph axis by
-   :func:`repro.engine.solve_instance_block` — one fused kernel invocation
-   when the lanes' engine plans agree exactly, with a bit-identical
-   per-lane fallback when they do not.  Each request keeps its own
-   per-trial seeds, so the split responses are bit-identical to standalone
-   engine runs with the same seed (deadline requests run solo: wall-clock
-   truncation is the one thing batch-mates could perturb).
-4. **Response.**  Split results are shaped into JSON-safe payloads (problem
-   requests additionally lift the best assignment back to a native solution
-   with its certificate constants), stored in the result cache, and handed
-   to the waiting caller.
+   and every other queued job sharing its *fuse* shape — same circuit,
+   backend, sample count and vertex count — up to ``max_batch_trials``
+   trials, and hands the batch to one
+   :func:`repro.engine.solve_instance_block` call, one request per job.
+   Jobs sharing the finer *shape* — (graph fingerprint, circuit, backend,
+   setup seed, sample count) — form a *lane*: they share one circuit
+   instance and run as one segment of rows; lanes on different graphs
+   share the engine run when their engine plans agree exactly, and run
+   separately when they do not.  Each request keeps its own per-trial
+   seeds, so the responses are bit-identical to standalone engine runs
+   with the same seed (deadline requests run solo: wall-clock truncation is
+   the one thing batch-mates could perturb).  If building a batch's
+   circuits or solving it raises, every job is retried once on its own, so
+   one bad job cannot fail its batch-mates.
+4. **Response.**  Per-request results are shaped into JSON-safe payloads
+   (problem requests additionally lift the best assignment back to a native
+   solution with its certificate constants), stored in the result cache,
+   and handed to the waiting caller.
 
 Metrics for every stage (queue depth, batch occupancy, coalesce ratio,
 cache hit rates, latency percentiles) are served by :meth:`SolverService.stats`
@@ -47,14 +48,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine import (
-    SolveRequest,
-    SolveResult,
-    coalesce_requests,
-    solve,
-    solve_instance_block,
-    split_result,
-)
+from repro.engine import SolveRequest, SolveResult, solve_instance_block
 from repro.engine.xp import parse_backend_spec
 from repro.obs.metrics import MetricsRegistry, nearest_rank_percentile
 from repro.obs.trace import span
@@ -191,11 +185,11 @@ class ServeJob:
             spec.setup_seed, spec.n_samples,
         )
         # Fusion shape: jobs sharing this key but *differing* in shape_key
-        # may still ride one batch as separate instance lanes, stacked along
-        # the graph axis by repro.engine.solve_instance_block.  The key is a
-        # cheap pre-filter (same circuit/backend/sample-count/vertex-count);
-        # the engine's exact shape comparison is the safety net and falls
-        # back to per-lane solves when the plans turn out incompatible.
+        # may still ride one batch as separate lanes, which
+        # repro.engine.solve_instance_block runs as segments of one group.
+        # The key is a cheap pre-filter (same circuit/backend/sample-count/
+        # vertex-count); the engine's exact shape comparison is the safety
+        # net and runs lanes whose plans differ separately.
         self.fuse_key = content_key(
             "fuse", spec.circuit, spec.backend, spec.n_samples,
             graph.n_vertices,
@@ -544,7 +538,8 @@ class SolverService:
                 except Exception as exc:  # noqa: BLE001 - served as a response
                     _logger.exception("batch failed: %s", exc)
                     for job in batch:
-                        self._fail(job, "internal", f"solve failed: {exc}")
+                        if not job.done:
+                            self._fail(job, "internal", f"solve failed: {exc}")
             if stop:
                 return
 
@@ -553,11 +548,10 @@ class SolverService:
     ) -> Tuple[List[ServeJob], List[ServeJob]]:
         """Pop the oldest job plus every queued fusable job that fits.
 
-        Same-``shape_key`` mates coalesce along the trials axis exactly as
-        before; jobs that merely share the head's ``fuse_key`` (same circuit
-        family and geometry on *different* graphs) join as additional
-        instance lanes for graph-axis batching.  ``max_batch_trials`` caps
-        the combined trial count across all lanes.
+        Same-``shape_key`` mates join the head's lane; jobs that merely
+        share the head's ``fuse_key`` (same circuit family and geometry on
+        *different* graphs) join as additional lanes.  ``max_batch_trials``
+        caps the combined trial count across all lanes.
         """
         expired: List[ServeJob] = []
         while self._queue and self._queue[0].expired(now):
@@ -607,88 +601,96 @@ class SolverService:
 
     def _run_batch(self, batch: List[ServeJob]) -> None:
         with span("serve.batch", batch_jobs=len(batch)) as batch_span:
-            self._run_batch_traced(batch, batch_span)
-
-    def _run_batch_traced(self, batch: List[ServeJob], batch_span) -> None:
-        # Two batching axes.  Jobs sharing a shape_key (same graph/circuit/
-        # seed geometry) form a *lane* and coalesce along the trials axis;
-        # distinct lanes in the same batch share the fuse_key and stack
-        # along the graph axis through solve_instance_block, which runs one
-        # fused kernel when the lanes' engine plans agree exactly and falls
-        # back to per-lane solves (bit-identically) when they do not.
-        lanes: List[List[ServeJob]] = []
-        lane_index: Dict[str, int] = {}
-        for job in batch:
-            index = lane_index.get(job.shape_key)
-            if index is None:
-                lane_index[job.shape_key] = len(lanes)
-                lanes.append([job])
-            else:
-                lanes[index].append(job)
-        merged_requests: List[SolveRequest] = []
-        lane_slices = []
-        for lane in lanes:
-            circuit = self._circuit_for(lane[0])
-            requests = [
-                SolveRequest(
-                    circuit=circuit,
-                    n_trials=job.spec.n_trials,
-                    n_samples=job.spec.n_samples,
-                    seed=job.spec.seed,
-                    backend=job.spec.backend,
-                    deadline_seconds=job.spec.deadline_seconds,
+            try:
+                results = self._solve_batch(batch, batch_span)
+            except Exception as exc:  # noqa: BLE001 - retried, then served
+                if len(batch) == 1:
+                    raise
+                _logger.warning(
+                    "batch of %d jobs failed (%s); retrying each job alone",
+                    len(batch), exc,
                 )
-                for job in lane
-            ]
-            merged, slices = coalesce_requests(requests)
-            merged_requests.append(merged)
-            lane_slices.append(slices)
-        with span("serve.solve", lanes=len(lanes)):
-            if len(merged_requests) == 1:
-                lane_results = [solve(merged_requests[0])]
+                batch_span.set(retried=True)
             else:
-                lane_results = solve_instance_block(merged_requests)
-        fused = len(lanes) > 1 and all(
-            r.metadata.get("instance_block") for r in lane_results
-        )
-        batch_span.set(lanes=len(lanes), fused=fused)
+                self._respond(batch, results)
+                return
+        # Failure isolation: one job's circuit or solve must not fail its
+        # batch-mates, so each job gets one solo run and only jobs that fail
+        # alone too are answered with an error.
+        for job in batch:
+            try:
+                self._run_batch([job])
+            except Exception as exc:  # noqa: BLE001 - served as a response
+                _logger.exception("job %s failed: %s", job.job_id, exc)
+                self._fail(job, "internal", f"solve failed: {exc}")
+
+    def _solve_batch(self, batch: List[ServeJob], batch_span) -> List[SolveResult]:
+        """One request per job, lanes kept consecutive, in one engine call.
+
+        Reorders *batch* in place so each lane's jobs are adjacent: they
+        share one circuit instance, which makes them one segment of rows.
+        """
+        lane_order: Dict[str, int] = {}
+        for job in batch:
+            lane_order.setdefault(job.shape_key, len(lane_order))
+        batch.sort(key=lambda job: lane_order[job.shape_key])
+        circuits: Dict[str, Any] = {}
+        requests = []
+        for job in batch:
+            if job.shape_key not in circuits:
+                circuits[job.shape_key] = self._circuit_for(job)
+            requests.append(SolveRequest(
+                circuit=circuits[job.shape_key],
+                n_trials=job.spec.n_trials,
+                n_samples=job.spec.n_samples,
+                seed=job.spec.seed,
+                backend=job.spec.backend,
+                deadline_seconds=job.spec.deadline_seconds,
+            ))
+        with span("serve.solve", lanes=len(circuits)):
+            results = solve_instance_block(requests)
+        batch_span.set(lanes=len(circuits), fused=any(
+            (r.metadata.get("instance_block") or {}).get("segments", 1) > 1
+            for r in results
+        ))
+        return results
+
+    def _respond(self, batch: List[ServeJob], results: List[SolveResult]) -> None:
+        # One engine run per group: a result without instance_block metadata
+        # ran alone, and index 0 opens every shared group.
+        blocks = [r.metadata.get("instance_block") for r in results]
+        runs = [block for block in blocks if block is None or block["index"] == 0]
+        fused = [block["segments"] for block in runs if block and block["segments"] > 1]
         now = time.perf_counter()
         with self.registry.lock:
-            # A fused batch is one kernel invocation; a fallback ran one
-            # invocation per lane.  Keeping the count honest keeps the
-            # coalesce/occupancy ratios meaningful.  All counters move under
-            # one registry lock hold so stats() sees them together.
-            self._m_engine_invocations.inc(
-                1 if fused or len(lanes) == 1 else len(lanes)
-            )
+            # All counters move under one registry lock hold so stats() sees
+            # them together.
+            self._m_engine_invocations.inc(len(runs))
             self._m_engine_jobs.inc(len(batch))
-            self._m_engine_trials.inc(sum(m.n_trials for m in merged_requests))
+            self._m_engine_trials.inc(sum(r.n_trials for r in results))
             if len(batch) > 1:
                 self._m_coalesced_jobs.inc(len(batch))
             if fused:
-                self._m_fused_invocations.inc()
-                self._m_fused_lanes.inc(len(lanes))
+                self._m_fused_invocations.inc(len(fused))
+                self._m_fused_lanes.inc(sum(fused))
             self._m_completed.inc(len(batch))
             for job in batch:
                 self._m_latency.observe(now - job.submitted_at)
-        for lane, result, slices in zip(lanes, lane_results, lane_slices):
-            parts = split_result(result, slices)
-            for job, part in zip(lane, parts):
-                response = self._shape_response(
-                    job, part, batch_jobs=len(batch),
-                    fused_lanes=len(lanes) if fused else 1,
-                )
-                self._results.put(job.result_key, response)
-                final = dict(response)
-                final["routed"] = job.routed
-                final["wait_seconds"] = float(now - job.submitted_at)
-                job.complete(final)
+        for job, result in zip(batch, results):
+            response = self._shape_response(job, result, batch_jobs=len(batch))
+            self._results.put(job.result_key, response)
+            final = dict(response)
+            final["routed"] = job.routed
+            final["wait_seconds"] = float(now - job.submitted_at)
+            job.complete(final)
 
     def _shape_response(
-        self, job: ServeJob, part: SolveResult, batch_jobs: int,
-        fused_lanes: int = 1,
+        self, job: ServeJob, part: SolveResult, batch_jobs: int
     ) -> dict:
         spec = job.spec
+        # A lane is the job's segment of rows: batch_trials counts the
+        # lane's trials and fused_lanes the segments sharing its engine run.
+        block = part.metadata.get("instance_block") or {}
         best = part.best_cut
         response = {
             "status": "ok",
@@ -707,8 +709,8 @@ class SolverService:
             "elapsed_seconds": float(part.elapsed_seconds),
             "coalesced": batch_jobs > 1,
             "batch_jobs": int(batch_jobs),
-            "batch_trials": int(part.metadata.get("batch_trials", part.n_trials)),
-            "fused_lanes": int(fused_lanes),
+            "batch_trials": int(block.get("segment_trials", part.n_trials)),
+            "fused_lanes": int(block.get("segments", 1)),
             "deadline_exceeded": bool(part.metadata.get("deadline_exceeded", False)),
             "cached": False,
             "wait_seconds": 0.0,
@@ -740,11 +742,6 @@ class SolverService:
         )
 
     # -- metrics -----------------------------------------------------------
-
-    @staticmethod
-    def _percentile(values: List[float], fraction: float) -> float:
-        """Nearest-rank percentile — now lives in :mod:`repro.obs.metrics`."""
-        return nearest_rank_percentile(values, fraction)
 
     def stats(self) -> dict:
         """JSON-safe service metrics (the ``/stats`` endpoint body).

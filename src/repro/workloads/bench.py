@@ -50,8 +50,8 @@ tolerance baseline (``benchmarks/baseline.json``):
     path ride along in the detail.
 ``engine-instance-batch``
     Graph-axis batching (:func:`repro.engine.solve_instance_block`): K
-    same-shape instances × trials fused into one lock-step kernel
-    invocation vs solving the K requests through the engine one at a time.
+    same-shape instances × trials run as the row segments of one engine
+    group vs solving the K requests through the engine one at a time.
     ``speedup`` is the per-instance / fused wall-time ratio; fused results
     must be bit-identical to the per-instance solves.
 ``scale-generate``

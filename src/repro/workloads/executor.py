@@ -255,9 +255,9 @@ def _fused_engine_results(
     per-unit loop then runs them individually).  Fusion applies only with
     ``policy.instance_batch`` on, the engine enabled, at least two batchable
     units, and no wall-clock budget (a deadline truncating the fused block
-    would couple cells).  :func:`solve_instance_block` itself falls back to
-    per-request solves when the units' execution shapes differ, so results
-    are always exactly what the unfused loop would produce; the shared wall
+    would couple cells).  :func:`solve_instance_block` itself runs units of
+    different execution shapes in separate engine runs, so results are
+    always exactly what the unfused loop would produce; the shared wall
     time is attributed to units proportionally to their trial counts.
     """
     policy, budget = spec.policy, spec.budget

@@ -311,11 +311,11 @@ class ExecutionPolicy(ValidatedConfig):
         construction (spec syntax and registry names; array availability
         is probed at solve time).
     instance_batch:
-        When True (default), the executor fuses same-shape cell units
-        into one :class:`repro.engine.instances.InstanceBlock` kernel
-        batch (graph-axis batching).  Results are bit-identical either
-        way; turn off to force one engine invocation per graph
-        (reference timings).
+        When True (default), the executor hands all engine cell units to
+        one :func:`repro.engine.solve_instance_block` call, so same-shape
+        units share an engine run as row segments of one group.  Results
+        are bit-identical either way; turn off to force one engine
+        invocation per graph (reference timings).
     n_workers:
         Process workers for per-trial execution (``None`` = cpu count).
     """

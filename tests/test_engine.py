@@ -455,26 +455,7 @@ class TestRunnerIntegration:
 
 
 class TestCoalesce:
-    """The batch merge/split seams behind the solve service's coalescing."""
-
-    def test_coalesced_batch_is_bit_identical_per_request(self, medium_er_graph):
-        from repro.engine import coalesce_requests, split_result
-
-        circuit = _tr(medium_er_graph)
-        requests = [
-            SolveRequest(circuit=circuit, n_trials=t, n_samples=8, seed=s)
-            for t, s in [(2, 11), (3, 7), (1, 11), (4, 0)]
-        ]
-        merged, slices = coalesce_requests(requests)
-        assert merged.n_trials == sum(r.n_trials for r in requests)
-        assert [hi - lo for lo, hi in slices] == [2, 3, 1, 4]
-        parts = split_result(solve(merged), slices)
-        for request, part in zip(requests, parts):
-            standalone = solve(request)
-            _assert_bit_identical(part, standalone)
-            assert np.array_equal(part.learner_weights, standalone.learner_weights)
-            assert part.metadata["coalesced"] is True
-            assert part.metadata["batch_trials"] == merged.n_trials
+    """Explicit per-trial seeds: the seam that lets requests share a batch."""
 
     def test_explicit_trial_seeds_match_root_derivation(self, small_er_graph):
         circuit = _tr(small_er_graph)
@@ -491,78 +472,6 @@ class TestCoalesce:
             SolveRequest(circuit=circuit, n_trials=2, trial_seeds=(np.random.SeedSequence(0),))
         with pytest.raises(ValidationError):
             SolveRequest(circuit=circuit, n_trials=1, trial_seeds=(123,))
-
-    def test_coalesce_rejects_shape_mismatches(self, small_er_graph):
-        from repro.engine import coalesce_requests
-
-        circuit = _tr(small_er_graph)
-        other = _tr(erdos_renyi(12, 0.4, seed=3))
-        base = SolveRequest(circuit=circuit, n_trials=1, n_samples=8, seed=0)
-        with pytest.raises(ValidationError):
-            coalesce_requests([])
-        with pytest.raises(ValidationError):
-            coalesce_requests([base, SolveRequest(circuit=other, n_trials=1, n_samples=8)])
-        with pytest.raises(ValidationError):
-            coalesce_requests([base, SolveRequest(circuit=circuit, n_trials=1, n_samples=4)])
-        with pytest.raises(ValidationError):
-            coalesce_requests([base, SolveRequest(
-                circuit=circuit, n_trials=1, n_samples=8, backend="dense"
-            )])
-        with pytest.raises(ValidationError):
-            coalesce_requests([base, SolveRequest(
-                circuit=circuit, n_trials=1, n_samples=8,
-                early_stop=EarlyStopConfig(patience=1, min_rounds=1),
-            )])
-        # By-name requests must be resolved to an instance first.
-        with pytest.raises(ValidationError):
-            coalesce_requests([SolveRequest(
-                circuit="lif_tr", graph=small_er_graph, n_trials=1, n_samples=8
-            )])
-
-    def test_split_result_slice_validation(self, small_er_graph):
-        from repro.engine import split_result
-
-        result = solve(SolveRequest(
-            circuit=_tr(small_er_graph), n_trials=2, n_samples=4, seed=0
-        ))
-        with pytest.raises(ValidationError):
-            split_result(result, [(0, 3)])
-        with pytest.raises(ValidationError):
-            split_result(result, [(1, 1)])
-
-    def test_single_request_coalesce_round_trips(self, small_er_graph):
-        # A batch of one is legal: the merged request is the request, and
-        # the split part is bit-identical to a standalone run.  Pinned
-        # because the serve worker takes this path whenever the queue holds
-        # exactly one job.
-        from repro.engine import coalesce_requests, split_result
-
-        circuit = _tr(small_er_graph)
-        request = SolveRequest(circuit=circuit, n_trials=3, n_samples=8, seed=4)
-        merged, slices = coalesce_requests([request])
-        assert slices == [(0, 3)]
-        assert merged.n_trials == 3
-        part, = split_result(solve(merged), slices)
-        _assert_bit_identical(part, solve(request))
-        # Even a batch of one carries the batch markers — the flag records
-        # the code path taken, not the occupancy.
-        assert part.metadata["coalesced"] is True
-        assert part.metadata["batch_trials"] == 3
-
-    def test_split_result_rejects_empty_and_reversed_ranges(self, small_er_graph):
-        # Empty trial ranges are refused loudly (a zero-trial response has
-        # no best cut to report), as are reversed and negative ranges.
-        from repro.engine import split_result
-
-        result = solve(SolveRequest(
-            circuit=_tr(small_er_graph), n_trials=3, n_samples=4, seed=1
-        ))
-        for lo, hi in [(0, 0), (3, 3), (2, 1), (-1, 1)]:
-            with pytest.raises(ValidationError):
-                split_result(result, [(lo, hi)])
-        # A valid slice among invalid ones still fails atomically.
-        with pytest.raises(ValidationError):
-            split_result(result, [(0, 2), (2, 2)])
 
 
 class TestDeadline:

@@ -24,10 +24,9 @@ from repro.engine import (
     DenseBackend,
     EarlyStopConfig,
     SolveRequest,
-    get_backend,
+    WeightBackend,
     list_backends,
     register_backend,
-    select_backend,
     solve,
     trial_seed_sequences,
 )
@@ -43,7 +42,7 @@ class TestBackends:
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValidationError):
-            get_backend("no-such-backend")
+            WeightBackend.for_graph(None, np.eye(3), policy="no-such-backend")
 
     def test_register_custom_backend(self):
         class Doubling(DenseBackend):
@@ -51,7 +50,7 @@ class TestBackends:
 
         register_backend("doubling-test", Doubling)
         try:
-            backend = select_backend("doubling-test", np.eye(3))
+            backend = WeightBackend.for_graph(None, np.eye(3), policy="doubling-test")
             assert isinstance(backend, Doubling)
         finally:
             from repro.engine import backends as backends_module
@@ -79,8 +78,8 @@ class TestBackends:
 
     def test_auto_selects_dense_for_small_or_dense_graphs(self):
         graph = erdos_renyi(40, 0.3, seed=0)
-        backend = select_backend(
-            "auto", np.eye(40), graph=graph, sparse_weights=lambda: np.eye(40)
+        backend = WeightBackend.for_graph(
+            graph, np.eye(40), policy="auto", sparse_weights=lambda: np.eye(40)
         )
         assert backend.name == "dense"
 
@@ -91,14 +90,14 @@ class TestBackends:
             graph, config=LIFTrevisanConfig(burn_in_steps=10, sample_interval=2)
         )
         plan = circuit.engine_plan()
-        backend = select_backend(
-            "auto", plan.weights, graph=graph, sparse_weights=plan.sparse_weights
+        backend = WeightBackend.for_graph(
+            graph, plan.weights, policy="auto", sparse_weights=plan.sparse_weights
         )
         assert backend.name == "sparse"
 
     def test_auto_never_selects_sparse_without_sparse_weights(self):
         graph = erdos_renyi(200, 0.01, seed=0)
-        backend = select_backend("auto", np.eye(200), graph=graph)
+        backend = WeightBackend.for_graph(graph, np.eye(200), policy="auto")
         assert backend.name == "dense"
 
     def test_sparse_engine_run_matches_dense_cuts(self):
@@ -114,49 +113,6 @@ class TestBackends:
         assert auto.backend_name == "sparse"
         assert dense.backend_name == "dense"
         assert np.array_equal(auto.trajectories, dense.trajectories)
-
-
-class TestDeprecatedShims:
-    """select_backend/get_backend warn once and stay pinned to the new API."""
-
-    @pytest.fixture(autouse=True)
-    def _reset_warn_once(self):
-        from repro.engine import backends as backends_module
-
-        saved = set(backends_module._DEPRECATION_WARNED)
-        backends_module._DEPRECATION_WARNED.clear()
-        yield
-        backends_module._DEPRECATION_WARNED.clear()
-        backends_module._DEPRECATION_WARNED.update(saved)
-
-    def test_select_backend_warns_once(self):
-        import warnings
-
-        with pytest.warns(DeprecationWarning, match="for_graph"):
-            select_backend("dense", np.eye(4))
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            select_backend("dense", np.eye(4))
-        assert not any(
-            issubclass(w.category, DeprecationWarning) for w in record
-        )
-
-    def test_get_backend_warns(self):
-        with pytest.warns(DeprecationWarning):
-            get_backend("dense")
-
-    def test_shim_output_pinned_to_for_graph(self):
-        from repro.engine import WeightBackend
-
-        graph = erdos_renyi(40, 0.3, seed=0)
-        rng = np.random.default_rng(2)
-        weights = rng.standard_normal((40, 40))
-        states = rng.integers(0, 2, size=(12, 40)).astype(np.int8)
-        with pytest.warns(DeprecationWarning):
-            old = select_backend("dense", weights, graph=graph)
-        new = WeightBackend.for_graph(graph, weights, policy="dense")
-        assert type(old) is type(new)
-        assert np.array_equal(old.drive(states, 0.5), new.drive(states, 0.5))
 
 
 class TestSampler:

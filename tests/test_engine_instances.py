@@ -1,10 +1,10 @@
-"""Tests for graph-axis batching (repro.engine.instances).
+"""Tests for request groups (``repro.engine.solve_instance_block``).
 
-The contract under test: fusing same-shape instances into one InstanceBlock
-kernel invocation is invisible in the outputs — every fused result is
-bit-identical to solving its request alone — and every incompatible mix
-falls back to per-request solves rather than erroring, again with
-identical results.
+The contract under test: running same-shape requests as the row segments of
+one engine group is invisible in the outputs — every fused result is
+bit-identical to solving its request alone, plasticity read-outs and
+over-cap groups included — and every incompatible mix runs in separate
+engine runs rather than erroring, again with identical results.
 """
 
 from __future__ import annotations
@@ -12,17 +12,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.circuits import LIFGWCircuit, LIFGWConfig
+from repro.circuits import (
+    LIFGWCircuit,
+    LIFGWConfig,
+    LIFTrevisanCircuit,
+    LIFTrevisanConfig,
+)
 from repro.engine import (
     EarlyStopConfig,
-    InstanceBlock,
     SolveRequest,
-    fusion_compatible,
     solve,
     solve_instance_block,
 )
 from repro.graphs.generators import erdos_renyi
-from repro.utils.validation import ValidationError
+from repro.obs.trace import capture
+
+TR_CONFIG = LIFTrevisanConfig(burn_in_steps=25, sample_interval=4)
 
 
 def _requests(count=3, n=24, trials=2, samples=6, circuit="lif_gw", **kwargs):
@@ -43,6 +48,8 @@ def _assert_identical(fused, solo):
         fused.trial_best_assignments, solo.trial_best_assignments
     )
     assert fused.best_weight == solo.best_weight
+    if solo.learner_weights is not None:
+        assert np.array_equal(fused.learner_weights, solo.learner_weights)
 
 
 class TestFusedEqualsPerInstance:
@@ -93,6 +100,65 @@ class TestFusedEqualsPerInstance:
             assert result.assignments is not None
             assert np.array_equal(result.assignments, solo.assignments)
 
+    def test_plasticity_readout_fuses_across_graphs(self):
+        # Two LIF-TR circuits on different graphs: one learner per segment
+        # per block, each row bitwise its standalone trial.
+        requests = _requests(count=2, circuit="lif_tr", trials=3)
+        fused = solve_instance_block(requests)
+        for result, request in zip(fused, requests):
+            block = result.metadata["instance_block"]
+            assert block["segments"] == 2
+            assert block["segment_trials"] == 3
+            _assert_identical(result, solve(request))
+
+    def test_coalesced_batch_is_bit_identical_per_request(self):
+        # Same-circuit requests with mixed trial counts form one segment:
+        # what the solve service calls a coalesced lane.
+        circuit = LIFTrevisanCircuit(
+            erdos_renyi(40, 0.25, seed=2024, name="er40"), config=TR_CONFIG
+        )
+        requests = [
+            SolveRequest(circuit=circuit, n_trials=t, n_samples=8, seed=s)
+            for t, s in [(2, 11), (3, 7), (1, 11), (4, 0)]
+        ]
+        fused = solve_instance_block(requests)
+        for index, (result, request) in enumerate(zip(fused, requests)):
+            assert result.n_trials == request.n_trials
+            assert result.metadata["instance_block"] == {
+                "size": 4, "index": index, "fused_trials": 10,
+                "segments": 1, "segment_trials": 10,
+            }
+            _assert_identical(result, solve(request))
+
+    def test_over_cap_group_fuses(self):
+        # A 64-byte cap forces one row per block: the group still runs as
+        # one engine run, block by block.
+        requests = _requests(count=2, max_block_bytes=64)
+        fused = solve_instance_block(requests)
+        for result, request in zip(fused, requests):
+            assert result.metadata["instance_block"]["size"] == 2
+            assert result.metadata["n_blocks"] == 4
+            _assert_identical(result, solve(request))
+
+    def test_blocks_spanning_segments(self):
+        # Three-row blocks over segments of 5 and 2 rows: blocks cut through
+        # segments and requests, leaving one- and two-row learner pieces.
+        graphs = [erdos_renyi(18, 0.4, seed=400 + i) for i in range(2)]
+        first, second = (LIFTrevisanCircuit(g, config=TR_CONFIG) for g in graphs)
+        n_steps = TR_CONFIG.burn_in_steps + 6 * TR_CONFIG.sample_interval
+        requests = [
+            SolveRequest(
+                circuit=circuit, n_trials=trials, n_samples=6, seed=seed,
+                max_block_bytes=3 * n_steps * 18 * 8,
+            )
+            for circuit, trials, seed in [(first, 2, 1), (first, 3, 2), (second, 2, 3)]
+        ]
+        fused = solve_instance_block(requests)
+        assert fused[0].metadata["n_blocks"] == 3
+        assert [r.metadata["instance_block"]["segment_trials"] for r in fused] == [5, 5, 2]
+        for result, request in zip(fused, requests):
+            _assert_identical(result, solve(request))
+
 
 class TestFallbacks:
     def _assert_fallback_identical(self, requests):
@@ -117,43 +183,6 @@ class TestFallbacks:
             _requests(count=2, deadline_seconds=60.0)
         )
 
-    def test_plasticity_readout_falls_back(self):
-        # lif_tr's plasticity read-out needs per-step weight updates, which
-        # the lock-step fused kernel cannot interleave.
-        self._assert_fallback_identical(_requests(count=2, circuit="lif_tr"))
-
-    def test_memory_cap_falls_back(self):
-        self._assert_fallback_identical(_requests(count=2, max_block_bytes=64))
-
-
-class TestFusionCompatible:
-    def test_compatible_reports_reason(self):
-        ok, reason = fusion_compatible(_requests())
-        assert ok
-        assert reason == "compatible"
-
-    def test_incompatible_reasons_are_specific(self):
-        base = _requests(count=1)
-        cases = [
-            (base + _requests(count=1, n=30), "execution shape"),
-            (_requests(count=2, early_stop=EarlyStopConfig()), "early_stop"),
-            (_requests(count=2, deadline_seconds=5.0), "deadline_seconds"),
-            (_requests(count=2, trials=0), "n_trials"),
-        ]
-        for requests, fragment in cases:
-            ok, reason = fusion_compatible(requests)
-            assert not ok
-            assert fragment in reason
-
-    def test_block_build_raises_on_incompatible(self):
-        requests = _requests(count=1, n=20) + _requests(count=1, n=28)
-        with pytest.raises(ValidationError, match="cannot fuse"):
-            InstanceBlock.build(requests)
-
-    def test_block_build_raises_over_memory_cap(self):
-        with pytest.raises(ValidationError, match="block cap"):
-            InstanceBlock.build(_requests(count=2, max_block_bytes=64))
-
 
 class TestEdgeCases:
     def test_empty_request_list(self):
@@ -169,3 +198,21 @@ class TestEdgeCases:
         results = solve_instance_block(requests)
         for index, result in enumerate(results):
             assert result.metadata["instance_block"]["index"] == index
+
+
+class TestTracing:
+    def test_multi_request_call_is_one_engine_solve(self):
+        requests = _requests(count=3)
+        with capture() as trace:
+            solve_instance_block(requests)
+        spans = trace.spans
+        by_id = {s.span_id: s for s in spans}
+        (solve_span,) = [s for s in spans if s.name == "engine.solve"]
+        assert solve_span.attrs["n_instances"] == 3
+        blocks = [s for s in spans if s.name == "engine.block"]
+        assert blocks and all(by_id[s.parent_id] is solve_span for s in blocks)
+        for name in ("engine.sample", "engine.drive", "engine.integrate"):
+            phases = [s for s in spans if s.name == name]
+            assert phases
+            assert all(by_id[s.parent_id].name == "engine.block" for s in phases)
+        assert not any(s.name.startswith("engine.fuse") for s in spans)

@@ -32,6 +32,7 @@ from repro.engine import (
     register_array_backend,
     resolve_backend,
     solve,
+    solve_instance_block,
 )
 from repro.engine.backends import SPARSE_MIN_VERTICES
 from repro.graphs.generators import erdos_renyi
@@ -287,6 +288,29 @@ class TestTorchParity:
         assert np.array_equal(
             accel.trial_best_assignments, host.trial_best_assignments
         )
+
+    def test_torch_lif_tr_group_matches_numpy_standalone(self):
+        # Two LIF-TR circuits on different graphs share one torch engine
+        # run; each agrees with its own numpy solve to round-off.
+        graphs = [erdos_renyi(24, 0.4, seed=10 + i) for i in range(2)]
+        requests = [
+            SolveRequest(
+                circuit="lif_tr", graph=graph, n_trials=2, n_samples=6,
+                seed=20 + i, backend="torch:dense",
+            )
+            for i, graph in enumerate(graphs)
+        ]
+        for request, accel in zip(requests, solve_instance_block(requests)):
+            assert accel.metadata["array_backend"] == "torch"
+            assert accel.metadata["instance_block"]["segments"] == 2
+            host = solve(replace(request, backend="numpy:dense"))
+            np.testing.assert_allclose(
+                accel.trajectories, host.trajectories, rtol=1e-9, atol=1e-9
+            )
+            np.testing.assert_allclose(
+                accel.trial_best_weights, host.trial_best_weights,
+                rtol=1e-9, atol=1e-9,
+            )
 
     def test_torch_sparse_combination_is_rejected(self):
         graph = erdos_renyi(20, 0.5, seed=7)

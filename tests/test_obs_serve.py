@@ -76,12 +76,6 @@ class TestStatsPayloadPin:
         assert stats["latency"]["p50_seconds"] > 0.0
         json.dumps(stats)
 
-    def test_percentile_shim_delegates_to_obs(self):
-        values = [0.4, 0.1, 0.9, 0.3]
-        for fraction in (0.0, 0.5, 0.95, 1.0):
-            assert SolverService._percentile(values, fraction) == \
-                nearest_rank_percentile(values, fraction)
-
     def test_latency_histogram_window_backs_the_percentiles(self):
         service = SolverService(
             ServiceConfig(latency_window=4), autostart=False
