@@ -17,14 +17,11 @@ Usage:
 from __future__ import annotations
 
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from repro.algorithms.registry import get_spec
-from repro.arena import ArenaBudget, run_arena
-from repro.experiments.runner import save_results
 from repro.graphs.generators import erdos_renyi
 from repro.portfolio import (
     explain_model,
@@ -35,10 +32,7 @@ from repro.portfolio import (
     save_model,
     solve_portfolio,
 )
-from repro.workloads.spec import Budget
-
-# run_arena below is the deprecated-but-supported shim; keep the demo quiet.
-warnings.filterwarnings("ignore", category=DeprecationWarning)
+from repro.workloads import Budget, run_workload
 
 
 def main() -> None:
@@ -66,12 +60,11 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         # 3. Mine priors from a persisted run (any saved results carrying
         #    solver/n_vertices/n_edges/cut_ratio records are minable).
-        arena = run_arena(
-            ["lif_tr", "trevisan", "random"],
-            suite=[erdos_renyi(16, 0.3, seed=1, name="fit-er")],
-            budget=ArenaBudget(n_trials=2, n_samples=32), seed=0)
         runs = Path(tmp) / "runs.json"
-        save_results(runs, "compare", arena.entries)
+        run_workload(
+            "arena", solvers=("lif_tr", "trevisan", "random"),
+            suite=[erdos_renyi(16, 0.3, seed=1, name="fit-er")],
+            trials=2, samples=32, seed=0, save=str(runs))
         model = fit_from_paths([runs])
         print(f"\nmined model ({model.n_records} records):")
         print(explain_model(model, top=3))

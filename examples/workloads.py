@@ -23,7 +23,6 @@ from pathlib import Path
 from repro.experiments.runner import load_results
 from repro.workloads import (
     Budget,
-    ExecutionPolicy,
     GraphSource,
     Session,
     WorkloadSpec,
@@ -70,7 +69,6 @@ def main() -> None:
         graphs=GraphSource.erdos_renyi_grid((16,), (0.4,), per_cell=2),
         solvers=("random", "trevisan", "local_search"),
         budget=Budget(n_trials=2, n_samples=16),
-        policy=ExecutionPolicy(mode="sequential"),
         seed=1,
     )
     adhoc = Session(spec).run()

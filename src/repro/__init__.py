@@ -90,14 +90,12 @@ from repro.algorithms import (
     register_solver,
 )
 from repro.arena import (
-    ArenaBudget,
     ArenaEntry,
     ArenaResult,
     GraphSuite,
     build_suite,
     list_suites,
     register_suite,
-    run_arena,
 )
 from repro.workloads import (
     Budget,
@@ -193,14 +191,12 @@ __all__ = [
     "list_specs",
     "register_solver",
     # solver arena
-    "ArenaBudget",
     "ArenaEntry",
     "ArenaResult",
     "GraphSuite",
     "build_suite",
     "list_suites",
     "register_suite",
-    "run_arena",
     # unified workload API
     "Budget",
     "ExecutionPolicy",

@@ -17,7 +17,7 @@ capability-aware registry (:mod:`repro.algorithms.registry`): look solvers up
 with :func:`get_solver`, inspect capabilities and per-solver ``n_samples``
 semantics with :func:`get_spec` / :func:`list_specs`, and add new methods
 with :func:`register_solver`.  The registry is what the cross-method arena
-(:mod:`repro.arena`) and the ``repro solve`` / ``repro compare`` CLI build on.
+(:mod:`repro.arena`) and the ``repro solve`` / ``repro run arena`` CLI build on.
 """
 
 from repro.algorithms.goemans_williamson import GWResult, goemans_williamson

@@ -73,7 +73,7 @@ Build a :class:`SolverSpec` and pass it to :func:`register_solver`::
     ))
 
 The solver immediately appears in :func:`list_solvers`, the ``repro solve``
-CLI, and ``repro compare``.  Set ``batchable=True`` and ``circuit=<engine
+CLI, and ``repro run arena``.  Set ``batchable=True`` and ``circuit=<engine
 circuit name>`` only for circuits the batched engine knows how to simulate.
 See DESIGN.md §"Solver arena" and §"Problem compiler" for the full contract.
 """

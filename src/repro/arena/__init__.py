@@ -14,18 +14,26 @@ Public API
 :class:`GraphSuite` / :func:`register_suite` / :func:`list_suites` /
 :func:`build_suite`
     Named, seed-deterministic benchmark graph collections.
-:func:`run_arena` / :class:`ArenaBudget`
-    Deprecated shim / alias over the unified workload API — the canonical
-    entry point is ``repro.workloads.run_workload("arena", ...)`` (CLI:
-    ``python -m repro run arena``), whose generic executor routes batchable
-    circuits onto the trial-parallel engine and everything else through
-    ``parallel_map``.
+
+Races run through the unified workload API:
+``repro.workloads.run_workload("arena", ...)`` (CLI: ``python -m repro run
+arena``), whose generic executor routes batchable circuits onto the
+trial-parallel engine and everything else through ``parallel_map``;
+:func:`repro.workloads.arena_result_from_report` turns the report back into
+an :class:`ArenaResult`.
+
+Quickstart
+----------
+>>> from repro.workloads import arena_result_from_report, run_workload
+>>> report = run_workload("arena", solvers=("random", "trevisan"),
+...                       suite="er-small", trials=2, samples=32, seed=0)
+>>> arena_result_from_report(report).winner() in {"random", "trevisan"}
+True
 
 See DESIGN.md §"Workload API" and §"Solver arena", and
 ``examples/solver_arena.py``.
 """
 
-from repro.arena.arena import ArenaBudget, run_arena
 from repro.arena.results import ArenaEntry, ArenaResult
 from repro.arena.suite import (
     SUITES,
@@ -37,7 +45,6 @@ from repro.arena.suite import (
 )
 
 __all__ = [
-    "ArenaBudget",
     "ArenaEntry",
     "ArenaResult",
     "GraphSuite",
@@ -46,5 +53,4 @@ __all__ = [
     "get_suite",
     "list_suites",
     "register_suite",
-    "run_arena",
 ]

@@ -21,8 +21,8 @@ Built-in suites cover the scenario spread the paper's evaluation implies:
     and at the 50k–100k-vertex scale the sketched spectral path targets.
 
 Suites are extensible at runtime: :func:`register_suite` makes a new key
-immediately available to :func:`repro.arena.run_arena` and the
-``repro compare --suite`` CLI.  Builders must be pure in the seed — the
+immediately available to ``run_workload("arena", suite=...)`` and
+``repro run arena --param suite=...``.  Builders must be pure in the seed — the
 arena relies on ``build_suite(key, seed)`` returning identical graphs for
 identical seeds so cross-solver comparisons are paired.
 """

@@ -35,25 +35,12 @@ profile     Run any registered workload under the tracer (repro.obs) and
             a Perfetto-loadable Chrome trace-event JSON, ``--format
             summary`` the per-phase aggregate JSON.
 graphs      List the empirical graphs in the Table I registry.
-
-Deprecated shims (still functional, emit ``DeprecationWarning``)
-----------------------------------------------------------------
-compare     → ``repro run arena``
-figure3     → ``repro run figure3``
-figure4     → ``repro run figure4``
-table1      → ``repro run table1``
-ablation    → ``repro run ablation``
-
-Each shim maps its historical flags onto the corresponding workload's
-parameters and delegates to the exact same session path as ``repro run``, so
-outputs (including ``--save`` JSON, modulo timestamp) are identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
@@ -61,7 +48,6 @@ import numpy as np
 import repro.problems  # registers problem-native solvers and problem suites
 import repro.portfolio  # registers the portfolio meta-solver ("auto")
 from repro.algorithms.registry import get_solver, get_spec, list_solvers
-from repro.arena.suite import list_suites
 from repro.experiments.runner import save_results
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.io import read_edge_list, read_matrix_market
@@ -384,83 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     portfolio.add_argument("--top", type=int, default=3,
                            help="solvers shown per bucket in the rendering")
 
-    # compare (deprecated shim for `run arena`) ------------------------------
-    compare = subparsers.add_parser(
-        "compare",
-        help="[deprecated: use `repro run arena`] race solvers over a suite",
-        description=(
-            "Deprecated alias of `repro run arena`. Runs a subset of the "
-            "solver registry head-to-head over a named graph suite under one "
-            "shared trial/sample budget, through the unified workload path."
-        ),
-    )
-    compare.add_argument("--solvers", type=str, default="lif_gw,lif_tr,gw,trevisan,random",
-                         help="comma-separated registry keys (see `repro solve --help`)")
-    compare.add_argument("--suite", choices=list_suites(), default="er-small",
-                         help="graph suite to race on")
-    compare.add_argument("--budget", type=int, default=256, metavar="SAMPLES",
-                         help="per-trial n_samples budget shared by every solver")
-    compare.add_argument("--trials", type=int, default=4,
-                         help="independent trials per stochastic solver and graph")
-    compare.add_argument("--max-seconds", type=float, default=None, metavar="S",
-                         help="optional wall-clock cap per (solver, graph) cell "
-                              "(capped cells run trials serially, overriding --workers)")
-    compare.add_argument("--backend", type=str, default="auto", metavar="SPEC",
-                         help="engine backend spec for batchable solvers "
-                              "(auto, dense, sparse, numpy, torch, cupy, or "
-                              "<array>:<weight>)")
-    compare.add_argument("--workers", type=int, default=1,
-                         help="process workers for sequential solvers' trials")
-    compare.add_argument("--no-engine", action="store_true",
-                         help="run batchable circuits trial by trial (sample_cuts) too")
-    compare.add_argument("--plot", action="store_true",
-                         help="render an ASCII bar chart of the leaderboard")
-    # SUPPRESS (not None) so a global `repro --save out.json compare ...`
-    # isn't clobbered by this subparser's default when the flag is omitted.
-    compare.add_argument("--save", type=str, default=argparse.SUPPRESS, metavar="FILE",
-                         help="write results to this JSON file (same as the global --save)")
-
-    # figure3 (deprecated shim) ----------------------------------------------
-    figure3 = subparsers.add_parser(
-        "figure3",
-        help="[deprecated: use `repro run figure3`] Erdős–Rényi sweep (Figure 3)",
-    )
-    figure3.add_argument("--sizes", type=int, nargs="+", default=[50])
-    figure3.add_argument("--probabilities", type=float, nargs="+", default=[0.25])
-    figure3.add_argument("--graphs-per-cell", type=int, default=3)
-    figure3.add_argument("--samples", type=int, default=512)
-    figure3.add_argument("--workers", type=int, default=1)
-    figure3.add_argument("--plot", action="store_true", help="render ASCII convergence plots")
-
-    # figure4 (deprecated shim) ----------------------------------------------
-    figure4 = subparsers.add_parser(
-        "figure4",
-        help="[deprecated: use `repro run figure4`] empirical-graph curves (Figure 4)",
-    )
-    figure4.add_argument("--graphs", nargs="+", default=["hamming6-2"],
-                         choices=list_empirical_graphs(), metavar="GRAPH")
-    figure4.add_argument("--samples", type=int, default=512)
-    figure4.add_argument("--plot", action="store_true")
-
-    # table1 (deprecated shim) -----------------------------------------------
-    table1 = subparsers.add_parser(
-        "table1",
-        help="[deprecated: use `repro run table1`] maximum cut values (Table I)",
-    )
-    table1.add_argument("--graphs", nargs="+", default=None,
-                        choices=list_empirical_graphs(), metavar="GRAPH")
-    table1.add_argument("--samples", type=int, default=1024)
-
-    # ablation (deprecated shim) ---------------------------------------------
-    ablation = subparsers.add_parser(
-        "ablation",
-        help="[deprecated: use `repro run ablation`] device / rank / learning-rate ablations",
-    )
-    ablation.add_argument("--kind", choices=["devices", "rank", "learning-rate"], default="devices")
-    ablation.add_argument("--circuit", choices=["lif_gw", "lif_tr"], default="lif_gw")
-    ablation.add_argument("--vertices", type=int, default=50)
-    ablation.add_argument("--samples", type=int, default=256)
-
     # graphs -----------------------------------------------------------------
     subparsers.add_parser("graphs", help="list the Table I empirical graph registry")
 
@@ -468,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# Workload execution (shared by `run` and the deprecated shims)
+# Workload execution
 # ---------------------------------------------------------------------------
 
 
@@ -783,17 +692,6 @@ def _command_backends(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _deprecated(old: str, new: str) -> None:
-    # stacklevel=2 attributes the warning to the shim command itself (the
-    # _command_<old> frame) rather than the generic dispatch line, so the
-    # reported location names which deprecated entry point was used.
-    warnings.warn(
-        f"`repro {old}` is deprecated; use `repro {new}` instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Plain commands
 # ---------------------------------------------------------------------------
@@ -1027,58 +925,6 @@ def _command_graphs(_args: argparse.Namespace) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Deprecated shims (delegate to the unified workload path)
-# ---------------------------------------------------------------------------
-
-
-def _command_compare(args: argparse.Namespace) -> int:
-    _deprecated("compare", "run arena")
-    solvers = tuple(name.strip() for name in args.solvers.split(",") if name.strip())
-    overrides = {
-        "solvers": solvers, "suite": args.suite, "trials": args.trials,
-        "samples": args.budget, "max_seconds": args.max_seconds,
-        "backend": args.backend, "use_engine": not args.no_engine,
-        "workers": args.workers, "seed": args.seed,
-    }
-    return _execute_workload("arena", overrides, save=args.save, plot=args.plot)
-
-
-def _command_figure3(args: argparse.Namespace) -> int:
-    _deprecated("figure3", "run figure3")
-    overrides = {
-        "sizes": tuple(args.sizes), "probabilities": tuple(args.probabilities),
-        "trials": args.graphs_per_cell, "samples": args.samples,
-        "workers": args.workers, "seed": args.seed,
-    }
-    return _execute_workload("figure3", overrides, save=args.save, plot=args.plot)
-
-
-def _command_figure4(args: argparse.Namespace) -> int:
-    _deprecated("figure4", "run figure4")
-    overrides = {
-        "graphs": tuple(args.graphs), "samples": args.samples, "seed": args.seed,
-    }
-    return _execute_workload("figure4", overrides, save=args.save, plot=args.plot)
-
-
-def _command_table1(args: argparse.Namespace) -> int:
-    _deprecated("table1", "run table1")
-    overrides = {
-        "graphs": tuple(args.graphs or ()), "samples": args.samples, "seed": args.seed,
-    }
-    return _execute_workload("table1", overrides, save=args.save)
-
-
-def _command_ablation(args: argparse.Namespace) -> int:
-    _deprecated("ablation", "run ablation")
-    overrides = {
-        "kind": args.kind, "circuit": args.circuit, "vertices": args.vertices,
-        "samples": args.samples, "seed": args.seed,
-    }
-    return _execute_workload("ablation", overrides, save=args.save)
-
-
 def _command_serve(args: argparse.Namespace) -> int:
     import signal
 
@@ -1167,11 +1013,6 @@ _COMMANDS = {
     "engine": _command_engine,
     "serve": _command_serve,
     "portfolio": _command_portfolio,
-    "compare": _command_compare,
-    "figure3": _command_figure3,
-    "figure4": _command_figure4,
-    "table1": _command_table1,
-    "ablation": _command_ablation,
     "graphs": _command_graphs,
 }
 

@@ -5,7 +5,7 @@ is not a dependency of this library, so the examples and benchmark reports use
 these ASCII renderers, which are good enough to see the curve shapes (LIF-GW
 flat at the solver level, LIF-TR climbing, random trailing) in a terminal or a
 text log.  :func:`ascii_bar_chart` / :func:`render_leaderboard` serve the
-solver arena's aggregate leaderboard (``repro compare --plot``).
+solver arena's aggregate leaderboard (``repro run arena --plot``).
 """
 
 from repro.plotting.ascii import (

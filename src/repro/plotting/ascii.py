@@ -144,7 +144,7 @@ def ascii_bar_chart(
     """Render labelled values as a horizontal ASCII bar chart.
 
     Bars are scaled to the largest value; labels are right-aligned so the
-    bars share a common baseline.  Used by ``repro compare --plot`` for the
+    bars share a common baseline.  Used by ``repro run arena --plot`` for the
     arena leaderboard.
     """
     labels = [str(label) for label in labels]

@@ -1,6 +1,6 @@
 """Mine persisted arena/workload runs into per-bucket solver priors.
 
-``repro compare`` and the workload runner have been persisting
+``repro run arena`` and the workload runner have been persisting
 :class:`repro.arena.results.ArenaEntry` records through the standard
 experiment persistence layer since PR 2.  This module folds any number of
 those JSON files into a :class:`PortfolioModel`: for every coarse feature

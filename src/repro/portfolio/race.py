@@ -159,11 +159,10 @@ def _resolve_lanes(graph, solvers: Sequence[str]) -> List[_Lane]:
 
 
 def _run_rung(lane: _Lane, graph, n_new: int, n_samples: int, seed,
-              use_engine: bool, backend: str,
-              parallel: Optional[ParallelConfig]) -> None:
+              backend: str, parallel: Optional[ParallelConfig]) -> None:
     """Advance *lane* by *n_new* trials (continuing at its trial offset)."""
     offset = lane.trials_done
-    if lane.spec.batchable and use_engine:
+    if lane.spec.batchable:
         result = run_circuit_trials(
             graph, circuit=lane.spec.circuit, n_trials=n_new,
             n_samples=n_samples, seed=seed, backend=backend,
@@ -179,8 +178,7 @@ def _run_rung(lane: _Lane, graph, n_new: int, n_samples: int, seed,
 
 
 def race(graph, solvers: Sequence[str], budget: Optional[Budget] = None,
-         seed: Optional[int] = 0, use_engine: bool = True,
-         backend: str = "auto",
+         seed: Optional[int] = 0, backend: str = "auto",
          parallel: Optional[ParallelConfig] = None) -> RaceResult:
     """Race *solvers* on *graph* under *budget*; return the surviving lane.
 
@@ -206,7 +204,7 @@ def race(graph, solvers: Sequence[str], budget: Optional[Budget] = None,
                 n_new = target - lane.trials_done
             if n_new > 0:
                 _run_rung(lane, graph, n_new, budget.n_samples, seed,
-                          use_engine, backend, parallel)
+                          backend, parallel)
         # Halve: keep the top half by best weight; input order breaks ties
         # so the race is deterministic regardless of dict/hash order.
         order = {lane.name: i for i, lane in enumerate(lanes)}
@@ -234,7 +232,7 @@ def race(graph, solvers: Sequence[str], budget: Optional[Budget] = None,
             and (budget.max_seconds is None
                  or time.perf_counter() - started < budget.max_seconds):
         _run_rung(winner, graph, budget.n_trials - winner.trials_done,
-                  budget.n_samples, seed, use_engine, backend, parallel)
+                  budget.n_samples, seed, backend, parallel)
 
     if winner.best_cut is None:
         raise ValidationError("race produced no cuts (zero-trial budget?)")

@@ -2,8 +2,8 @@
 
 Registered as a normal :class:`repro.algorithms.registry.SolverSpec` under
 the key ``"portfolio"`` (alias ``"auto"``), so it is usable everywhere a
-solver name is accepted today — ``repro run``, ``repro compare``,
-``repro solve``, workload specs, and serve requests.  Two regimes:
+solver name is accepted today — ``repro run``, ``repro solve``, workload
+specs, and serve requests.  Two regimes:
 
 * **Routed** — given a :class:`repro.portfolio.priors.PortfolioModel`
   (object or path), extract features, look up the instance's bucket
@@ -85,7 +85,6 @@ def solve_portfolio(graph, n_samples: int = 256, seed: Any = None, *,
                     model: ModelLike = None,
                     candidates: Optional[Sequence[str]] = None,
                     race_trials: int = 4,
-                    use_engine: bool = True,
                     backend: str = "auto",
                     **kwargs: Any) -> Cut:
     """Solve *graph* by prior-based routing or a cold successive-halving race.
@@ -106,7 +105,7 @@ def solve_portfolio(graph, n_samples: int = 256, seed: Any = None, *,
                                    **kwargs)
     result = race(graph, pool,
                   budget=Budget(n_trials=race_trials, n_samples=n_samples),
-                  seed=seed, use_engine=use_engine, backend=backend)
+                  seed=seed, backend=backend)
     return result.best_cut
 
 

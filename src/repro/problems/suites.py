@@ -6,7 +6,7 @@ of :class:`~repro.problems.base.Problem` instances, and registering one also
 registers a same-key :class:`~repro.arena.suite.GraphSuite` whose graphs are
 the suite's instances *compiled* to MAXCUT — so ``qubo-small`` & friends sit
 beside ``er-small`` in every surface that takes a suite key (the arena, the
-``problems`` workload, ``repro compare``), and the sharded executor rebuilds
+``problems`` workload, ``repro run arena``), and the sharded executor rebuilds
 identical compiled graphs on every shard.
 
 Seeding follows the paired convention used everywhere else

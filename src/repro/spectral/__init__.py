@@ -1,10 +1,5 @@
 """Spectral substrate: eigen-solvers and the Trevisan simple-spectral algorithm."""
 
-from repro.spectral.power_iteration import (
-    power_iteration,
-    rayleigh_quotient,
-    minimum_eigenvector_shifted,
-)
 from repro.spectral.lanczos import lanczos_tridiagonalize, lanczos_extreme_eigenpair
 from repro.spectral.trevisan import (
     trevisan_simple_spectral,
@@ -13,9 +8,6 @@ from repro.spectral.trevisan import (
 )
 
 __all__ = [
-    "power_iteration",
-    "rayleigh_quotient",
-    "minimum_eigenvector_shifted",
     "lanczos_tridiagonalize",
     "lanczos_extreme_eigenpair",
     "trevisan_simple_spectral",

@@ -5,7 +5,7 @@ race, and engine solve:
 
 * :class:`WorkloadSpec` declares a run — graph source (:class:`GraphSource`),
   solver set (capability-aware registry keys), shared :class:`Budget`, and
-  :class:`ExecutionPolicy` (engine-batched / process-parallel / sequential);
+  :class:`ExecutionPolicy` (engine backend and per-trial worker count);
 * :class:`Session` validates, plans, executes, and returns a uniform
   :class:`RunReport` (per-trial records, leaderboard, timing, metadata
   header) persisted through :func:`repro.experiments.runner.save_results`;

@@ -248,7 +248,7 @@ def _arena_subspec(spec: WorkloadSpec) -> WorkloadSpec:
         graphs=spec.graphs,
         solvers=tuple(params.get("solvers", ("lif_tr", "random"))),
         budget=Budget(n_trials=spec.budget.n_trials, n_samples=spec.budget.n_samples),
-        policy=ExecutionPolicy(mode="auto", backend=spec.policy.backend),
+        policy=ExecutionPolicy(backend=spec.policy.backend),
         seed=spec.seed,
         params={},
     )
@@ -574,7 +574,7 @@ def _run_engine_tensor_scenario(spec: WorkloadSpec) -> Dict[str, Any]:
     }
 
 
-def _run_instance_batch_scenario(spec: WorkloadSpec) -> Dict[str, Any]:
+def _run_instance_block_scenario(spec: WorkloadSpec) -> Dict[str, Any]:
     from repro.circuits.lif_gw import LIFGWCircuit
     from repro.engine import SolveRequest, solve, solve_instance_block
     from repro.graphs.generators import erdos_renyi
@@ -835,7 +835,7 @@ def _dispatch_bench_scenario(spec: WorkloadSpec, scenario: str) -> Dict[str, Any
     if scenario == "engine-tensor":
         return _run_engine_tensor_scenario(spec)
     if scenario == "engine-instance-batch":
-        return _run_instance_batch_scenario(spec)
+        return _run_instance_block_scenario(spec)
     if scenario == "scale-generate":
         return _run_scale_generate_scenario(spec)
     if scenario == "sketch-vs-exact":
@@ -890,7 +890,7 @@ def _bench_spec(params: Dict[str, Any]) -> WorkloadSpec:
         budget=Budget(
             n_trials=int(params["trials"]), n_samples=int(params["samples"])
         ),
-        policy=ExecutionPolicy(mode="auto", backend=params["backend"]),
+        policy=ExecutionPolicy(backend=params["backend"]),
         seed=params["seed"],
         params={**params, "suite": GraphSource.coerce(params["suite"]).label},
     )

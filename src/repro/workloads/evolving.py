@@ -30,12 +30,7 @@ from repro.utils.rng import paired_seed
 from repro.utils.validation import ValidationError
 from repro.workloads.registry import Workload, register_workload
 from repro.workloads.report import RunReport, WorkloadOutcome
-from repro.workloads.spec import (
-    Budget,
-    ExecutionPolicy,
-    GraphSource,
-    WorkloadSpec,
-)
+from repro.workloads.spec import Budget, GraphSource, WorkloadSpec
 
 __all__ = [
     "EvolvingRecord",
@@ -271,7 +266,6 @@ def _evolving_spec(params: Dict[str, Any]) -> WorkloadSpec:
         budget=Budget(
             n_trials=int(params["trials"]), n_samples=int(params["samples"])
         ),
-        policy=ExecutionPolicy(mode="auto"),
         seed=params["seed"],
         params={**params, "suite": GraphSource.coerce(params["suite"]).label},
     )

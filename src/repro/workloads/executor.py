@@ -1,24 +1,24 @@
 """Generic spec execution: capability-routed trials over graphs x solvers.
 
 This is the engine room shared by the solver arena and every ad-hoc
-:class:`repro.workloads.WorkloadSpec`: build the graphs, then for each
-(graph, solver) cell route execution by the solver's registered capabilities
-and the spec's :class:`~repro.workloads.spec.ExecutionPolicy`:
+:class:`repro.workloads.WorkloadSpec`: build the graphs, then route each
+(graph, solver) cell by the solver's registered capabilities:
 
-* **Batchable circuits** ride the trial-parallel batched engine via
-  :func:`repro.experiments.runner.run_circuit_trials` — all trials of a cell
-  in one vectorised solve.
+* **Batchable circuits** ride the trial-parallel batched engine: every
+  batchable unit of the run goes to one
+  :func:`repro.engine.solve_instance_block` call, which fuses same-shape
+  units into one engine run and runs deadline-capped units alone.
 * **Sequential stochastic solvers** run their trials through
   :func:`repro.parallel.pool.parallel_map` with per-trial seeds.
 * **Deterministic solvers** run exactly once per graph.
 
 Trial *i* on graph *g* is seeded ``SeedSequence(seed, spawn_key=(g, i))`` on
 **every** path (see :func:`repro.utils.rng.paired_seed`), so comparisons are
-paired and the engine is a pure execution detail.  The outcome is expressed
-in the arena's vocabulary — :class:`repro.arena.results.ArenaEntry` records
-wrapped in an :class:`repro.arena.results.ArenaResult` — because "race these
-solvers on these graphs under this budget" *is* the arena, whatever workload
-asked for it.
+paired across solvers.  The outcome is expressed in the arena's vocabulary —
+:class:`repro.arena.results.ArenaEntry` records wrapped in an
+:class:`repro.arena.results.ArenaResult` — because "race these solvers on
+these graphs under this budget" *is* the arena, whatever workload asked for
+it.
 
 Shardable units
 ---------------
@@ -49,7 +49,6 @@ from repro.arena.results import ArenaEntry, ArenaResult
 from repro.engine.instances import solve_instance_block
 from repro.engine.request import SolveRequest, SolveResult
 from repro.engine.sampler import trial_seed_sequences
-from repro.experiments import runner as _runner
 from repro.graphs.graph import Graph
 from repro.parallel.partition import partition_work
 from repro.parallel.pool import ParallelConfig, parallel_map
@@ -199,29 +198,6 @@ def _solver_by_key(spec: WorkloadSpec) -> Dict[str, SolverSpec]:
     return {s.key: s for s in spec.resolve_solvers()}
 
 
-def _run_engine_unit(
-    solver: SolverSpec,
-    graph: Graph,
-    budget: Budget,
-    root: np.random.SeedSequence,
-    backend: str,
-    trial_lo: int,
-    trial_hi: int,
-) -> Tuple[List[float], int, dict]:
-    """Run one batchable unit through the engine; returns (weights, samples, meta)."""
-    result = _runner.run_circuit_trials(
-        graph=graph,
-        circuit=solver.circuit,
-        n_trials=trial_hi - trial_lo,
-        n_samples=budget.n_samples,
-        seed=root,
-        backend=backend,
-        trial_offset=trial_lo,
-        deadline_seconds=budget.max_seconds,
-    )
-    return _engine_unit_payload(result)
-
-
 def _engine_unit_payload(result: SolveResult) -> Tuple[List[float], int, dict]:
     """Fold a :class:`SolveResult` into the unit (weights, samples, meta) triple."""
     metadata = {
@@ -244,29 +220,21 @@ def _engine_unit_payload(result: SolveResult) -> Tuple[List[float], int, dict]:
     return weights, int(result.n_rounds), metadata
 
 
-def _fused_engine_results(
+def _engine_payloads(
     spec: WorkloadSpec,
-    prepared: Sequence[Tuple[int, CellUnit, Graph, SolverSpec]],
-) -> Dict[int, Tuple[SolveResult, float]]:
-    """Graph-axis batching pre-pass: fuse the engine units into one kernel batch.
+    engine_units: Sequence[Tuple[int, CellUnit, Graph, SolverSpec]],
+) -> Dict[int, Tuple[Tuple[List[float], int, dict], float]]:
+    """Run every batchable unit in one :func:`solve_instance_block` call.
 
-    Returns ``{unit position: (result, attributed wall seconds)}`` for every
-    batchable unit when fusion applies, else an empty dict (the caller's
-    per-unit loop then runs them individually).  Fusion applies only with
-    ``policy.instance_batch`` on, the engine enabled, at least two batchable
-    units, and no wall-clock budget (a deadline truncating the fused block
-    would couple cells).  :func:`solve_instance_block` itself runs units of
-    different execution shapes in separate engine runs, so results are
-    always exactly what the unfused loop would produce; the shared wall
-    time is attributed to units proportionally to their trial counts.
+    Returns ``{unit position: ((weights, samples, meta), wall seconds)}``.
+    :func:`solve_instance_block` fuses same-shape requests into one engine
+    run and runs deadline requests alone, so each result is exactly its
+    standalone solve.  A unit that ran alone is charged its own run's wall
+    time; the units of a fused run share that run's wall time in proportion
+    to their trial counts.
     """
-    policy, budget = spec.policy, spec.budget
-    if not (policy.instance_batch and policy.use_engine) or budget.max_seconds is not None:
-        return {}
-    engine_units = [p for p in prepared if p[3].batchable]
-    if len(engine_units) < 2:
-        return {}
     seed = _check_resolved_seed(spec)
+    budget, backend = spec.budget, spec.policy.backend
     requests = [
         SolveRequest(
             circuit=solver.circuit,
@@ -275,18 +243,20 @@ def _fused_engine_results(
             n_samples=budget.n_samples,
             seed=paired_seed(seed, g),
             trial_offset=lo,
-            backend=policy.backend,
+            backend=backend,
+            deadline_seconds=budget.max_seconds,
         )
         for _, (g, _, lo, hi), graph, solver in engine_units
     ]
-    started = time.perf_counter()
     results = solve_instance_block(requests)
-    wall = time.perf_counter() - started
-    total_trials = sum(result.n_trials for result in results) or 1
-    return {
-        position: (result, wall * result.n_trials / total_trials)
-        for (position, _, _, _), result in zip(engine_units, results)
-    }
+    out = {}
+    for (position, _, _, _), result in zip(engine_units, results):
+        elapsed = float(result.elapsed_seconds)
+        block = result.metadata.get("instance_block")
+        if block:
+            elapsed *= result.n_trials / block["fused_trials"]
+        out[position] = (_engine_unit_payload(result), elapsed)
+    return out
 
 
 def _run_sequential_unit(
@@ -344,8 +314,7 @@ def run_cell_units(
         graphs = build_spec_graphs(spec)
     by_key = _solver_by_key(spec)
     budget = spec.budget
-    policy = spec.policy
-    parallel = policy.parallel_config()
+    parallel = spec.policy.parallel_config()
 
     prepared: List[Tuple[int, CellUnit, Graph, SolverSpec]] = []
     for position, unit in enumerate(units):
@@ -358,29 +327,20 @@ def run_cell_units(
             raise ValidationError(f"unit names unknown solver {key!r}")
         prepared.append((position, unit, graphs[g], by_key[key]))
 
-    # Graph-axis batching: all batchable units in one fused kernel batch
-    # (bit-identical to the per-unit loop; see _fused_engine_results).
-    fused = _fused_engine_results(spec, prepared)
+    engine = _engine_payloads(spec, [p for p in prepared if p[3].batchable])
 
     payloads: List[dict] = []
     for position, unit, graph, solver in prepared:
         g, key, lo, hi = unit
-        # Root of suite graph g, created fresh per unit so SeedSequence spawn
-        # state never leaks between units; trials are its (g, i) children.
-        root = paired_seed(seed, g)
-        started = time.perf_counter()
-        on_engine = bool(policy.use_engine and solver.batchable)
-        if position in fused:
-            result, elapsed = fused[position]
-            weights, samples_run, metadata = _engine_unit_payload(result)
-        elif on_engine:
-            weights, samples_run, metadata = _run_engine_unit(
-                solver, graph, budget, root, policy.backend, lo, hi
-            )
-            elapsed = time.perf_counter() - started
+        if position in engine:
+            (weights, samples_run, metadata), elapsed = engine[position]
         else:
+            # Root of suite graph g, created fresh per unit so SeedSequence
+            # spawn state never leaks between units; trials are its (g, i)
+            # children.
+            started = time.perf_counter()
             weights, samples_run, metadata = _run_sequential_unit(
-                solver, graph, budget, root, parallel, lo, hi
+                solver, graph, budget, paired_seed(seed, g), parallel, lo, hi
             )
             elapsed = time.perf_counter() - started
         if budget.max_seconds is not None and elapsed > budget.max_seconds:
@@ -399,7 +359,7 @@ def run_cell_units(
             "weights": weights,
             "n_samples_run": int(samples_run),
             "elapsed_seconds": float(elapsed),
-            "used_engine": on_engine,
+            "used_engine": solver.batchable,
             "metadata": metadata,
         })
     return payloads

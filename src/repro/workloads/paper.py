@@ -10,8 +10,7 @@ The arena needs no executor at all: its spec runs through the generic
 capability-routed executor.
 
 Everything here is reachable as ``repro run <name>`` and
-``run_workload(<name>, ...)``; the historical CLI subcommands and
-:func:`repro.arena.run_arena` are deprecation shims over these definitions.
+``run_workload(<name>, ...)``, the only ways to run a workload.
 """
 
 from __future__ import annotations
@@ -111,7 +110,7 @@ def _figure3_spec(params: Dict[str, Any]) -> WorkloadSpec:
         # The "trials" parameter is graphs-per-cell, already encoded in the
         # graph source; each method then runs once per graph.
         budget=Budget(n_trials=1, n_samples=config.n_samples),
-        policy=ExecutionPolicy(mode="parallel", n_workers=params["workers"]),
+        policy=ExecutionPolicy(n_workers=params["workers"]),
         seed=params["seed"],
         params=params,
     )
@@ -151,7 +150,6 @@ def _figure4_spec(params: Dict[str, Any]) -> WorkloadSpec:
         graphs=GraphSource.repository(params["graphs"]),
         solvers=("lif_gw", "lif_tr", "gw", "random"),
         budget=Budget(n_trials=1, n_samples=int(params["samples"])),
-        policy=ExecutionPolicy(mode="sequential"),
         seed=params["seed"],
         params=params,
     )
@@ -194,7 +192,6 @@ def _table1_spec(params: Dict[str, Any]) -> WorkloadSpec:
         graphs=GraphSource.repository(params["graphs"]),
         solvers=("lif_gw", "lif_tr", "gw", "random"),
         budget=Budget(n_trials=1, n_samples=int(params["samples"])),
-        policy=ExecutionPolicy(mode="sequential"),
         seed=params["seed"],
         params=params,
     )
@@ -256,7 +253,6 @@ def _ablation_spec(params: Dict[str, Any]) -> WorkloadSpec:
         # n_graphs is the graph count (in the source); one run per setting
         # per graph.
         budget=Budget(n_trials=1, n_samples=int(params["samples"])),
-        policy=ExecutionPolicy(mode="sequential"),
         seed=params["seed"],
         params=params,
     )
@@ -309,7 +305,6 @@ def _format_ablation(report: RunReport) -> str:
 
 
 def _arena_spec(params: Dict[str, Any]) -> WorkloadSpec:
-    mode = "auto" if params["use_engine"] else "parallel"
     return WorkloadSpec(
         workload="arena",
         graphs=GraphSource.coerce(params["suite"]),
@@ -320,7 +315,7 @@ def _arena_spec(params: Dict[str, Any]) -> WorkloadSpec:
             max_seconds=params["max_seconds"],
         ),
         policy=ExecutionPolicy(
-            mode=mode, backend=params["backend"], n_workers=params["workers"]
+            backend=params["backend"], n_workers=params["workers"]
         ),
         seed=params["seed"],
         params={**params, "suite": GraphSource.coerce(params["suite"]).label},
@@ -399,8 +394,7 @@ for _workload in (
         defaults={
             "solvers": ("lif_gw", "lif_tr", "gw", "trevisan", "random"),
             "suite": "er-small", "trials": 4, "samples": 256,
-            "max_seconds": None, "backend": "auto", "use_engine": True,
-            "workers": 1,
+            "max_seconds": None, "backend": "auto", "workers": 1,
         },
         build_spec=_arena_spec,
         formatter=_format_arena,

@@ -116,7 +116,6 @@ def _problems_spec(params: Dict[str, Any]) -> WorkloadSpec:
         )
     solvers = tuple(params["solvers"]) or default_problem_solvers(kind)
     _check_solver_compatibility(solvers, kind)
-    mode = "auto" if params["use_engine"] else "parallel"
     return WorkloadSpec(
         workload="problems",
         graphs=ProblemSource.from_suite(suite_key),
@@ -127,7 +126,7 @@ def _problems_spec(params: Dict[str, Any]) -> WorkloadSpec:
             max_seconds=params["max_seconds"],
         ),
         policy=ExecutionPolicy(
-            mode=mode, backend=params["backend"], n_workers=params["workers"],
+            backend=params["backend"], n_workers=params["workers"],
         ),
         seed=params["seed"],
         params={**params, "problem": kind, "suite": suite_key, "solvers": solvers},
@@ -159,7 +158,7 @@ register_workload(Workload(
     defaults={
         "problem": "qubo", "suite": "", "solvers": (), "trials": 2,
         "samples": 64, "max_seconds": None, "backend": "auto",
-        "use_engine": True, "workers": 1,
+        "workers": 1,
     },
     build_spec=_problems_spec,
     formatter=_format_problems,

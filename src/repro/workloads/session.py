@@ -7,8 +7,9 @@ drives it through the uniform lifecycle:
 * :meth:`Session.validate` resolves solver names against the registry and
   checks the graph source, failing fast before any expensive work;
 * :meth:`Session.plan` previews the execution — which graph/solver cells will
-  run, on which path (engine / parallel / sequential / once), with how many
-  trials — without running anything;
+  run, on which path (``engine[<backend>]`` for batchable circuits,
+  ``parallel[<workers>]`` / ``sequential`` for per-trial solvers, ``once``
+  for deterministic ones), with how many trials — without running anything;
 * :meth:`Session.run` executes (custom workload executor, or the generic
   capability-routed one) and returns a
   :class:`~repro.workloads.report.RunReport`.
@@ -143,7 +144,7 @@ class Session:
                 solver = get_spec(name)
                 if solver.deterministic:
                     route, trials = "once", 1
-                elif spec.policy.use_engine and solver.batchable:
+                elif solver.batchable:
                     route, trials = f"engine[{spec.policy.backend}]", spec.budget.n_trials
                 else:
                     # resolved_workers() so n_workers=None previews as the

@@ -44,9 +44,6 @@ __all__ = [
 #: Recognised graph-source kinds.
 GRAPH_SOURCE_KINDS = ("suite", "repository", "generator", "explicit")
 
-#: Recognised execution-policy modes.
-EXECUTION_MODES = ("auto", "engine", "parallel", "sequential")
-
 
 @dataclass(frozen=True)
 class GraphSource(ValidatedConfig):
@@ -291,15 +288,12 @@ class Budget(ValidatedConfig):
 class ExecutionPolicy(ValidatedConfig):
     """How a workload's trials are executed.
 
+    Routing is by solver capability, not by policy: every batchable unit of
+    a run goes to one :func:`repro.engine.solve_instance_block` call, and
+    every other solver runs its trials through ``parallel_map``.
+
     Attributes
     ----------
-    mode:
-        ``"auto"`` routes batchable circuits through the trial-parallel
-        engine and everything else through ``parallel_map``; ``"engine"``
-        is ``"auto"`` with the engine requirement made explicit;
-        ``"parallel"`` keeps every solver on the per-trial path (engine
-        off — reference timings); ``"sequential"`` additionally forces one
-        in-process worker.
     backend:
         Engine backend spec for batchable solvers, resolved by
         :func:`repro.engine.xp.resolve_backend`: ``"auto"``, a weight
@@ -310,26 +304,14 @@ class ExecutionPolicy(ValidatedConfig):
         is honoured even on small graphs.  Validated at policy
         construction (spec syntax and registry names; array availability
         is probed at solve time).
-    instance_batch:
-        When True (default), the executor hands all engine cell units to
-        one :func:`repro.engine.solve_instance_block` call, so same-shape
-        units share an engine run as row segments of one group.  Results
-        are bit-identical either way; turn off to force one engine
-        invocation per graph (reference timings).
     n_workers:
         Process workers for per-trial execution (``None`` = cpu count).
     """
 
-    mode: str = "auto"
     backend: str = "auto"
-    instance_batch: bool = True
     n_workers: Optional[int] = 1
 
     def validate(self) -> None:
-        if self.mode not in EXECUTION_MODES:
-            raise ValidationError(
-                f"execution mode must be one of {EXECUTION_MODES}, got {self.mode!r}"
-            )
         # Parse-only check: unknown names fail fast here; whether an
         # accelerator is importable is probed when the engine resolves it.
         from repro.engine.xp import parse_backend_spec
@@ -340,15 +322,9 @@ class ExecutionPolicy(ValidatedConfig):
                 f"n_workers must be >= 0 or None, got {self.n_workers}"
             )
 
-    @property
-    def use_engine(self) -> bool:
-        """Whether batchable solvers ride the batched engine under this policy."""
-        return self.mode in ("auto", "engine")
-
     def parallel_config(self) -> ParallelConfig:
         """The :class:`ParallelConfig` for per-trial (non-engine) execution."""
-        workers = 1 if self.mode == "sequential" else self.n_workers
-        return ParallelConfig(n_workers=workers)
+        return ParallelConfig(n_workers=self.n_workers)
 
 
 @dataclass(frozen=True)
@@ -367,7 +343,7 @@ class WorkloadSpec(ValidatedConfig):
     budget:
         The shared :class:`Budget`.
     policy:
-        The :class:`ExecutionPolicy` (default: capability-routed, engine on).
+        The :class:`ExecutionPolicy` (engine backend and worker count).
     seed:
         Root seed; trial *i* on graph *g* runs on
         ``SeedSequence(seed, spawn_key=(g, i))`` regardless of execution

@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
+from repro.algorithms.registry import get_spec
 from repro.arena import (
-    ArenaBudget,
     ArenaEntry,
     ArenaResult,
     GraphSuite,
@@ -15,15 +15,18 @@ from repro.arena import (
     get_suite,
     list_suites,
     register_suite,
-    run_arena,
 )
 from repro.arena.suite import SUITES
 from repro.experiments import runner as runner_module
 from repro.experiments.reporting import format_arena_leaderboard, format_arena_report
+from repro.engine.sampler import trial_seed_sequences
 from repro.experiments.runner import load_results, save_results
 from repro.graphs.generators import complete_bipartite, erdos_renyi
 from repro.plotting.ascii import ascii_bar_chart, render_leaderboard
+from repro.utils.rng import paired_seed
 from repro.utils.validation import ValidationError
+from repro.workloads import Budget, arena_result_from_report, run_workload
+from repro.workloads import executor as executor_module
 
 
 def _registered_test_solver(graph, n_samples=1, seed=None, **kwargs):
@@ -31,6 +34,16 @@ def _registered_test_solver(graph, n_samples=1, seed=None, **kwargs):
     from repro.algorithms.trevisan import trevisan_spectral
 
     return trevisan_spectral(graph, seed=seed)
+
+
+def arena(solvers, suite, budget=None, seed=0):
+    """Race *solvers* through the arena workload; return the ArenaResult view."""
+    budget = budget if budget is not None else Budget()
+    report = run_workload(
+        "arena", solvers=tuple(solvers), suite=suite, trials=budget.n_trials,
+        samples=budget.n_samples, max_seconds=budget.max_seconds, seed=seed,
+    )
+    return arena_result_from_report(report)
 
 
 @pytest.fixture
@@ -42,9 +55,9 @@ def tiny_graphs():
     ]
 
 
-class TestArenaBudget:
+class TestBudget:
     def test_defaults_valid(self):
-        budget = ArenaBudget()
+        budget = Budget()
         assert budget.n_trials >= 1 and budget.n_samples >= 1
 
     @pytest.mark.parametrize("kwargs", [
@@ -55,7 +68,7 @@ class TestArenaBudget:
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValidationError):
-            ArenaBudget(**kwargs)
+            Budget(**kwargs)
 
 
 class TestSuites:
@@ -107,8 +120,8 @@ class TestSuites:
 
 class TestRunArenaSequential:
     def test_basic_shape_and_ratios(self, tiny_graphs):
-        result = run_arena(["random", "trevisan"], suite=tiny_graphs,
-                           budget=ArenaBudget(n_trials=2, n_samples=16), seed=0)
+        result = arena(["random", "trevisan"], suite=tiny_graphs,
+                           budget=Budget(n_trials=2, n_samples=16), seed=0)
         assert result.suite == "custom"
         assert result.solvers == ("random", "trevisan")
         assert len(result.entries) == 4  # 2 solvers x 2 graphs
@@ -118,8 +131,8 @@ class TestRunArenaSequential:
             assert all(0.0 <= r <= 1.0 + 1e-12 for r in ratios)
 
     def test_deterministic_solver_runs_single_trial(self, tiny_graphs):
-        result = run_arena(["trevisan"], suite=tiny_graphs,
-                           budget=ArenaBudget(n_trials=5, n_samples=16), seed=0)
+        result = arena(["trevisan"], suite=tiny_graphs,
+                           budget=Budget(n_trials=5, n_samples=16), seed=0)
         for entry in result.entries:
             assert entry.n_trials == 1
             assert entry.deterministic
@@ -128,30 +141,30 @@ class TestRunArenaSequential:
             assert entry.samples_per_second == 0.0
 
     def test_reproducible_across_runs(self, tiny_graphs):
-        kwargs = dict(suite=tiny_graphs, budget=ArenaBudget(n_trials=3, n_samples=16),
+        kwargs = dict(suite=tiny_graphs, budget=Budget(n_trials=3, n_samples=16),
                       seed=42)
-        a = run_arena(["random", "annealing"], **kwargs)
-        b = run_arena(["random", "annealing"], **kwargs)
+        a = arena(["random", "annealing"], **kwargs)
+        b = arena(["random", "annealing"], **kwargs)
         for ea, eb in zip(a.entries, b.entries):
             assert ea.best_weight == eb.best_weight
             assert ea.mean_weight == eb.mean_weight
 
     def test_alias_duplicate_rejected(self, tiny_graphs):
         with pytest.raises(ValidationError, match="more than once"):
-            run_arena(["gw", "solver"], suite=tiny_graphs)
+            arena(["gw", "solver"], suite=tiny_graphs)
 
     def test_empty_solver_list_rejected(self, tiny_graphs):
         with pytest.raises(ValidationError):
-            run_arena([], suite=tiny_graphs)
+            arena([], suite=tiny_graphs)
 
     def test_unknown_solver_rejected(self, tiny_graphs):
         with pytest.raises(ValidationError, match="unknown solver"):
-            run_arena(["not_a_method"], suite=tiny_graphs)
+            arena(["not_a_method"], suite=tiny_graphs)
 
     def test_max_seconds_truncates_trials(self, tiny_graphs):
-        result = run_arena(
+        result = arena(
             ["annealing"], suite=tiny_graphs[:1],
-            budget=ArenaBudget(n_trials=6, n_samples=16, max_seconds=1e-9),
+            budget=Budget(n_trials=6, n_samples=16, max_seconds=1e-9),
             seed=0,
         )
         entry = result.entries[0]
@@ -165,7 +178,7 @@ class TestRunArenaSequential:
         graphs = [erdos_renyi(10, 0.4, seed=1), erdos_renyi(10, 0.4, seed=2)]
         assert graphs[0].name == graphs[1].name
         with pytest.raises(ValidationError, match="unique names"):
-            run_arena(["random"], suite=graphs, seed=0)
+            arena(["random"], suite=graphs, seed=0)
 
     def test_runtime_registered_solver_runs(self, tiny_graphs):
         from repro.algorithms.registry import SOLVER_SPECS, SOLVERS, SolverSpec, register_solver
@@ -174,7 +187,7 @@ class TestRunArenaSequential:
                           deterministic=True, budget="ignored")
         try:
             register_solver(spec)
-            result = run_arena(["_test_arena_solver"], suite=tiny_graphs, seed=0)
+            result = arena(["_test_arena_solver"], suite=tiny_graphs, seed=0)
             assert len(result.entries) == 2
         finally:
             SOLVER_SPECS.pop("_test_arena_solver", None)
@@ -182,26 +195,26 @@ class TestRunArenaSequential:
 
     def test_known_optimum_on_bipartite_graph(self):
         graph = complete_bipartite(5, 6, name="k56")
-        result = run_arena(["trevisan"], suite=[graph], seed=0)
+        result = arena(["trevisan"], suite=[graph], seed=0)
         assert result.entries[0].best_weight == pytest.approx(30.0)
 
 
 class TestRunArenaEngineRouting:
     def test_batchable_solver_uses_engine_path(self, tiny_graphs, monkeypatch):
         calls = []
-        real = runner_module.run_circuit_trials
+        real = executor_module.solve_instance_block
 
-        def spy(*args, **kwargs):
-            calls.append(kwargs)
-            return real(*args, **kwargs)
+        def spy(requests):
+            calls.append(list(requests))
+            return real(requests)
 
-        monkeypatch.setattr(runner_module, "run_circuit_trials", spy)
-        result = run_arena(["lif_tr", "random"], suite=tiny_graphs[:1],
-                           budget=ArenaBudget(n_trials=2, n_samples=16), seed=0)
-        # One engine dispatch per (batchable solver, graph); random never routes there.
-        assert len(calls) == 1
-        assert calls[0]["circuit"] == "lif_tr"
-        assert calls[0]["n_trials"] == 2
+        monkeypatch.setattr(executor_module, "solve_instance_block", spy)
+        result = arena(["lif_tr", "random"], suite=tiny_graphs[:1],
+                           budget=Budget(n_trials=2, n_samples=16), seed=0)
+        # One engine call carrying every batchable unit; random never routes there.
+        assert len(calls) == 1 and len(calls[0]) == 1
+        assert calls[0][0].circuit == "lif_tr"
+        assert calls[0][0].n_trials == 2
         by_solver = {e.solver: e for e in result.entries}
         assert by_solver["lif_tr"].used_engine
         assert by_solver["lif_tr"].backend in ("dense", "sparse")
@@ -210,23 +223,24 @@ class TestRunArenaEngineRouting:
         assert by_solver["random"].backend == ""
 
     def test_engine_and_sequential_paths_agree(self, tiny_graphs):
-        # The shared seeding contract makes use_engine a pure execution detail.
-        kwargs = dict(suite=tiny_graphs[:1],
-                      budget=ArenaBudget(n_trials=2, n_samples=16), seed=5)
-        engine = run_arena(["lif_tr"], use_engine=True, **kwargs)
-        sequential = run_arena(["lif_tr"], use_engine=False, **kwargs)
-        assert not sequential.entries[0].used_engine
-        assert engine.entries[0].best_weight == pytest.approx(
-            sequential.entries[0].best_weight)
-        assert engine.entries[0].mean_weight == pytest.approx(
-            sequential.entries[0].mean_weight)
+        # Engine trial i equals the registry solver run alone on the paired
+        # seed (g, i): the engine route is bitwise the per-trial route.
+        result = arena(["lif_tr"], suite=tiny_graphs[:1],
+                           budget=Budget(n_trials=2, n_samples=16), seed=5)
+        solver = get_spec("lif_tr").fn
+        expected = [
+            solver(tiny_graphs[0], n_samples=16, seed=seq).weight
+            for seq in trial_seed_sequences(paired_seed(5, 0), 2)
+        ]
+        assert result.entries[0].used_engine
+        assert result.entries[0].metadata["trial_weights"] == expected
 
 
 class TestArenaResult:
     @pytest.fixture
     def result(self, tiny_graphs):
-        return run_arena(["random", "trevisan"], suite=tiny_graphs,
-                         budget=ArenaBudget(n_trials=2, n_samples=16), seed=0)
+        return arena(["random", "trevisan"], suite=tiny_graphs,
+                         budget=Budget(n_trials=2, n_samples=16), seed=0)
 
     def test_aggregate_sorted_best_first(self, result):
         rows = result.aggregate()

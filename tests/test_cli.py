@@ -22,9 +22,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["solve", "--solver", "quantum"])
 
-    def test_figure4_graph_choices(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["figure4", "--graphs", "not-a-graph"])
+    def test_figure4_graph_choices(self, capsys):
+        assert main(["run", "figure4", "--param", "graphs=not-a-graph"]) == 2
+        assert "not-a-graph" in capsys.readouterr().err
+
+    def test_legacy_subcommands_removed(self):
+        for legacy in ("compare", "figure3", "figure4", "table1", "ablation"):
+            with pytest.raises(SystemExit) as exc:
+                main([legacy])
+            assert exc.value.code == 2
 
 
 class TestCommands:
@@ -58,7 +64,7 @@ class TestCommands:
         out_file = tmp_path / "table1.json"
         code = main([
             "--seed", "3", "--save", str(out_file),
-            "table1", "--graphs", "road-chesapeake", "--samples", "32",
+            "run", "table1", "--param", "graphs=road-chesapeake", "--samples", "32",
         ])
         assert code == 0
         assert out_file.exists()
@@ -69,8 +75,8 @@ class TestCommands:
     def test_figure3_with_plot(self, capsys):
         code = main([
             "--seed", "4",
-            "figure3", "--sizes", "12", "--probabilities", "0.4",
-            "--graphs-per-cell", "1", "--samples", "16", "--plot",
+            "run", "figure3", "--param", "sizes=12", "--param", "probabilities=0.4",
+            "--trials", "1", "--samples", "16", "--plot",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -80,7 +86,7 @@ class TestCommands:
     def test_figure4_single_graph(self, capsys):
         code = main([
             "--seed", "5",
-            "figure4", "--graphs", "eco-stmarks", "--samples", "16",
+            "run", "figure4", "--param", "graphs=eco-stmarks", "--samples", "16",
         ])
         assert code == 0
         assert "eco-stmarks" in capsys.readouterr().out
@@ -88,7 +94,8 @@ class TestCommands:
     def test_ablation_rank(self, capsys):
         code = main([
             "--seed", "6",
-            "ablation", "--kind", "rank", "--vertices", "16", "--samples", "16",
+            "run", "ablation", "--param", "kind=rank", "--param", "vertices=16",
+            "--samples", "16",
         ])
         assert code == 0
         assert "rank_4" in capsys.readouterr().out
@@ -96,8 +103,8 @@ class TestCommands:
     def test_compare_sequential_solvers(self, capsys):
         code = main([
             "--seed", "7",
-            "compare", "--suite", "er-small", "--solvers", "random,trevisan",
-            "--budget", "16", "--trials", "2",
+            "run", "arena", "--param", "suite=er-small",
+            "--param", "solvers=random,trevisan", "--samples", "16", "--trials", "2",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -108,8 +115,9 @@ class TestCommands:
         out_file = tmp_path / "compare.json"
         code = main([
             "--seed", "8",
-            "compare", "--suite", "er-small", "--solvers", "lif_tr,random",
-            "--budget", "16", "--trials", "2", "--plot", "--save", str(out_file),
+            "run", "arena", "--param", "suite=er-small",
+            "--param", "solvers=lif_tr,random", "--samples", "16", "--trials", "2",
+            "--plot", "--save", str(out_file),
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -117,7 +125,6 @@ class TestCommands:
         assert "engine[" in out
         assert "mean cut ratio" in out  # --plot bar chart
         payload = json.loads(out_file.read_text())
-        # The shim persists through the unified workload path (`run arena`).
         assert payload["experiment"] == "arena"
         assert payload["config"]["suite"] == "er-small"
         engine_flags = {r["solver"]: r["used_engine"] for r in payload["results"]}
@@ -128,22 +135,22 @@ class TestCommands:
         out_file = tmp_path / "global-save.json"
         code = main([
             "--save", str(out_file),
-            "compare", "--suite", "er-small", "--solvers", "random",
-            "--budget", "8", "--trials", "1",
+            "run", "arena", "--param", "suite=er-small", "--param", "solvers=random",
+            "--samples", "8", "--trials", "1",
         ])
         assert code == 0
         assert out_file.exists()
         assert json.loads(out_file.read_text())["experiment"] == "arena"
 
     def test_compare_unknown_solver_is_friendly_error(self, capsys):
-        code = main(["compare", "--solvers", "random,quantum"])
+        code = main(["run", "arena", "--param", "solvers=random,quantum"])
         assert code == 2
         err = capsys.readouterr().err
         assert "unknown solver" in err
 
-    def test_compare_rejects_unknown_suite(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["compare", "--suite", "not-a-suite"])
+    def test_compare_rejects_unknown_suite(self, capsys):
+        assert main(["run", "arena", "--param", "suite=not-a-suite"]) == 2
+        assert "unknown suite" in capsys.readouterr().err
 
     def test_solve_from_edge_list_file(self, tmp_path, capsys):
         graph_file = tmp_path / "toy.txt"

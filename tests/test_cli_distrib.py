@@ -146,6 +146,22 @@ class TestMergeCommand:
         assert "missing shard(s) [0]" in err
         assert "--resume" in err
 
+    @pytest.mark.parametrize("key", ["mode", "instance_batch"])
+    def test_merge_rejects_removed_policy_keys(self, tmp_path, capsys, key):
+        # Checkpoints written before the policy lost its execution-mode
+        # knobs fail with a typed error naming the key, not a traceback.
+        ckpt = tmp_path / "ckpt"
+        assert main(_ARENA_ARGS + ["--shards", "2", "--checkpoint-dir", str(ckpt)]) == 0
+        capsys.readouterr()
+        manifest_path = ckpt / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["spec"]["policy"][key] = "auto" if key == "mode" else True
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["merge", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot rebuild WorkloadSpec" in err
+        assert repr(key) in err
+
     def test_merge_non_checkpoint_directory_fails(self, tmp_path, capsys):
         assert main(["merge", str(tmp_path)]) == 2
         assert "manifest" in capsys.readouterr().err

@@ -1,51 +1,6 @@
-"""Tests for the unified `repro run` CLI and the deprecated legacy shims.
-
-The contract under test: every legacy subcommand (figure3 / figure4 /
-table1 / ablation / compare) still works, emits exactly one
-``DeprecationWarning``, and — because it delegates to the same workload
-session path as ``repro run`` — produces identical saved JSON (modulo
-timestamps/wall-clock timings) and identical report output.
-"""
-
-import json
-import re
-
-import pytest
+"""Tests for the unified `repro run` CLI: parameters, plans and reports."""
 
 from repro.cli import main
-
-#: Header/record keys that hold wall-clock measurements (never compared).
-_TIMING_KEYS = {
-    "created_at",
-    "elapsed_seconds",
-    "arena_elapsed_seconds",
-    "engine_elapsed_seconds",
-    "samples_per_second",
-}
-
-
-def _scrub_timing(value):
-    """Recursively drop wall-clock fields from a saved-results payload."""
-    if isinstance(value, dict):
-        return {
-            k: _scrub_timing(v) for k, v in value.items() if k not in _TIMING_KEYS
-        }
-    if isinstance(value, list):
-        return [_scrub_timing(v) for v in value]
-    return value
-
-
-def _scrub_stdout(text: str) -> str:
-    """Blank out the timing figures in rendered reports."""
-    return re.sub(r"\d+\.\d{3}s", "<t>", text)
-
-
-def _run_and_load(argv, out_file, capsys):
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    payload = json.loads(out_file.read_text())
-    return _scrub_stdout(out), _scrub_timing(payload)
-
 
 class TestRunCommand:
     def test_unknown_workload_is_friendly_error(self, capsys):
@@ -57,6 +12,10 @@ class TestRunCommand:
     def test_unknown_param_is_friendly_error(self, capsys):
         assert main(["run", "arena", "--param", "bogus=1"]) == 2
         assert "no parameter 'bogus'" in capsys.readouterr().err
+
+    def test_removed_use_engine_param_is_friendly_error(self, capsys):
+        assert main(["run", "arena", "--param", "use_engine=false"]) == 2
+        assert "no parameter 'use_engine'" in capsys.readouterr().err
 
     def test_malformed_param_is_friendly_error(self, capsys):
         assert main(["run", "arena", "--param", "trials"]) == 2
@@ -78,6 +37,14 @@ class TestRunCommand:
         assert "3 graph(s)" in out
         assert "trials=1" in out
         assert "trials=3" not in out
+        # The circuits run on the engine; the software solvers per trial.
+        routes = {
+            line.split()[1]: line.split()[2]
+            for line in out.splitlines()[1:] if line.strip()
+        }
+        assert routes["lif_gw"] == routes["lif_tr"] == "engine[auto]"
+        assert routes["random"] == "sequential"
+        assert routes["gw"] == "sequential"
 
     def test_sugar_flag_unknown_for_workload(self, capsys):
         # figure4 declares no `workers` parameter; the sugar flag must not
@@ -112,133 +79,3 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "Arena leaderboard" in out
         assert "winner:" in out
-
-
-class TestLegacyShimEquivalence:
-    """Acceptance: legacy shims == `repro run` path, field for field."""
-
-    def test_figure3_shim_matches_run_path(self, tmp_path, capsys):
-        new_file = tmp_path / "new.json"
-        old_file = tmp_path / "old.json"
-        new_out, new_payload = _run_and_load([
-            "run", "figure3", "--trials", "2", "--seed", "0",
-            "--samples", "16", "--param", "sizes=12",
-            "--param", "probabilities=0.4", "--save", str(new_file),
-        ], new_file, capsys)
-        with pytest.warns(DeprecationWarning, match="repro run figure3"):
-            old_out, old_payload = _run_and_load([
-                "--seed", "0", "--save", str(old_file),
-                "figure3", "--sizes", "12", "--probabilities", "0.4",
-                "--graphs-per-cell", "2", "--samples", "16",
-            ], old_file, capsys)
-        assert new_payload == old_payload
-        assert new_payload["experiment"] == "figure3"
-        assert new_payload["results"][0]["__type__"] == "Figure3Cell"
-        assert old_out.replace(str(old_file), "<f>") == \
-            new_out.replace(str(new_file), "<f>")
-
-    def test_figure4_shim_matches_run_path(self, tmp_path, capsys):
-        new_file = tmp_path / "new.json"
-        old_file = tmp_path / "old.json"
-        new_out, new_payload = _run_and_load([
-            "run", "figure4", "--seed", "3", "--samples", "16",
-            "--param", "graphs=eco-stmarks", "--save", str(new_file),
-        ], new_file, capsys)
-        with pytest.warns(DeprecationWarning):
-            old_out, old_payload = _run_and_load([
-                "--seed", "3", "--save", str(old_file),
-                "figure4", "--graphs", "eco-stmarks", "--samples", "16",
-            ], old_file, capsys)
-        assert new_payload == old_payload
-        assert new_payload["results"][0]["__type__"] == "Figure4Panel"
-        assert old_out.replace(str(old_file), "<f>") == \
-            new_out.replace(str(new_file), "<f>")
-
-    def test_table1_shim_matches_run_path(self, tmp_path, capsys):
-        new_file = tmp_path / "new.json"
-        old_file = tmp_path / "old.json"
-        new_out, new_payload = _run_and_load([
-            "run", "table1", "--seed", "4", "--samples", "32",
-            "--param", "graphs=road-chesapeake", "--save", str(new_file),
-        ], new_file, capsys)
-        with pytest.warns(DeprecationWarning):
-            old_out, old_payload = _run_and_load([
-                "--seed", "4", "--save", str(old_file),
-                "table1", "--graphs", "road-chesapeake", "--samples", "32",
-            ], old_file, capsys)
-        assert new_payload == old_payload
-        assert new_payload["results"][0]["__type__"] == "Table1Row"
-        assert old_out.replace(str(old_file), "<f>") == \
-            new_out.replace(str(new_file), "<f>")
-
-    def test_ablation_shim_matches_run_path(self, tmp_path, capsys):
-        new_file = tmp_path / "new.json"
-        old_file = tmp_path / "old.json"
-        new_out, new_payload = _run_and_load([
-            "run", "ablation", "--seed", "5", "--samples", "16",
-            "--param", "kind=rank", "--param", "vertices=14",
-            "--save", str(new_file),
-        ], new_file, capsys)
-        with pytest.warns(DeprecationWarning):
-            old_out, old_payload = _run_and_load([
-                "--seed", "5", "--save", str(old_file),
-                "ablation", "--kind", "rank", "--vertices", "14",
-                "--samples", "16",
-            ], old_file, capsys)
-        assert new_payload == old_payload
-        assert new_payload["results"][0]["__type__"] == "AblationPoint"
-        assert "rank_4" in new_out
-        assert old_out.replace(str(old_file), "<f>") == \
-            new_out.replace(str(new_file), "<f>")
-
-    def test_compare_shim_matches_run_path(self, tmp_path, capsys):
-        new_file = tmp_path / "new.json"
-        old_file = tmp_path / "old.json"
-        new_out, new_payload = _run_and_load([
-            "run", "arena", "--seed", "6", "--trials", "2", "--samples", "8",
-            "--param", "solvers=random,trevisan", "--save", str(new_file),
-        ], new_file, capsys)
-        with pytest.warns(DeprecationWarning, match="repro run arena"):
-            assert main([
-                "--seed", "6", "--save", str(old_file),
-                "compare", "--solvers", "random,trevisan",
-                "--trials", "2", "--budget", "8",
-            ]) == 0
-        capsys.readouterr()
-        old_payload = _scrub_timing(json.loads(old_file.read_text()))
-        assert new_payload == old_payload
-        assert new_payload["experiment"] == "arena"
-        assert "Arena leaderboard" in new_out
-
-    def test_each_shim_warns_exactly_once(self, recwarn, capsys):
-        main(["table1", "--graphs", "road-chesapeake", "--samples", "16"])
-        capsys.readouterr()
-        deprecations = [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro run table1" in str(deprecations[0].message)
-
-
-class TestRunArenaShim:
-    def test_run_arena_warns_and_matches_workload_path(self):
-        import warnings
-
-        from repro.arena import run_arena
-        from repro.workloads import run_workload
-
-        report = run_workload("arena", solvers=("random", "trevisan"),
-                              suite="er-small", trials=2, samples=8, seed=0)
-        with pytest.warns(DeprecationWarning, match="run_workload"):
-            result = run_arena(["random", "trevisan"], suite="er-small",
-                               n_trials=2, n_samples=8, seed=0)
-        assert result.winner() == report.winner()
-        assert [e.best_weight for e in result.entries] == \
-            [e.best_weight for e in report.records]
-        # And it warns exactly once per call.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_arena(["random"], suite="er-small", n_trials=1, n_samples=4, seed=0)
-        assert sum(
-            1 for w in caught if issubclass(w.category, DeprecationWarning)
-        ) == 1

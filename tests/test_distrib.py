@@ -144,7 +144,6 @@ class TestPlan:
             graphs=GraphSource.from_suite("er-small"),
             solvers=("random",),
             budget=Budget(n_trials=4, n_samples=8),
-            policy=ExecutionPolicy(mode="sequential"),
             seed=0,
         )
         base.update(overrides)
@@ -412,7 +411,7 @@ class TestSpecRoundTrip:
             graphs=GraphSource.erdos_renyi_grid((16, 20), (0.2,), per_cell=2),
             solvers=("lif_tr", "random"),
             budget=Budget(n_trials=3, n_samples=16, max_seconds=2.5),
-            policy=ExecutionPolicy(mode="parallel", n_workers=2),
+            policy=ExecutionPolicy(n_workers=2),
             seed=7,
             params={"suite": "er-grid", "flag": True},
         )
@@ -440,7 +439,6 @@ class TestAdhocSpecs:
             graphs=GraphSource.from_suite("structured-small"),
             solvers=("random", "trevisan"),
             budget=Budget(n_trials=3, n_samples=8),
-            policy=ExecutionPolicy(mode="sequential"),
             seed=0,
         )
         mono = Session(spec).run()

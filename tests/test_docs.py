@@ -98,7 +98,7 @@ class TestReadme:
     def test_readme_exists_and_mentions_quickstart_commands(self):
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
         for command in ("repro run", "repro workloads", "repro solve",
-                        "repro engine", "repro compare", "repro serve",
+                        "repro engine", "repro serve",
                         "pip install -e ."):
             assert command in readme, f"README lost the {command!r} quickstart"
 
@@ -126,7 +126,7 @@ class TestCliHelp:
         ["workloads", "--help"],
         ["solve", "--help"],
         ["engine", "--help"],
-        ["compare", "--help"],
+        ["backends", "--help"],
         ["merge", "--help"],
         ["bench", "--help"],
         ["profile", "--help"],
@@ -147,13 +147,4 @@ class TestCliHelp:
             main(["run", "--help"])
         out = capsys.readouterr().out
         for flag in ("--shards", "--checkpoint-dir", "--resume"):
-            assert flag in out
-
-    def test_compare_help_documents_flags(self, capsys):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit):
-            main(["compare", "--help"])
-        out = capsys.readouterr().out
-        for flag in ("--solvers", "--suite", "--budget", "--save"):
             assert flag in out

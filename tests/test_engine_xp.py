@@ -193,7 +193,7 @@ class TestForGraph:
     def test_execution_policy_object_is_a_valid_policy(self):
         graph = erdos_renyi(16, 0.5, seed=0)
         weights = np.eye(graph.n_vertices)
-        policy = ExecutionPolicy(mode="auto", backend="sparse")
+        policy = ExecutionPolicy(backend="sparse")
         backend = WeightBackend.for_graph(
             graph, weights, policy=policy, sparse_weights=lambda: weights
         )

@@ -26,7 +26,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms.registry import get_spec, list_solvers
-from repro.arena import ArenaBudget, run_arena
 from repro.engine.sampler import trial_seed_sequences
 from repro.experiments.runner import run_circuit_trials, save_results
 from repro.graphs.generators import complete_bipartite, erdos_renyi
@@ -53,7 +52,15 @@ from repro.portfolio import (
 from repro.problems import compile_to_maxcut, random_problem
 from repro.serve import ServiceConfig, SolverService
 from repro.utils.validation import ValidationError
+from repro.workloads import arena_result_from_report, run_workload
 from repro.workloads.spec import Budget
+
+
+def _arena(solvers, suite, trials, samples):
+    """Race *solvers* on *suite* through the arena workload (seed 0)."""
+    report = run_workload("arena", solvers=tuple(solvers), suite=suite,
+                          trials=trials, samples=samples, seed=0)
+    return arena_result_from_report(report)
 
 
 def _permuted(graph: Graph, seed: int = 0) -> Graph:
@@ -173,8 +180,7 @@ class TestRace:
 
     def test_single_candidate_race_equals_sequential_run(self, graph):
         result = race(graph, ["local_search"],
-                      budget=Budget(n_trials=3, n_samples=16), seed=11,
-                      use_engine=False)
+                      budget=Budget(n_trials=3, n_samples=16), seed=11)
         fn = get_spec("local_search").fn
         cuts = [fn(graph, n_samples=16, seed=seq)
                 for seq in trial_seed_sequences(11, 3)]
@@ -258,19 +264,17 @@ class TestPriors:
         assert load_model(path) == model
 
     def test_load_rejects_wrong_result_type(self, tmp_path):
-        result = run_arena(
-            ["random"], suite=[erdos_renyi(8, 0.5, seed=1, name="g")],
-            budget=ArenaBudget(n_trials=1, n_samples=8), seed=0)
+        result = _arena(["random"], [erdos_renyi(8, 0.5, seed=1, name="g")],
+                        trials=1, samples=8)
         path = tmp_path / "other.json"
         save_results(path, "compare", result.entries[:1])
         with pytest.raises(ValidationError):
             load_model(path)
 
     def test_fit_from_arena_save(self, tmp_path):
-        result = run_arena(
-            ["random", "trevisan"],
-            suite=[erdos_renyi(12, 0.4, seed=3, name="tiny-er")],
-            budget=ArenaBudget(n_trials=2, n_samples=16), seed=0)
+        result = _arena(["random", "trevisan"],
+                        [erdos_renyi(12, 0.4, seed=3, name="tiny-er")],
+                        trials=2, samples=16)
         path = tmp_path / "arena.json"
         save_results(path, "compare", result.entries)
         model = fit_from_paths([path])
@@ -357,9 +361,7 @@ class TestArenaAutoDeterminism:
         ]
 
         def one_run():
-            result = run_arena(["auto", "gw"], suite=suite,
-                               budget=ArenaBudget(n_trials=2, n_samples=16),
-                               seed=0)
+            result = _arena(["auto", "gw"], suite, trials=2, samples=16)
             entries = [dataclasses.asdict(e) for e in result.entries]
             return (_strip_timing(result.aggregate()),
                     _strip_timing(entries))
@@ -428,10 +430,9 @@ class TestServeAuto:
 class TestPortfolioCLI:
     @pytest.fixture
     def results_file(self, tmp_path):
-        result = run_arena(
-            ["random", "trevisan"],
-            suite=[erdos_renyi(12, 0.4, seed=3, name="tiny-er")],
-            budget=ArenaBudget(n_trials=2, n_samples=16), seed=0)
+        result = _arena(["random", "trevisan"],
+                        [erdos_renyi(12, 0.4, seed=3, name="tiny-er")],
+                        trials=2, samples=16)
         path = tmp_path / "compare.json"
         save_results(path, "compare", result.entries)
         return path

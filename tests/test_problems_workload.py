@@ -75,7 +75,7 @@ class TestProblemsWorkload:
         spec = get_workload("problems").build_spec({
             "problem": "2sat", "suite": "", "solvers": (), "trials": 2,
             "samples": 8, "max_seconds": None, "backend": "auto",
-            "use_engine": True, "workers": 1, "seed": 0,
+            "workers": 1, "seed": 0,
         })
         assert spec.graphs.label == "2sat-small"
         with pytest.raises(ValidationError, match="holds 'qubo' instances"):

@@ -286,7 +286,7 @@ class TestPortfolioProperties:
         graph = erdos_renyi(10, 0.4, seed=5)
         result = race(graph, ["local_search", "trevisan"],
                       budget=Budget(n_trials=n_trials, n_samples=8),
-                      seed=seed, use_engine=False)
+                      seed=seed)
         assert all(t <= n_trials for t in result.trials_used.values())
         assert result.total_trials <= 2 * n_trials
         assert result.trials_used["trevisan"] <= 1  # deterministic: one trial

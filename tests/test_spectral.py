@@ -1,17 +1,11 @@
-"""Tests for repro.spectral: power iteration, Lanczos, and the Trevisan algorithm."""
+"""Tests for repro.spectral: Lanczos, eigensolver dispatch and the Trevisan algorithm."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.cuts.exact import exact_maxcut_value
 from repro.graphs.generators import complete_bipartite, cycle_graph, erdos_renyi
 from repro.spectral.lanczos import lanczos_extreme_eigenpair, lanczos_tridiagonalize
-from repro.spectral.power_iteration import (
-    minimum_eigenvector_shifted,
-    power_iteration,
-    rayleigh_quotient,
-)
 from repro.spectral.trevisan import (
     minimum_eigenvector,
     trevisan_simple_spectral,
@@ -23,80 +17,6 @@ from repro.utils.validation import ValidationError
 def _random_symmetric(n, rng):
     A = rng.standard_normal((n, n))
     return 0.5 * (A + A.T)
-
-
-class TestRayleighQuotient:
-    def test_eigenvector_gives_eigenvalue(self, rng):
-        M = _random_symmetric(6, rng)
-        eigenvalues, eigenvectors = np.linalg.eigh(M)
-        assert rayleigh_quotient(M, eigenvectors[:, 2]) == pytest.approx(eigenvalues[2])
-
-    def test_bounded_by_spectrum(self, rng):
-        M = _random_symmetric(8, rng)
-        eigenvalues = np.linalg.eigvalsh(M)
-        v = rng.standard_normal(8)
-        rq = rayleigh_quotient(M, v)
-        assert eigenvalues[0] - 1e-9 <= rq <= eigenvalues[-1] + 1e-9
-
-    def test_zero_vector_raises(self):
-        with pytest.raises(ValidationError):
-            rayleigh_quotient(np.eye(3), np.zeros(3))
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValidationError):
-            rayleigh_quotient(np.eye(3), np.ones(4))
-
-
-class TestPowerIteration:
-    def test_dominant_eigenvalue(self, rng):
-        M = _random_symmetric(10, rng)
-        # make the dominant eigenvalue the largest-magnitude one by shifting
-        M = M + 20.0 * np.eye(10)
-        result = power_iteration(M, seed=1)
-        assert result.converged
-        assert result.eigenvalue == pytest.approx(np.linalg.eigvalsh(M)[-1], rel=1e-6)
-
-    def test_sparse_input(self, rng):
-        M = sp.csr_matrix(np.diag([1.0, 2.0, 10.0]))
-        result = power_iteration(M, seed=2)
-        assert result.eigenvalue == pytest.approx(10.0, rel=1e-8)
-
-    def test_zero_matrix(self):
-        result = power_iteration(np.zeros((4, 4)), seed=3)
-        assert result.eigenvalue == pytest.approx(0.0)
-
-    def test_empty_matrix(self):
-        result = power_iteration(np.zeros((0, 0)))
-        assert result.converged
-
-    def test_rejects_rectangular(self):
-        with pytest.raises(ValidationError):
-            power_iteration(np.zeros((2, 3)))
-
-    def test_residual_small_when_converged(self, rng):
-        M = np.diag([1.0, 3.0, 9.0])
-        result = power_iteration(M, seed=4)
-        assert result.residual < 1e-8
-
-
-class TestShiftedMinimum:
-    def test_minimum_eigenvalue(self, rng):
-        M = _random_symmetric(12, rng)
-        result = minimum_eigenvector_shifted(M, seed=5)
-        expected = np.linalg.eigvalsh(M)[0]
-        assert result.eigenvalue == pytest.approx(expected, rel=1e-5, abs=1e-6)
-
-    def test_eigenvector_residual(self, rng):
-        M = _random_symmetric(9, rng)
-        result = minimum_eigenvector_shifted(M, seed=6)
-        residual = np.linalg.norm(M @ result.eigenvector - result.eigenvalue * result.eigenvector)
-        assert residual < 1e-6
-
-    def test_diagonal_matrix(self):
-        M = np.diag([5.0, -2.0, 3.0])
-        result = minimum_eigenvector_shifted(M, seed=7)
-        assert result.eigenvalue == pytest.approx(-2.0, abs=1e-8)
-        assert abs(result.eigenvector[1]) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestLanczos:

@@ -91,11 +91,6 @@ class TestGraphSource:
 
 
 class TestBudgetAndPolicy:
-    def test_budget_is_arena_budget(self):
-        from repro.arena import ArenaBudget
-
-        assert ArenaBudget is Budget
-
     @pytest.mark.parametrize("kwargs", [
         {"n_trials": 0},
         {"n_samples": 0},
@@ -106,13 +101,14 @@ class TestBudgetAndPolicy:
         with pytest.raises(ValidationError):
             Budget(**kwargs)
 
-    def test_policy_modes(self):
-        assert ExecutionPolicy(mode="auto").use_engine
-        assert ExecutionPolicy(mode="engine").use_engine
-        assert not ExecutionPolicy(mode="parallel").use_engine
-        assert ExecutionPolicy(mode="sequential").parallel_config().n_workers == 1
+    def test_policy_is_backend_and_workers(self):
+        policy = ExecutionPolicy()
+        assert policy.to_dict() == {"backend": "auto", "n_workers": 1}
+        assert ExecutionPolicy(n_workers=3).parallel_config().n_workers == 3
         with pytest.raises(ValidationError):
-            ExecutionPolicy(mode="warp")
+            ExecutionPolicy(n_workers=-1)
+        with pytest.raises(ValidationError):
+            ExecutionPolicy(backend="warp")
 
 
 class TestWorkloadSpec:
@@ -208,14 +204,14 @@ class TestRegistry:
         assert coerce_param("sizes", "12,16", (50,)) == (12, 16)
         assert coerce_param("probabilities", "0.4", (0.25,)) == (0.4,)
         assert coerce_param("trials", "3", 4) == 3
-        assert coerce_param("use_engine", "false", True) is False
+        assert coerce_param("resume", "false", True) is False
         assert coerce_param("max_seconds", "none", None) is None
         assert coerce_param("max_seconds", "1.5", None) == 1.5
         assert coerce_param("kind", "rank", "devices") == "rank"
         with pytest.raises(ValidationError):
             coerce_param("trials", "three", 4)
         with pytest.raises(ValidationError):
-            coerce_param("use_engine", "maybe", True)
+            coerce_param("resume", "maybe", True)
         # Optional-number params reject junk text instead of smuggling a str
         # into Budget (which would surface as a TypeError downstream).
         with pytest.raises(ValidationError, match="number or 'none'"):
@@ -254,7 +250,7 @@ class TestSession:
             graphs=GraphSource.explicit([erdos_renyi(10, 0.5, seed=1, name="g")]),
             solvers=("lif_tr", "trevisan", "random"),
             budget=Budget(n_trials=3, n_samples=8),
-            policy=ExecutionPolicy(mode="auto", n_workers=4),
+            policy=ExecutionPolicy(n_workers=4),
             seed=0,
         )
         plan = Session(spec).plan()
@@ -276,7 +272,7 @@ class TestSession:
             graphs=GraphSource.explicit([erdos_renyi(10, 0.5, seed=1, name="g")]),
             solvers=("random",),
             budget=Budget(n_trials=2, n_samples=4),
-            policy=ExecutionPolicy(mode="parallel", n_workers=None),
+            policy=ExecutionPolicy(n_workers=None),
             seed=0,
         )
         route = Session(spec).plan().steps[0].route
@@ -351,17 +347,23 @@ class TestWorkloadSeeding:
     """The paired SeedSequence(seed, spawn_key=(graph, trial)) contract."""
 
     def test_engine_and_sequential_paths_agree(self):
-        kwargs = dict(
-            solvers=("lif_tr",), suite="er-small", trials=2, samples=16, seed=5,
+        # Every engine trial equals the registry solver run alone on its
+        # paired seed: the shared engine run is bitwise the per-trial route.
+        from repro.algorithms.registry import get_solver
+
+        report = run_workload(
+            "arena", solvers=("lif_tr",), suite="er-small",
+            trials=2, samples=16, seed=5,
         )
-        engine = run_workload("arena", use_engine=True, **kwargs)
-        sequential = run_workload("arena", use_engine=False, **kwargs)
-        assert all(e.used_engine for e in engine.records)
-        assert not any(e.used_engine for e in sequential.records)
-        for ea, eb in zip(engine.records, sequential.records):
-            assert ea.graph_name == eb.graph_name
-            assert ea.best_weight == pytest.approx(eb.best_weight)
-            assert ea.mean_weight == pytest.approx(eb.mean_weight)
+        graphs = GraphSource.from_suite("er-small").build(5)
+        solver = get_solver("lif_tr")
+        for g, (graph, entry) in enumerate(zip(graphs, report.records)):
+            assert entry.used_engine
+            expected = [
+                float(solver(graph, n_samples=16, seed=paired_seed(5, g, i)).weight)
+                for i in range(2)
+            ]
+            assert entry.metadata["trial_weights"] == expected
 
     def test_generic_executor_uses_paired_roots(self):
         # Trial i on graph g must consume SeedSequence(seed, spawn_key=(g, i)):
@@ -414,7 +416,6 @@ class TestBudgetDeadline:
             graphs=GraphSource.from_suite("er-small"),
             solvers=("lif_tr",),
             budget=Budget(n_trials=4, n_samples=4000, max_seconds=1e-4),
-            policy=ExecutionPolicy(mode="auto"),
             seed=3,
         )
         report = execute_spec(spec)
@@ -433,3 +434,36 @@ class TestBudgetDeadline:
         for ea, eb in zip(free.records, capped.records):
             assert ea.best_weight == eb.best_weight
             assert "budget_truncated" not in eb.metadata
+
+
+class TestEngineWallTime:
+    """Each engine unit is charged the wall time of the run it rode."""
+
+    def test_units_charged_their_own_engine_run(self):
+        # Two same-size graphs fuse per circuit; the third runs alone.
+        graphs = [
+            erdos_renyi(16, 0.4, seed=1, name="a"),
+            erdos_renyi(16, 0.4, seed=2, name="b"),
+            erdos_renyi(20, 0.3, seed=3, name="c"),
+        ]
+        report = run_workload(
+            "arena", solvers=("lif_gw", "lif_tr"), suite=graphs,
+            trials=2, samples=64, seed=0,
+        )
+        fused = {}
+        n_alone = 0
+        for entry in report.records:
+            engine_wall = entry.metadata["engine_elapsed_seconds"]
+            block = entry.metadata.get("instance_block")
+            if block is None:
+                n_alone += 1
+                assert entry.elapsed_seconds == engine_wall
+            else:
+                # Members of one fused run share its wall clock.
+                fused.setdefault((engine_wall, block["fused_trials"]), []).append(
+                    entry.elapsed_seconds
+                )
+        assert n_alone and fused
+        for (engine_wall, _), shares in fused.items():
+            assert len(shares) > 1
+            assert sum(shares) == pytest.approx(engine_wall, rel=1e-12)
