@@ -12,9 +12,11 @@ import pytest
 
 from benchmarks.conftest import FULL, sample_budget
 from repro.experiments.config import Figure3Config
-from repro.experiments.figure3 import run_figure3_cell
+from repro.experiments.figure3 import (
+    figure3_cell_from_graph_results,
+    run_figure3_graph,
+)
 from repro.experiments.reporting import format_figure3_report
-from repro.parallel.pool import ParallelConfig
 
 # Representative corner cells of the paper's grid (smallest/densest tradeoffs).
 REDUCED_CELLS = [(50, 0.1), (50, 0.5), (100, 0.25)]
@@ -36,6 +38,17 @@ def _config(fast_gw_config, fast_tr_config) -> Figure3Config:
     )
 
 
+def _run_cell(n_vertices: int, probability: float, config: Figure3Config):
+    """One (n, p) panel: the cell's graph units, aggregated in graph order."""
+    results = [
+        run_figure3_graph(n_vertices, probability, j, config=config)
+        for j in range(config.n_graphs_per_cell)
+    ]
+    return figure3_cell_from_graph_results(
+        n_vertices, probability, results, config=config
+    )
+
+
 @pytest.mark.parametrize("n_vertices,probability", CELLS)
 def test_bench_figure3_cell(
     benchmark, n_vertices, probability, fast_gw_config, fast_tr_config
@@ -44,9 +57,8 @@ def test_bench_figure3_cell(
     config = _config(fast_gw_config, fast_tr_config)
 
     cell = benchmark.pedantic(
-        run_figure3_cell,
-        args=(n_vertices, probability),
-        kwargs={"config": config, "parallel": ParallelConfig(n_workers=1)},
+        _run_cell,
+        args=(n_vertices, probability, config),
         iterations=1,
         rounds=1,
     )

@@ -15,16 +15,13 @@ from __future__ import annotations
 
 import argparse
 
-from repro.circuits.config import LIFGWConfig, LIFTrevisanConfig
 from repro.experiments.config import (
     PAPER_FIGURE3_PROBABILITIES,
     PAPER_FIGURE3_SIZES,
-    Figure3Config,
 )
-from repro.experiments.figure3 import run_figure3
 from repro.experiments.reporting import format_figure3_report
-from repro.parallel.pool import ParallelConfig
 from repro.utils.logging import configure_logging
+from repro.workloads import run_workload
 
 
 def main() -> None:
@@ -33,9 +30,8 @@ def main() -> None:
     parser.add_argument("--probabilities", type=float, nargs="+", default=[0.1, 0.25])
     parser.add_argument("--graphs-per-cell", type=int, default=3)
     parser.add_argument("--samples", type=int, default=512)
-    parser.add_argument("--solver-samples", type=int, default=100)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1, help="processes per cell")
+    parser.add_argument("--workers", type=int, default=1, help="processes over graphs")
     parser.add_argument(
         "--paper-grid", action="store_true",
         help="use the paper's full n x p grid (slow)",
@@ -49,18 +45,15 @@ def main() -> None:
         PAPER_FIGURE3_PROBABILITIES if args.paper_grid else tuple(args.probabilities)
     )
 
-    config = Figure3Config(
+    cells = run_workload(
+        "figure3",
         sizes=sizes,
         probabilities=probabilities,
-        n_graphs_per_cell=args.graphs_per_cell,
-        n_samples=args.samples,
-        n_solver_samples=args.solver_samples,
+        trials=args.graphs_per_cell,
+        samples=args.samples,
         seed=args.seed,
-        lif_gw=LIFGWConfig(burn_in_steps=50, sample_interval=5),
-        lif_tr=LIFTrevisanConfig(burn_in_steps=50, sample_interval=5),
-    )
-
-    cells = run_figure3(config=config, parallel=ParallelConfig(n_workers=args.workers))
+        workers=args.workers,
+    ).records
     print(format_figure3_report(cells))
 
     print("\nSummary (final relative cut weight, mean over graphs)")

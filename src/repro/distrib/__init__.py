@@ -17,18 +17,11 @@ crash-safe at once:
 
 The user-facing surface is ``Session(spec).run(shards=N, resume=...)``,
 ``repro run <workload> --shards N [--resume]`` and ``repro merge <dir>``;
-this package is the machinery behind them.  New workloads with custom
-executors become shardable by registering a
-:class:`~repro.distrib.adapters.ShardAdapter`.
+this package is the machinery behind them.  The units come from the
+workload's own :class:`~repro.workloads.registry.ShardAdapter` — the same
+triple its monolithic run executes — so every registered workload shards.
 """
 
-from repro.distrib.adapters import (
-    GENERIC_ADAPTER,
-    SHARD_ADAPTERS,
-    ShardAdapter,
-    get_shard_adapter,
-    register_shard_adapter,
-)
 from repro.distrib.checkpoint import CheckpointStore, ShardCheckpoint
 from repro.distrib.shards import (
     ShardPlan,
@@ -41,11 +34,6 @@ from repro.distrib.shards import (
 )
 
 __all__ = [
-    "ShardAdapter",
-    "SHARD_ADAPTERS",
-    "GENERIC_ADAPTER",
-    "register_shard_adapter",
-    "get_shard_adapter",
     "CheckpointStore",
     "ShardCheckpoint",
     "ShardPlan",

@@ -9,10 +9,10 @@ Shard plan
 ----------
 A plan is a pure function of ``(spec, n_shards)``:
 
-1. the workload's :class:`~repro.distrib.adapters.ShardAdapter` enumerates
-   the run's atomic *units* in canonical order (e.g. ``(graph, solver,
-   trial_lo, trial_hi)`` cells for the generic executor, ``(cell, graph)``
-   for Figure 3);
+1. the workload's :class:`~repro.workloads.registry.ShardAdapter`
+   enumerates the run's atomic *units* in canonical order (e.g. ``(graph,
+   solver, trial_lo, trial_hi)`` cells for the generic executor, ``(cell,
+   graph)`` for Figure 3);
 2. unit *j* is assigned round-robin to shard ``j % n_shards``, so work
    spreads evenly even when unit costs correlate with position (e.g. suites
    ordered by graph size).
@@ -37,7 +37,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.distrib.adapters import ShardAdapter, get_shard_adapter
 from repro.distrib.checkpoint import CheckpointStore, ShardCheckpoint, unit_key
 from repro.obs.trace import (
     mark,
@@ -48,6 +47,7 @@ from repro.obs.trace import (
     tracing_enabled,
 )
 from repro.utils.validation import ValidationError
+from repro.workloads.executor import adapter_for
 from repro.workloads.registry import Workload
 from repro.workloads.report import WorkloadOutcome
 from repro.workloads.spec import WorkloadSpec
@@ -109,7 +109,7 @@ def plan_shards(
     """Partition *spec* into *n_shards* deterministic shards."""
     if not isinstance(n_shards, int) or isinstance(n_shards, bool) or n_shards < 1:
         raise ValidationError(f"n_shards must be an integer >= 1, got {n_shards!r}")
-    adapter = get_shard_adapter(spec, workload)
+    adapter = adapter_for(workload)
     units = tuple(tuple(unit) for unit in adapter.units(spec, n_shards))
     assignments: List[List[int]] = [[] for _ in range(n_shards)]
     for j in range(len(units)):
@@ -134,7 +134,7 @@ def run_shard(
         raise ValidationError(
             f"shard_index must be in [0, {plan.n_shards}), got {shard_index}"
         )
-    adapter = get_shard_adapter(spec, workload)
+    adapter = adapter_for(workload)
     units = plan.shard_units(shard_index)
     # Under active tracing the shard's per-phase timing summary rides the
     # checkpoint metadata, so a later `repro merge` can fold timings across
@@ -186,7 +186,7 @@ def _merge_plan(
     checkpoints: Sequence[ShardCheckpoint],
     workload: Optional[Workload] = None,
 ) -> WorkloadOutcome:
-    adapter = get_shard_adapter(spec, workload)
+    adapter = adapter_for(workload)
     payload_by_unit: Dict[Tuple, Any] = {}
     for checkpoint in checkpoints:
         for unit, payload in zip(checkpoint.units, checkpoint.payloads):
@@ -218,7 +218,8 @@ def run_sharded(
     n_shards:
         How many shards to split into.
     workload:
-        The registered workload (for adapter resolution), if any.
+        The registered workload whose adapter runs the units; ``None``
+        runs the generic executor's cell units.
     checkpoint_dir:
         Directory for the manifest + per-shard checkpoint files.  ``None``
         runs fully in memory (no files, nothing to resume).

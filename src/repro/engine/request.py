@@ -11,8 +11,7 @@ Seeding contract
 ----------------
 Trial *i* of a request with root seed ``s`` receives the seed sequence
 ``SeedSequence(entropy=s, spawn_key=(i,))`` — the same child that
-:class:`repro.utils.rng.SeedStream` and :func:`repro.parallel.seeds.seeded_tasks`
-hand to work item *i*.  On the numpy array path trial *i* is bitwise the
+:class:`repro.utils.rng.SeedStream` hands to work item *i*.  On the numpy array path trial *i* is bitwise the
 same whatever the trial-block size (``max_block_bytes``) or the batch it
 shares (a request group), and equal to the one-trial solve
 

@@ -38,7 +38,7 @@ def trial_seed_sequences(
     independent and the run is reproducible from the returned sequences, just
     not from the ``None``).  An integer or ``SeedSequence`` root yields the
     deterministic ``spawn_key=(i,)`` children shared with
-    :class:`repro.utils.rng.SeedStream` and :func:`repro.parallel.seeds.seeded_tasks`.
+    :class:`repro.utils.rng.SeedStream`.
 
     *start* shifts the trial indices: the returned sequences are the children
     for global trials ``start .. start + n_trials - 1``.  A run split into

@@ -70,7 +70,6 @@ class Figure3Config(ValidatedConfig):
 class Figure4Config(ValidatedConfig):
     """Configuration of the Figure 4 empirical-graph sweep."""
 
-    graph_names: Sequence[str] = ()
     n_samples: int = 1024
     n_solver_samples: int = 100
     seed: Optional[int] = 0
@@ -86,7 +85,6 @@ class Figure4Config(ValidatedConfig):
 class Table1Config(ValidatedConfig):
     """Configuration of the Table I maximum-cut-value reproduction."""
 
-    graph_names: Sequence[str] = ()
     n_samples: int = 2048
     n_solver_samples: int = 200
     n_random_samples: int = 2048

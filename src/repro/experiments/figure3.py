@@ -22,7 +22,6 @@ from repro.circuits.lif_trevisan import LIFTrevisanCircuit
 from repro.experiments.config import Figure3Config
 from repro.graphs.generators import erdos_renyi
 from repro.obs.trace import span
-from repro.parallel.pool import ParallelConfig, parallel_map
 from repro.utils.logging import get_logger
 from repro.utils.rng import grid_cell_key, paired_seed, spawn_generators
 
@@ -30,8 +29,6 @@ __all__ = [
     "Figure3Cell",
     "run_figure3_graph",
     "figure3_cell_from_graph_results",
-    "run_figure3_cell",
-    "run_figure3",
     "METHODS",
 ]
 
@@ -74,12 +71,6 @@ def _relative_running_best(weights: np.ndarray, counts: np.ndarray, reference: f
     return values / reference if reference > 0 else np.ones_like(values)
 
 
-def _run_single_graph(task) -> Dict[str, np.ndarray]:
-    """Run all four methods on one random graph (a single sweep work item)."""
-    (n, p, config, graph_index) = task.payload
-    return _run_graph_seeded(n, p, config, graph_index, task.seed_sequence())
-
-
 def run_figure3_graph(
     n_vertices: int,
     probability: float,
@@ -88,30 +79,22 @@ def run_figure3_graph(
 ) -> Dict[str, np.ndarray]:
     """Run all four methods on graph *graph_index* of one (n, p) cell.
 
-    The atomic, independently schedulable unit of the Figure 3 sweep: all
-    randomness derives from the paired convention
-    ``SeedSequence(seed, spawn_key=(n, key(p), j))``, so the result is
-    identical whether the graph runs inside :func:`run_figure3_cell`, in a
-    process pool, or on its own shard (:mod:`repro.distrib`).
+    The atomic, independently schedulable unit of the Figure 3 sweep (the
+    ``figure3`` workload's unit body): all randomness derives from the paired
+    convention ``SeedSequence(seed, spawn_key=(n, key(p), j))``, and each
+    method gets its own spawned child, so the result is identical whether
+    the graph runs in process, in a process pool, or on its own shard
+    (:mod:`repro.distrib`).
     """
     config = config or Figure3Config()
     seed = paired_seed(
         config.seed, *grid_cell_key(n_vertices, probability), graph_index
     )
-    return _run_graph_seeded(n_vertices, probability, config, graph_index, seed)
-
-
-def _run_graph_seeded(
-    n: int, p: float, config: Figure3Config, graph_index: int, seed
-) -> Dict[str, np.ndarray]:
-    # Paired seeding convention: graph j of cell (n, p) derives everything
-    # from SeedSequence(seed, spawn_key=(n, key(p), j)); each method gets its
-    # own spawned child, so methods stay paired per graph across execution
-    # modes (serial / process pool / sharded) and worker counts.
     with span(
-        "figure3.graph", n_vertices=n, probability=p, graph_index=graph_index
+        "figure3.graph", n_vertices=n_vertices, probability=probability,
+        graph_index=graph_index,
     ):
-        return _run_graph_traced(n, p, config, graph_index, seed)
+        return _run_graph_traced(n_vertices, probability, config, graph_index, seed)
 
 
 def _run_graph_traced(
@@ -121,19 +104,25 @@ def _run_graph_traced(
     graph = erdos_renyi(n, p, seed=graph_rng, name=f"er_n{n}_p{p:g}_{graph_index}")
     counts = sample_points_log_spaced(config.n_samples)
 
-    solver_result = goemans_williamson(
-        graph, n_samples=config.n_solver_samples, seed=solver_rng
-    )
+    with span("figure3.solver"):
+        solver_result = goemans_williamson(
+            graph, n_samples=config.n_solver_samples, seed=solver_rng
+        )
     solver_best = solver_result.best_weight
     reference = solver_best if solver_best > 0 else 1.0
 
-    gw_circuit = LIFGWCircuit(graph, config=config.lif_gw, seed=gw_rng)
-    gw_result = gw_circuit.sample_cuts(config.n_samples, seed=gw_rng)
+    with span("figure3.lif_gw"):
+        gw_circuit = LIFGWCircuit(graph, config=config.lif_gw, seed=gw_rng)
+        gw_result = gw_circuit.sample_cuts(config.n_samples, seed=gw_rng)
 
-    tr_circuit = LIFTrevisanCircuit(graph, config=config.lif_tr)
-    tr_result = tr_circuit.sample_cuts(config.n_samples, seed=tr_rng)
+    with span("figure3.lif_tr"):
+        tr_circuit = LIFTrevisanCircuit(graph, config=config.lif_tr)
+        tr_result = tr_circuit.sample_cuts(config.n_samples, seed=tr_rng)
 
-    _, random_weights = random_baseline(graph, n_samples=config.n_samples, seed=random_rng)
+    with span("figure3.random"):
+        _, random_weights = random_baseline(
+            graph, n_samples=config.n_samples, seed=random_rng
+        )
 
     solver_curve = _relative_running_best(
         solver_result.sample_weights,
@@ -150,33 +139,6 @@ def _run_graph_traced(
     }
 
 
-def run_figure3_cell(
-    n_vertices: int,
-    probability: float,
-    config: Optional[Figure3Config] = None,
-    parallel: Optional[ParallelConfig] = None,
-) -> Figure3Cell:
-    """Run one (n, p) panel of Figure 3."""
-    from repro.parallel.seeds import seeded_tasks
-
-    config = config or Figure3Config()
-    payloads = [
-        (n_vertices, probability, config, graph_index)
-        for graph_index in range(config.n_graphs_per_cell)
-    ]
-    # Paired seeding convention: graph j of this cell runs on
-    # SeedSequence(seed, spawn_key=(n, key(p), j)), so panels are independent
-    # but reproducible, without the process-salted hash() roots used before.
-    tasks = seeded_tasks(
-        payloads, root_seed=config.seed,
-        base_key=grid_cell_key(n_vertices, probability),
-    )
-    results = parallel_map(_run_single_graph, tasks, config=parallel)
-    return figure3_cell_from_graph_results(
-        n_vertices, probability, results, config=config
-    )
-
-
 def figure3_cell_from_graph_results(
     n_vertices: int,
     probability: float,
@@ -186,9 +148,8 @@ def figure3_cell_from_graph_results(
     """Aggregate per-graph results (in graph order) into a :class:`Figure3Cell`.
 
     *results* are the dictionaries produced by :func:`run_figure3_graph` for
-    graphs ``0 .. n_graphs_per_cell - 1`` of one (n, p) cell, in graph order.
-    Shared by :func:`run_figure3_cell` and the sharded merge path
-    (:mod:`repro.distrib`), so both aggregate with identical arithmetic.
+    graphs ``0 .. n_graphs_per_cell - 1`` of one (n, p) cell, in graph order;
+    the ``figure3`` workload's merge calls this once per cell.
     """
     config = config or Figure3Config()
     counts = np.asarray(results[0]["sample_counts"])
@@ -219,16 +180,3 @@ def figure3_cell_from_graph_results(
         solver_best_weights=solver_best_weights,
         metadata={"n_graphs": len(results), "n_samples": config.n_samples},
     )
-
-
-def run_figure3(
-    config: Optional[Figure3Config] = None,
-    parallel: Optional[ParallelConfig] = None,
-) -> List[Figure3Cell]:
-    """Run the full Figure 3 grid (all size x probability cells)."""
-    config = config or Figure3Config()
-    cells = []
-    for n in config.sizes:
-        for p in config.probabilities:
-            cells.append(run_figure3_cell(n, p, config=config, parallel=parallel))
-    return cells

@@ -7,7 +7,7 @@ weight relative to the software solver's best cut, as a function of samples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -17,13 +17,14 @@ from repro.analysis.convergence import sample_points_log_spaced
 from repro.circuits.lif_gw import LIFGWCircuit
 from repro.circuits.lif_trevisan import LIFTrevisanCircuit
 from repro.experiments.config import Figure4Config
+from repro.experiments.figure3 import _relative_running_best
 from repro.graphs.graph import Graph
 from repro.engine.sampler import trial_seed_sequences
-from repro.graphs.repository import list_empirical_graphs, load_empirical_graph
+from repro.graphs.repository import load_empirical_graph
 from repro.utils.logging import get_logger
 from repro.utils.rng import paired_seed
 
-__all__ = ["Figure4Panel", "run_figure4_panel", "run_figure4"]
+__all__ = ["Figure4Panel", "run_figure4_panel"]
 
 _logger = get_logger("experiments.figure4")
 
@@ -40,12 +41,6 @@ class Figure4Panel:
     solver_best_weight: float
     best_weights: Dict[str, float]
     metadata: Dict = field(default_factory=dict)
-
-
-def _relative_running_best(weights: np.ndarray, counts: np.ndarray, reference: float) -> np.ndarray:
-    best = np.maximum.accumulate(np.asarray(weights, dtype=np.float64))
-    values = best[np.minimum(counts, best.size) - 1]
-    return values / reference if reference > 0 else np.ones_like(values)
 
 
 def run_figure4_panel(
@@ -111,16 +106,3 @@ def run_figure4_panel(
         best_weights=best_weights,
         metadata={"n_samples": config.n_samples},
     )
-
-
-def run_figure4(
-    graph_names: Optional[Sequence[str]] = None,
-    config: Optional[Figure4Config] = None,
-) -> List[Figure4Panel]:
-    """Run Figure 4 for the given graphs (default: all 16 Table I graphs)."""
-    config = config or Figure4Config()
-    names = list(graph_names or config.graph_names or list_empirical_graphs())
-    return [
-        run_figure4_panel(name, config=config, graph_index=g)
-        for g, name in enumerate(names)
-    ]

@@ -11,7 +11,7 @@ reports can show paper-vs-measured side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.algorithms.goemans_williamson import goemans_williamson
 from repro.algorithms.random_baseline import random_baseline
@@ -20,11 +20,11 @@ from repro.circuits.lif_trevisan import LIFTrevisanCircuit
 from repro.experiments.config import Table1Config
 from repro.graphs.graph import Graph
 from repro.engine.sampler import trial_seed_sequences
-from repro.graphs.repository import EMPIRICAL_GRAPHS, list_empirical_graphs, load_empirical_graph
+from repro.graphs.repository import EMPIRICAL_GRAPHS, load_empirical_graph
 from repro.utils.logging import get_logger
 from repro.utils.rng import paired_seed
 
-__all__ = ["Table1Row", "run_table1_row", "run_table1"]
+__all__ = ["Table1Row", "run_table1_row"]
 
 _logger = get_logger("experiments.table1")
 
@@ -92,16 +92,3 @@ def run_table1_row(
         paper=paper_values,
         is_surrogate=is_surrogate,
     )
-
-
-def run_table1(
-    graph_names: Optional[Sequence[str]] = None,
-    config: Optional[Table1Config] = None,
-) -> List[Table1Row]:
-    """Compute Table I for the given graphs (default: all 16 paper graphs)."""
-    config = config or Table1Config()
-    names = list(graph_names or config.graph_names or list_empirical_graphs())
-    return [
-        run_table1_row(name, config=config, graph_index=g)
-        for g, name in enumerate(names)
-    ]

@@ -36,13 +36,13 @@ from repro.workloads.spec import (
 )
 from repro.workloads.report import RunReport, WorkloadOutcome
 from repro.workloads.registry import (
+    ShardAdapter,
     Workload,
     get_workload,
     list_workloads,
     register_workload,
 )
 from repro.workloads.session import PlanStep, RunPlan, Session, run_workload
-from repro.workloads.executor import execute_spec
 from repro.workloads import paper as _paper  # registers the five paper workloads
 from repro.workloads import bench as _bench  # registers the bench workload
 from repro.workloads import problems as _problems  # registers the problems workload
@@ -72,6 +72,7 @@ __all__ = [
     "RunReport",
     "WorkloadOutcome",
     "Workload",
+    "ShardAdapter",
     "register_workload",
     "get_workload",
     "list_workloads",
@@ -79,7 +80,6 @@ __all__ = [
     "RunPlan",
     "PlanStep",
     "run_workload",
-    "execute_spec",
     "arena_result_from_report",
     "BenchRecord",
     "check_baseline",

@@ -8,7 +8,8 @@ tolerance baseline (``benchmarks/baseline.json``):
 ``engine:<circuit>``
     Trial-parallel batched engine vs the same request run one trial per
     block (``max_block_bytes=1``: the engine one trial at a time) on the
-    largest suite graph, identical seeds.
+    largest suite graph, identical seeds.  Each leg's time is the median of
+    5 alternating (batched, one-trial) pairs, and every pair must agree.
     ``speedup = batched read-outs/s ÷ one-trial read-outs/s`` — equivalently
     time-per-read-out reference ÷ optimised — so > 1 means batching wins.
 ``sharded:arena``
@@ -108,7 +109,7 @@ import numpy as np
 from repro.experiments.runner import register_result_type, run_circuit_trials
 from repro.obs.trace import capture, span, suspended
 from repro.utils.validation import ValidationError
-from repro.workloads.registry import Workload, register_workload
+from repro.workloads.registry import ShardAdapter, Workload, register_workload
 from repro.workloads.report import RunReport, WorkloadOutcome
 from repro.workloads.spec import (
     Budget,
@@ -122,6 +123,7 @@ __all__ = [
     "BENCH_SCHEMA",
     "bench_scenarios",
     "run_bench_scenario",
+    "run_bench_units",
     "bench_outcome",
     "check_baseline",
 ]
@@ -131,6 +133,10 @@ BENCH_SCHEMA = "repro-bench/v1"
 
 #: Engine circuits timed by the ``engine:*`` scenarios.
 _ENGINE_CIRCUITS = ("lif_gw", "lif_tr")
+
+#: Alternating (engine, one-trial) pairs per ``engine:*`` scenario; each leg's
+#: time is the median over the pairs.
+_ENGINE_TIMING_PAIRS = 5
 
 
 @register_result_type
@@ -165,8 +171,8 @@ class BenchRecord:
     detail: Dict[str, Any] = field(default_factory=dict)
 
 
-def bench_scenarios(spec: WorkloadSpec) -> List[Tuple[str]]:
-    """The scenario keys of one bench run (also its shard units)."""
+def bench_scenarios(spec: WorkloadSpec, n_shards: int = 1) -> List[Tuple[str]]:
+    """The scenario keys of one bench run: its units, one per scenario."""
     scenarios = [(f"engine:{circuit}",) for circuit in _ENGINE_CIRCUITS]
     scenarios.append(("sharded:arena",))
     scenarios.append(("problems-compile",))
@@ -205,38 +211,44 @@ def _run_engine_scenario(spec: WorkloadSpec, circuit: str) -> Dict[str, Any]:
         instance = LIFTrevisanCircuit(graph)
     common = dict(
         circuit=instance, graph=None, n_trials=n_trials,
-        n_samples=n_samples, seed=seed,
+        n_samples=n_samples, seed=seed, backend=spec.policy.backend,
     )
-    engine = run_circuit_trials(backend=spec.policy.backend, **common)
     # The reference is the same request one trial per block: what batching
-    # buys, with per-trial bests that must match bit for bit.
-    reference = run_circuit_trials(
-        backend=spec.policy.backend, max_block_bytes=1, **common
-    )
-    # Per-read-out throughput ratio, robust to early-stop truncation.
-    speedup = (
-        engine.samples_per_second / reference.samples_per_second
-        if reference.samples_per_second > 0 else float("inf")
-    )
-    agree = bool(
+    # buys, with per-trial bests that must match bit for bit.  The legs are
+    # tens of milliseconds, so each is timed as the median of alternating
+    # pairs rather than once.
+    pairs = [
+        (run_circuit_trials(**common), run_circuit_trials(max_block_bytes=1, **common))
+        for _ in range(_ENGINE_TIMING_PAIRS)
+    ]
+    agree = all(
         engine.n_rounds == reference.n_rounds
         and np.array_equal(engine.trial_best_weights, reference.trial_best_weights)
+        for engine, reference in pairs
     )
+    engine_rate, reference_rate = (
+        float(np.median([run.samples_per_second for run in leg])) for leg in zip(*pairs)
+    )
+    engine_seconds, reference_seconds = (
+        float(np.median([run.elapsed_seconds for run in leg])) for leg in zip(*pairs)
+    )
+    # Per-read-out throughput ratio, robust to early-stop truncation.
+    speedup = engine_rate / reference_rate if reference_rate > 0 else float("inf")
     return {
         "scenario": f"engine:{circuit}",
         "suite": spec.graphs.label,
-        "wall_seconds": float(engine.elapsed_seconds),
-        "baseline_seconds": float(reference.elapsed_seconds),
+        "wall_seconds": engine_seconds,
+        "baseline_seconds": reference_seconds,
         "speedup": float(speedup),
         "detail": {
             "graph": graph.name,
             "n_vertices": int(graph.n_vertices),
             "n_trials": int(n_trials),
             "n_samples": int(n_samples),
-            "backend": engine.backend_name,
-            "engine_samples_per_second": float(engine.samples_per_second),
-            "one_trial_samples_per_second": float(reference.samples_per_second),
-            "results_match": agree,
+            "backend": pairs[0][0].backend_name,
+            "engine_samples_per_second": engine_rate,
+            "one_trial_samples_per_second": reference_rate,
+            "results_match": bool(agree),
         },
     }
 
@@ -255,10 +267,8 @@ def _arena_subspec(spec: WorkloadSpec) -> WorkloadSpec:
 
 
 def _run_sharded_scenario(spec: WorkloadSpec) -> Dict[str, Any]:
-    from repro.distrib import run_sharded
-    from repro.workloads.executor import execute_spec
-
     from repro.workloads.executor import build_spec_graphs
+    from repro.workloads.session import Session
 
     sub = _arena_subspec(spec)
     # "arena_shards", not "shards": the latter is the reserved run_workload /
@@ -269,12 +279,12 @@ def _run_sharded_scenario(spec: WorkloadSpec) -> Dict[str, Any]:
     # sharded run hits the cache it populated, inflating the ratio.
     build_spec_graphs(sub)
     started = time.perf_counter()
-    mono = execute_spec(sub)
+    mono = Session(sub).run()
     mono_elapsed = time.perf_counter() - started
     started = time.perf_counter()
-    sharded = run_sharded(sub, n_shards)
+    sharded = Session(sub).run(shards=n_shards)
     sharded_elapsed = time.perf_counter() - started
-    mono_best = {(e.graph_name, e.solver): e.best_weight for e in mono.entries}
+    mono_best = {(e.graph_name, e.solver): e.best_weight for e in mono.records}
     sharded_best = {
         (e.graph_name, e.solver): e.best_weight for e in sharded.records
     }
@@ -290,7 +300,7 @@ def _run_sharded_scenario(spec: WorkloadSpec) -> Dict[str, Any]:
             "solvers": list(sub.solvers),
             "n_trials": int(sub.budget.n_trials),
             "n_samples": int(sub.budget.n_samples),
-            "n_cells": len(mono.entries),
+            "n_cells": len(mono.records),
             "results_match": mono_best == sharded_best,
         },
     }
@@ -845,19 +855,30 @@ def _dispatch_bench_scenario(spec: WorkloadSpec, scenario: str) -> Dict[str, Any
     raise ValidationError(f"unknown bench scenario {scenario!r}")
 
 
-def _record_from_payload(payload: Dict[str, Any]) -> BenchRecord:
-    return BenchRecord(
-        scenario=str(payload["scenario"]),
-        suite=str(payload["suite"]),
-        wall_seconds=float(payload["wall_seconds"]),
-        baseline_seconds=float(payload["baseline_seconds"]),
-        speedup=float(payload["speedup"]),
-        detail=dict(payload["detail"]),
-    )
+def run_bench_units(
+    spec: WorkloadSpec, units: Sequence[Tuple[str]]
+) -> List[Dict[str, Any]]:
+    """Run the given scenario units; one measurement payload per unit."""
+    return [run_bench_scenario(spec, str(scenario)) for (scenario,) in units]
 
 
-def bench_outcome(records: Sequence[BenchRecord], spec: WorkloadSpec) -> WorkloadOutcome:
-    """Wrap bench records into the uniform outcome (shared with shard merges)."""
+def bench_outcome(
+    spec: WorkloadSpec,
+    units: Sequence[Tuple[str]],
+    payloads: Sequence[Dict[str, Any]],
+) -> WorkloadOutcome:
+    """Fold every scenario's payload into :class:`BenchRecord` rows."""
+    records = [
+        BenchRecord(
+            scenario=str(payload["scenario"]),
+            suite=str(payload["suite"]),
+            wall_seconds=float(payload["wall_seconds"]),
+            baseline_seconds=float(payload["baseline_seconds"]),
+            speedup=float(payload["speedup"]),
+            detail=dict(payload["detail"]),
+        )
+        for payload in payloads
+    ]
     leaderboard = sorted(
         (
             {
@@ -894,14 +915,6 @@ def _bench_spec(params: Dict[str, Any]) -> WorkloadSpec:
         seed=params["seed"],
         params={**params, "suite": GraphSource.coerce(params["suite"]).label},
     )
-
-
-def _bench_execute(spec: WorkloadSpec) -> WorkloadOutcome:
-    records = [
-        _record_from_payload(run_bench_scenario(spec, scenario))
-        for (scenario,) in bench_scenarios(spec)
-    ]
-    return bench_outcome(records, spec)
 
 
 def _format_bench(report: RunReport) -> str:
@@ -944,7 +957,7 @@ register_workload(Workload(
         "instance_count": 8, "instance_n": 48, "instance_trials": 2,
     },
     build_spec=_bench_spec,
-    execute=_bench_execute,
+    adapter=ShardAdapter(bench_scenarios, run_bench_units, bench_outcome),
     formatter=_format_bench,
     plotter=_plot_bench,
 ))

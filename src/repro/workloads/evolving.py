@@ -14,9 +14,9 @@ up (usually nothing) for a fraction of the solve time.
 Everything follows the library's uniform workload contract: the timeline of
 one (graph, trial) pair is one shard unit, deltas and solves derive their
 randomness from the spec seed and the unit key (paired ``SeedSequence``
-convention, never from which shard runs them), and the shard merge reuses
-the monolithic aggregation — ``repro run evolving --shards N`` followed by
-``repro merge`` is bit-identical to the monolithic run.
+convention, never from which shard runs them), and a monolithic run is
+the same units merged in process — ``repro run evolving --shards N``
+followed by ``repro merge`` is bit-identical to the monolithic run.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 from repro.experiments.runner import register_result_type
 from repro.utils.rng import paired_seed
 from repro.utils.validation import ValidationError
-from repro.workloads.registry import Workload, register_workload
+from repro.workloads.registry import ShardAdapter, Workload, register_workload
 from repro.workloads.report import RunReport, WorkloadOutcome
 from repro.workloads.spec import Budget, GraphSource, WorkloadSpec
 
@@ -36,7 +36,7 @@ __all__ = [
     "EvolvingRecord",
     "EVOLVING_SCHEMA",
     "evolving_units",
-    "run_evolving_unit",
+    "run_evolving_units",
     "evolving_outcome",
 ]
 
@@ -124,7 +124,14 @@ def _cold_solve(graph, method: str, seed, max_flips: int):
     return cut, time.perf_counter() - started
 
 
-def run_evolving_unit(spec: WorkloadSpec, unit: Tuple[int, int]) -> Dict[str, Any]:
+def run_evolving_units(
+    spec: WorkloadSpec, units: Sequence[Tuple[int, int]]
+) -> List[Dict[str, Any]]:
+    """Run (graph, trial) timelines; one JSON-safe payload per unit."""
+    return [_run_timeline(spec, unit) for unit in units]
+
+
+def _run_timeline(spec: WorkloadSpec, unit: Tuple[int, int]) -> Dict[str, Any]:
     """Run one (graph, trial) timeline and return its JSON-safe payload."""
     from repro.scale.stream import EdgeStream, GraphVersion, warm_resolve
     from repro.workloads.executor import build_spec_graphs
@@ -218,9 +225,11 @@ def _record_from_dict(payload: Dict[str, Any]) -> EvolvingRecord:
 
 
 def evolving_outcome(
-    payloads: Sequence[Dict[str, Any]], spec: WorkloadSpec
+    spec: WorkloadSpec,
+    units: Sequence[Tuple[int, int]],
+    payloads: Sequence[Dict[str, Any]],
 ) -> WorkloadOutcome:
-    """Fold unit payloads into the uniform outcome (shared with shard merges)."""
+    """Fold the payloads of every timeline unit into the uniform outcome."""
     ordered = sorted(payloads, key=lambda p: (int(p["graph_index"]), int(p["trial"])))
     records = [
         _record_from_dict(r) for payload in ordered for r in payload["records"]
@@ -260,7 +269,7 @@ def _evolving_spec(params: Dict[str, Any]) -> WorkloadSpec:
     return WorkloadSpec(
         workload="evolving",
         graphs=GraphSource.coerce(params["suite"]),
-        # Marker only: the custom executor drives warm_resolve directly, but
+        # Marker only: the workload's units drive warm_resolve directly, but
         # spec validation (rightly) insists on a non-empty solver tuple.
         solvers=("trevisan",),
         budget=Budget(
@@ -269,13 +278,6 @@ def _evolving_spec(params: Dict[str, Any]) -> WorkloadSpec:
         seed=params["seed"],
         params={**params, "suite": GraphSource.coerce(params["suite"]).label},
     )
-
-
-def _evolving_execute(spec: WorkloadSpec) -> WorkloadOutcome:
-    payloads = [
-        run_evolving_unit(spec, unit) for unit in evolving_units(spec)
-    ]
-    return evolving_outcome(payloads, spec)
 
 
 def _format_evolving(report: RunReport) -> str:
@@ -318,7 +320,7 @@ register_workload(Workload(
         "warm": True, "compare_cold": True, "trials": 1, "samples": 64,
     },
     build_spec=_evolving_spec,
-    execute=_evolving_execute,
+    adapter=ShardAdapter(evolving_units, run_evolving_units, evolving_outcome),
     formatter=_format_evolving,
     plotter=_plot_evolving,
 ))

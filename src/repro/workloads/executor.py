@@ -20,18 +20,19 @@ paired across solvers.  The outcome is expressed in the arena's vocabulary —
 these graphs under this budget" *is* the arena, whatever workload asked for
 it.
 
-Shardable units
----------------
+Cell units
+----------
 Execution is decomposed into *units*: ``(graph_index, solver_key, trial_lo,
 trial_hi)`` tuples enumerated by :func:`cell_units`, each executed
 independently by :func:`run_cell_units` into a JSON-safe payload, and folded
-back into :class:`ArenaEntry` records by :func:`entries_from_payloads`.
-:func:`execute_spec` is simply "all units, in process, merged immediately";
-the sharded executor (:mod:`repro.distrib`) runs the same units across
-checkpointed shards and merges through the same fold, which is why a merged
-sharded run reproduces a monolithic run record for record (modulo timing).
-Because every unit derives its randomness from the paired ``(g, i)`` seeds,
-the decomposition never changes results.
+back into the arena-shaped outcome by :func:`merge_cell_payloads`.  These
+three functions are :data:`CELL_ADAPTER`, the
+:class:`~repro.workloads.registry.ShardAdapter` of every workload that
+registers none.  A monolithic run is "all units, in process, merged
+immediately"; the sharded executor (:mod:`repro.distrib`) runs the same units
+across checkpointed shards and merges through the same fold.  Because every
+unit derives its randomness from the paired ``(g, i)`` seeds, the
+decomposition never changes results.
 """
 
 from __future__ import annotations
@@ -55,13 +56,17 @@ from repro.parallel.pool import ParallelConfig, parallel_map
 from repro.serve.cache import ContentAddressedCache, content_key
 from repro.utils.rng import paired_seed
 from repro.utils.validation import ValidationError
+from repro.workloads.registry import ShardAdapter, Workload
+from repro.workloads.report import WorkloadOutcome
 from repro.workloads.spec import Budget, WorkloadSpec
 
 __all__ = [
-    "execute_spec",
+    "CELL_ADAPTER",
+    "adapter_for",
     "cell_units",
     "run_cell_units",
     "entries_from_payloads",
+    "merge_cell_payloads",
     "build_spec_graphs",
 ]
 
@@ -374,8 +379,7 @@ def entries_from_payloads(
     trial-split across shards — are merged in trial order: per-trial weights
     concatenate, timings sum, and best/mean are recomputed over the full
     trial set, which reproduces the unsplit cell's values exactly.
-    Arena-relative cut ratios are computed *after* the fold, over every cell,
-    exactly as the monolithic executor does.
+    Arena-relative cut ratios are computed *after* the fold, over every cell.
     """
     solver_specs = spec.resolve_solvers()
     by_key = {s.key: s for s in solver_specs}
@@ -463,44 +467,47 @@ def _merge_block_metadata(blocks: Sequence[dict]) -> dict:
     return merged
 
 
-def result_from_entries(
-    spec: WorkloadSpec,
-    graph_names: Sequence[str],
-    entries: Sequence[ArenaEntry],
-    elapsed_seconds: float,
-) -> ArenaResult:
-    """Wrap folded entries into the arena-shaped result for *spec*."""
-    return ArenaResult(
+def merge_cell_payloads(
+    spec: WorkloadSpec, units: Sequence[CellUnit], payloads: Sequence[dict]
+) -> WorkloadOutcome:
+    """Fold the payloads of every cell unit into the arena-shaped outcome."""
+    entries = entries_from_payloads(spec, payloads)
+    names_by_index = {int(p["graph_index"]): str(p["graph_name"]) for p in payloads}
+    result = ArenaResult(
         suite=spec.graphs.label,
         solvers=tuple(s.key for s in spec.resolve_solvers()),
-        graph_names=tuple(graph_names),
+        graph_names=tuple(names_by_index[g] for g in sorted(names_by_index)),
         n_trials=spec.budget.n_trials,
         n_samples=spec.budget.n_samples,
         seed=spec.seed,
-        entries=list(entries),
-        elapsed_seconds=float(elapsed_seconds),
+        entries=entries,
+        elapsed_seconds=float(sum(p["elapsed_seconds"] for p in payloads)),
+    )
+    return WorkloadOutcome(
+        records=list(result.entries),
+        leaderboard=[
+            {**row, "score": row["mean_ratio"]} for row in result.aggregate()
+        ],
+        metadata={
+            "suite": result.suite,
+            "graph_names": list(result.graph_names),
+            "solvers": list(result.solvers),
+            "n_trials": result.n_trials,
+            "n_samples": result.n_samples,
+            "arena_elapsed_seconds": result.elapsed_seconds,
+        },
     )
 
 
-def execute_spec(spec: WorkloadSpec) -> ArenaResult:
-    """Execute *spec* generically and return the arena-shaped result.
+#: The generic (graph x solver x trial-range) cell triple: the adapter of
+#: every workload registered without one, and of bare specs.
+CELL_ADAPTER = ShardAdapter(
+    units=cell_units, run_units=run_cell_units, merge=merge_cell_payloads
+)
 
-    The spec's seed must already be resolved (an integer —
-    :class:`repro.workloads.Session` draws fresh entropy for ``None`` seeds
-    before execution so the run is recorded reproducibly).  Equivalent to
-    running every :func:`cell_units` unit and folding with
-    :func:`entries_from_payloads` — the exact pipeline the sharded executor
-    distributes.
-    """
-    _check_resolved_seed(spec)
-    graphs = build_spec_graphs(spec)
-    started = time.perf_counter()
-    units = cell_units(spec, n_shards=1, graphs=graphs)
-    payloads = run_cell_units(spec, units, graphs=graphs)
-    entries = entries_from_payloads(spec, payloads)
-    return result_from_entries(
-        spec,
-        [graph.name for graph in graphs],
-        entries,
-        time.perf_counter() - started,
-    )
+
+def adapter_for(workload: Optional[Workload]) -> ShardAdapter:
+    """The adapter *workload* runs as (:data:`CELL_ADAPTER` when it has none)."""
+    if workload is None or workload.adapter is None:
+        return CELL_ADAPTER
+    return workload.adapter

@@ -1,13 +1,14 @@
 """The five paper workloads, registered as declarative specs.
 
-Each of the reproduction's historical entry points — the Figure 3 sweep, the
-Figure 4 panels, Table I, the ablations, and the solver arena — is re-cast
-here as a :class:`~repro.workloads.registry.Workload`: a defaults table, a
-``build_spec`` factory, and (for the figure/table/ablation workloads) a thin
-executor that delegates to the existing experiment runners and adapts their
-results into the uniform :class:`~repro.workloads.report.WorkloadOutcome`.
-The arena needs no executor at all: its spec runs through the generic
-capability-routed executor.
+Each of the reproduction's paper artifacts — the Figure 3 sweep, the
+Figure 4 panels, Table I, the ablations, and the solver arena — is a
+:class:`~repro.workloads.registry.Workload`: a defaults table, a
+``build_spec`` factory, and (for the figure/table/ablation workloads) a
+:class:`~repro.workloads.registry.ShardAdapter` whose units are the
+experiment modules' per-graph / per-setting bodies and whose merge folds
+their payloads into the uniform
+:class:`~repro.workloads.report.WorkloadOutcome`.  The arena needs no
+adapter: its spec runs as the generic executor's cell units.
 
 Everything here is reachable as ``repro run <name>`` and
 ``run_workload(<name>, ...)``, the only ways to run a workload.
@@ -15,11 +16,20 @@ Everything here is reachable as ``repro run <name>`` and
 
 from __future__ import annotations
 
+import json
 import statistics
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.arena.results import ArenaResult
 from repro.experiments.ablations import (
+    DEFAULT_LEARNING_RATES,
+    DEFAULT_RANKS,
+    DEVICE_MODELS,
+    AblationPoint,
+    _ablation_graphs,
+    _solver_references,
     run_device_imperfection_ablation,
     run_learning_rate_ablation,
     run_rank_ablation,
@@ -30,8 +40,12 @@ from repro.experiments.config import (
     Figure4Config,
     Table1Config,
 )
-from repro.experiments.figure3 import METHODS, run_figure3
-from repro.experiments.figure4 import run_figure4
+from repro.experiments.figure3 import (
+    METHODS,
+    figure3_cell_from_graph_results,
+    run_figure3_graph,
+)
+from repro.experiments.figure4 import Figure4Panel, run_figure4_panel
 from repro.experiments.reporting import (
     format_arena_report,
     format_figure3_report,
@@ -39,9 +53,11 @@ from repro.experiments.reporting import (
     format_table,
     format_table1_report,
 )
-from repro.experiments.table1 import run_table1
+from repro.experiments.table1 import Table1Row, run_table1_row
+from repro.graphs.repository import list_empirical_graphs
+from repro.parallel.pool import parallel_map
 from repro.utils.validation import ValidationError
-from repro.workloads.registry import Workload, register_workload
+from repro.workloads.registry import ShardAdapter, Workload, register_workload
 from repro.workloads.report import RunReport, WorkloadOutcome
 from repro.workloads.spec import (
     Budget,
@@ -50,14 +66,7 @@ from repro.workloads.spec import (
     WorkloadSpec,
 )
 
-__all__ = [
-    "arena_result_from_report",
-    "ABLATION_KINDS",
-    "figure3_outcome",
-    "figure4_outcome",
-    "table1_outcome",
-    "ablation_outcome",
-]
+__all__ = ["arena_result_from_report", "ABLATION_KINDS"]
 
 #: Ablation sweep kinds accepted by the ``ablation`` workload.
 ABLATION_KINDS = ("devices", "rank", "learning-rate")
@@ -116,8 +125,57 @@ def _figure3_spec(params: Dict[str, Any]) -> WorkloadSpec:
     )
 
 
-def figure3_outcome(cells, config: Figure3Config) -> WorkloadOutcome:
-    """Wrap Figure 3 cells into the uniform outcome (shared with shard merges)."""
+def _figure3_cells(config: Figure3Config) -> List[Tuple[int, float]]:
+    return [(n, p) for n in config.sizes for p in config.probabilities]
+
+
+def _figure3_units(spec: WorkloadSpec, n_shards: int) -> List[Tuple[int, int]]:
+    # spec.seed, not params["seed"]: the session resolves None seeds to drawn
+    # entropy on spec.seed, and execution must follow that resolution.
+    config = _figure3_config(dict(spec.params), spec.seed)
+    return [
+        (cell_index, j)
+        for cell_index in range(len(_figure3_cells(config)))
+        for j in range(config.n_graphs_per_cell)
+    ]
+
+
+def _figure3_graph_payload(task) -> Dict[str, list]:
+    """Run one (cell, graph) unit into a JSON-safe payload (picklable worker)."""
+    n, p, j, config = task
+    result = run_figure3_graph(n, p, j, config=config)
+    return {key: np.asarray(value).tolist() for key, value in result.items()}
+
+
+def _figure3_run_units(spec: WorkloadSpec, units: Sequence[Tuple]) -> List[Any]:
+    config = _figure3_config(dict(spec.params), spec.seed)
+    cells = _figure3_cells(config)
+    tasks = [(*cells[int(c)], int(j), config) for c, j in units]
+    return parallel_map(
+        _figure3_graph_payload, tasks, config=spec.policy.parallel_config()
+    )
+
+
+def _figure3_merge(
+    spec: WorkloadSpec, units: Sequence[Tuple], payloads: Sequence[Any]
+) -> WorkloadOutcome:
+    config = _figure3_config(dict(spec.params), spec.seed)
+    by_cell: Dict[int, List[Tuple[int, Any]]] = {}
+    for (cell_index, j), payload in zip(units, payloads):
+        by_cell.setdefault(int(cell_index), []).append((int(j), payload))
+    cells = []
+    for cell_index, (n, p) in enumerate(_figure3_cells(config)):
+        graphs = sorted(by_cell.get(cell_index, []), key=lambda item: item[0])
+        if len(graphs) != config.n_graphs_per_cell:
+            raise ValidationError(
+                f"figure3 cell {cell_index} has {len(graphs)} of "
+                f"{config.n_graphs_per_cell} graph payloads"
+            )
+        results = [
+            {key: np.asarray(value) for key, value in payload.items()}
+            for _, payload in graphs
+        ]
+        cells.append(figure3_cell_from_graph_results(n, p, results, config=config))
     leaderboard = _ranked([
         {
             "solver": method,
@@ -127,21 +185,22 @@ def figure3_outcome(cells, config: Figure3Config) -> WorkloadOutcome:
         for method in METHODS
     ])
     return WorkloadOutcome(
-        records=list(cells),
+        records=cells,
         leaderboard=leaderboard,
         metadata={"config": config.to_dict()},
     )
 
 
-def _figure3_execute(spec: WorkloadSpec) -> WorkloadOutcome:
-    # spec.seed, not params["seed"]: the session resolves None seeds to drawn
-    # entropy on spec.seed, and execution must follow that resolution.
-    config = _figure3_config(dict(spec.params), spec.seed)
-    cells = run_figure3(config=config, parallel=spec.policy.parallel_config())
-    return figure3_outcome(cells, config)
-
-
 # -- figure4 ----------------------------------------------------------------
+
+
+def _empirical_names(spec: WorkloadSpec) -> List[str]:
+    return list(spec.params["graphs"]) or list_empirical_graphs()
+
+
+def _empirical_units(spec: WorkloadSpec, n_shards: int) -> List[Tuple[int]]:
+    """One unit per empirical graph, by sweep index (figure4 and table1)."""
+    return [(g,) for g in range(len(_empirical_names(spec)))]
 
 
 def _figure4_spec(params: Dict[str, Any]) -> WorkloadSpec:
@@ -155,8 +214,58 @@ def _figure4_spec(params: Dict[str, Any]) -> WorkloadSpec:
     )
 
 
-def figure4_outcome(panels, config: Figure4Config) -> WorkloadOutcome:
-    """Wrap Figure 4 panels into the uniform outcome (shared with shard merges)."""
+def _figure4_config(spec: WorkloadSpec) -> Figure4Config:
+    return Figure4Config(n_samples=int(spec.params["samples"]), seed=spec.seed)
+
+
+def _figure4_run_units(spec: WorkloadSpec, units: Sequence[Tuple]) -> List[Any]:
+    config = _figure4_config(spec)
+    names = _empirical_names(spec)
+    payloads = []
+    for (g,) in units:
+        panel = run_figure4_panel(names[int(g)], config=config, graph_index=int(g))
+        payloads.append({
+            "graph_name": panel.graph_name,
+            "n_vertices": int(panel.n_vertices),
+            "n_edges": int(panel.n_edges),
+            "sample_counts": np.asarray(panel.sample_counts).tolist(),
+            "curves": {
+                method: np.asarray(curve).tolist()
+                for method, curve in panel.curves.items()
+            },
+            "solver_best_weight": float(panel.solver_best_weight),
+            "best_weights": {
+                method: float(weight)
+                for method, weight in panel.best_weights.items()
+            },
+            "metadata": dict(panel.metadata),
+        })
+    return payloads
+
+
+def _figure4_merge(
+    spec: WorkloadSpec, units: Sequence[Tuple], payloads: Sequence[Any]
+) -> WorkloadOutcome:
+    ordered = sorted(zip(units, payloads), key=lambda item: int(item[0][0]))
+    panels = [
+        Figure4Panel(
+            graph_name=str(p["graph_name"]),
+            n_vertices=int(p["n_vertices"]),
+            n_edges=int(p["n_edges"]),
+            sample_counts=np.asarray(p["sample_counts"]),
+            curves={
+                method: np.asarray(curve, dtype=np.float64)
+                for method, curve in p["curves"].items()
+            },
+            solver_best_weight=float(p["solver_best_weight"]),
+            best_weights={
+                method: float(weight)
+                for method, weight in p["best_weights"].items()
+            },
+            metadata=dict(p["metadata"]),
+        )
+        for _, p in ordered
+    ]
     leaderboard = _ranked([
         {
             "solver": method,
@@ -170,17 +279,10 @@ def figure4_outcome(panels, config: Figure4Config) -> WorkloadOutcome:
         for method in ("lif_gw", "lif_tr", "solver", "random")
     ])
     return WorkloadOutcome(
-        records=list(panels),
+        records=panels,
         leaderboard=leaderboard,
-        metadata={"config": config.to_dict()},
+        metadata={"config": _figure4_config(spec).to_dict()},
     )
-
-
-def _figure4_execute(spec: WorkloadSpec) -> WorkloadOutcome:
-    params = dict(spec.params)
-    config = Figure4Config(n_samples=int(params["samples"]), seed=spec.seed)
-    panels = run_figure4(list(params["graphs"]) or None, config=config)
-    return figure4_outcome(panels, config)
 
 
 # -- table1 -----------------------------------------------------------------
@@ -197,9 +299,42 @@ def _table1_spec(params: Dict[str, Any]) -> WorkloadSpec:
     )
 
 
-def table1_outcome(rows, config: Table1Config) -> WorkloadOutcome:
-    """Wrap Table I rows into the uniform outcome (shared with shard merges)."""
-    methods = ("lif_gw", "lif_tr", "solver", "random")
+def _table1_config(spec: WorkloadSpec) -> Table1Config:
+    return Table1Config(n_samples=int(spec.params["samples"]), seed=spec.seed)
+
+
+def _table1_run_units(spec: WorkloadSpec, units: Sequence[Tuple]) -> List[Any]:
+    config = _table1_config(spec)
+    names = _empirical_names(spec)
+    payloads = []
+    for (g,) in units:
+        row = run_table1_row(names[int(g)], config=config, graph_index=int(g))
+        payloads.append({
+            "graph_name": row.graph_name,
+            "n_vertices": int(row.n_vertices),
+            "n_edges": int(row.n_edges),
+            "measured": {k: float(v) for k, v in row.measured.items()},
+            "paper": {k: int(v) for k, v in row.paper.items()},
+            "is_surrogate": bool(row.is_surrogate),
+        })
+    return payloads
+
+
+def _table1_merge(
+    spec: WorkloadSpec, units: Sequence[Tuple], payloads: Sequence[Any]
+) -> WorkloadOutcome:
+    ordered = sorted(zip(units, payloads), key=lambda item: int(item[0][0]))
+    rows = [
+        Table1Row(
+            graph_name=str(p["graph_name"]),
+            n_vertices=int(p["n_vertices"]),
+            n_edges=int(p["n_edges"]),
+            measured={k: float(v) for k, v in p["measured"].items()},
+            paper={k: int(v) for k, v in p["paper"].items()},
+            is_surrogate=bool(p["is_surrogate"]),
+        )
+        for _, p in ordered
+    ]
     leaderboard = _ranked([
         {
             "solver": method,
@@ -209,20 +344,13 @@ def table1_outcome(rows, config: Table1Config) -> WorkloadOutcome:
             ),
             "metric": "mean best cut relative to per-graph best",
         }
-        for method in methods
+        for method in ("lif_gw", "lif_tr", "solver", "random")
     ])
     return WorkloadOutcome(
-        records=list(rows),
+        records=rows,
         leaderboard=leaderboard,
-        metadata={"config": config.to_dict()},
+        metadata={"config": _table1_config(spec).to_dict()},
     )
-
-
-def _table1_execute(spec: WorkloadSpec) -> WorkloadOutcome:
-    params = dict(spec.params)
-    config = Table1Config(n_samples=int(params["samples"]), seed=spec.seed)
-    rows = run_table1(list(params["graphs"]) or None, config=config)
-    return table1_outcome(rows, config)
 
 
 # -- ablation ---------------------------------------------------------------
@@ -258,26 +386,89 @@ def _ablation_spec(params: Dict[str, Any]) -> WorkloadSpec:
     )
 
 
-def _ablation_execute(spec: WorkloadSpec) -> WorkloadOutcome:
+def _ablation_config(spec: WorkloadSpec) -> AblationConfig:
     params = dict(spec.params)
-    config = AblationConfig(
+    return AblationConfig(
         n_vertices=int(params["vertices"]),
         n_graphs=int(params["n_graphs"]),
         n_samples=int(params["samples"]),
         seed=spec.seed,
     )
-    kind = params["kind"]
+
+
+def _ablation_units(spec: WorkloadSpec, n_shards: int) -> List[Tuple[int]]:
+    """One unit per sweep setting, by global setting index."""
+    n_settings = {
+        "devices": len(DEVICE_MODELS),
+        "rank": len(DEFAULT_RANKS),
+        "learning-rate": len(DEFAULT_LEARNING_RATES),
+    }[spec.params["kind"]]
+    return [(s,) for s in range(n_settings)]
+
+
+#: Per-config cache of the ablation's classical-solver references — the
+#: expensive fixed stage every setting shares.  Keyed by the config dict, so
+#: an in-process sharded run (one run_units call per shard) computes the
+#: references once instead of once per shard; separate worker processes
+#: still each pay for it once, which is the unavoidable per-machine cost.
+_ABLATION_REFERENCES: Dict[str, Any] = {}
+
+
+def _ablation_references(config: AblationConfig) -> Any:
+    key = json.dumps(config.to_dict(), sort_keys=True)
+    if key not in _ABLATION_REFERENCES:
+        if len(_ABLATION_REFERENCES) > 8:
+            _ABLATION_REFERENCES.clear()
+        _ABLATION_REFERENCES[key] = _solver_references(
+            _ablation_graphs(config), config
+        )
+    return _ABLATION_REFERENCES[key]
+
+
+def _ablation_run_units(spec: WorkloadSpec, units: Sequence[Tuple]) -> List[Any]:
+    config = _ablation_config(spec)
+    kind = spec.params["kind"]
+    wanted = [int(s) for (s,) in units]
+    only = sorted(set(wanted))
+    references = _ablation_references(config)
     if kind == "devices":
-        points = run_device_imperfection_ablation(config=config, circuit=params["circuit"])
+        points = run_device_imperfection_ablation(
+            config=config, circuit=spec.params["circuit"], only=only,
+            references=references,
+        )
     elif kind == "rank":
-        points = run_rank_ablation(config=config)
+        points = run_rank_ablation(config=config, only=only, references=references)
     else:
-        points = run_learning_rate_ablation(config=config)
-    return ablation_outcome(points, config, kind)
+        points = run_learning_rate_ablation(
+            config=config, only=only, references=references
+        )
+    by_index = dict(zip(only, points))
+    return [
+        {
+            "setting_index": s,
+            "setting": by_index[s].setting,
+            "mean_relative_cut": float(by_index[s].mean_relative_cut),
+            "sem": float(by_index[s].sem),
+            "per_graph": np.asarray(by_index[s].per_graph).tolist(),
+            "metadata": dict(by_index[s].metadata),
+        }
+        for s in wanted
+    ]
 
 
-def ablation_outcome(points, config: AblationConfig, kind: str) -> WorkloadOutcome:
-    """Wrap ablation points into the uniform outcome (shared with shard merges)."""
+def _ablation_merge(
+    spec: WorkloadSpec, units: Sequence[Tuple], payloads: Sequence[Any]
+) -> WorkloadOutcome:
+    points = [
+        AblationPoint(
+            setting=str(p["setting"]),
+            mean_relative_cut=float(p["mean_relative_cut"]),
+            sem=float(p["sem"]),
+            per_graph=np.asarray(p["per_graph"], dtype=np.float64),
+            metadata=dict(p["metadata"]),
+        )
+        for p in sorted(payloads, key=lambda p: int(p["setting_index"]))
+    ]
     leaderboard = _ranked([
         {
             "solver": point.setting,
@@ -287,9 +478,12 @@ def ablation_outcome(points, config: AblationConfig, kind: str) -> WorkloadOutco
         for point in points
     ])
     return WorkloadOutcome(
-        records=list(points),
+        records=points,
         leaderboard=leaderboard,
-        metadata={"config": config.to_dict(), "kind": kind},
+        metadata={
+            "config": _ablation_config(spec).to_dict(),
+            "kind": spec.params["kind"],
+        },
     )
 
 
@@ -356,7 +550,7 @@ for _workload in (
             "samples": 512, "workers": 1,
         },
         build_spec=_figure3_spec,
-        execute=_figure3_execute,
+        adapter=ShardAdapter(_figure3_units, _figure3_run_units, _figure3_merge),
         formatter=lambda report: format_figure3_report(report.records),
         plotter=_plot_curves,
     ),
@@ -365,7 +559,7 @@ for _workload in (
         summary="empirical-graph convergence curves (paper Figure 4)",
         defaults={"graphs": ("hamming6-2",), "samples": 512},
         build_spec=_figure4_spec,
-        execute=_figure4_execute,
+        adapter=ShardAdapter(_empirical_units, _figure4_run_units, _figure4_merge),
         formatter=lambda report: format_figure4_report(report.records),
         plotter=_plot_curves,
     ),
@@ -374,7 +568,7 @@ for _workload in (
         summary="maximum cut values per method per empirical graph (Table I)",
         defaults={"graphs": (), "samples": 1024},
         build_spec=_table1_spec,
-        execute=_table1_execute,
+        adapter=ShardAdapter(_empirical_units, _table1_run_units, _table1_merge),
         formatter=lambda report: format_table1_report(report.records),
     ),
     Workload(
@@ -385,7 +579,7 @@ for _workload in (
             "samples": 256, "n_graphs": 3,
         },
         build_spec=_ablation_spec,
-        execute=_ablation_execute,
+        adapter=ShardAdapter(_ablation_units, _ablation_run_units, _ablation_merge),
         formatter=_format_ablation,
     ),
     Workload(

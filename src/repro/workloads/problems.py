@@ -8,8 +8,8 @@ compiled-to-MAXCUT solvers (``lif_gw`` through the batched engine, ``gw``,
 ``annealing``/``tempering``, ``random``) with the problem class's *native*
 solvers (``maxdicut_gw``, ``max2sat_gw``) on one leaderboard.
 
-There is deliberately **no custom executor**: the spec runs through the
-generic capability-routed executor, so engine batching, ``--shards N``
+There is deliberately **no shard adapter**: the spec runs as the generic
+capability-routed executor's cell units, so engine batching, ``--shards N``
 checkpointed sharding, ``--resume``, and ``repro merge`` all apply to
 problem workloads exactly as they do to graph workloads.
 

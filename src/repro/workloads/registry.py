@@ -1,11 +1,18 @@
 """The workload registry: named, parameterised workload definitions.
 
 A :class:`Workload` bundles a name, a defaults table, a spec factory, and an
-executor.  Registered workloads are discoverable via :func:`list_workloads`
-and runnable via ``repro run <name>`` or
+optional :class:`ShardAdapter`.  Registered workloads are discoverable via
+:func:`list_workloads` and runnable via ``repro run <name>`` or
 :func:`repro.workloads.run_workload`; the five paper workloads
 (``figure3``, ``figure4``, ``table1``, ``ablation``, ``arena``) are
 registered on import of :mod:`repro.workloads.paper`.
+
+Every workload executes the same way: ``units(spec, n_shards)`` enumerates
+its atomic units, ``run_units(spec, units)`` runs any subset of them into
+JSON-safe payloads, and ``merge(spec, units, payloads)`` folds the payloads
+of all units into the workload's outcome.  A monolithic run is those three
+calls in process with ``n_shards=1``; a sharded run
+(:mod:`repro.distrib`) spreads ``run_units`` over checkpointed shards.
 
 Registering a new workload::
 
@@ -16,22 +23,24 @@ Registering a new workload::
         build_spec=lambda params: WorkloadSpec(...),
     ))
 
-A workload without a custom ``execute`` runs through the generic
-capability-routed executor (:func:`repro.workloads.executor.execute_spec`),
-so most new scenarios are nothing but a ``build_spec`` of ~30 lines.
+A workload without an ``adapter`` runs through the generic capability-routed
+executor's (graph x solver x trial-range) cell units
+(:data:`repro.workloads.executor.CELL_ADAPTER`), so most new scenarios are
+nothing but a ``build_spec`` of ~30 lines.
 """
 
 from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.utils.validation import ValidationError
 from repro.workloads.report import RunReport, WorkloadOutcome
 from repro.workloads.spec import WorkloadSpec
 
 __all__ = [
+    "ShardAdapter",
     "Workload",
     "WORKLOADS",
     "register_workload",
@@ -44,8 +53,34 @@ __all__ = [
 ]
 
 SpecFactory = Callable[[Dict[str, Any]], WorkloadSpec]
-Executor = Callable[[WorkloadSpec], WorkloadOutcome]
 Formatter = Callable[[RunReport], str]
+Unit = Tuple
+UnitsFn = Callable[[WorkloadSpec, int], List[Unit]]
+RunUnitsFn = Callable[[WorkloadSpec, Sequence[Unit]], List[Any]]
+MergeFn = Callable[[WorkloadSpec, Sequence[Unit], Sequence[Any]], WorkloadOutcome]
+
+
+@dataclass(frozen=True)
+class ShardAdapter:
+    """The unit-enumerate / unit-run / merge triple every workload runs as.
+
+    ``units(spec, n_shards)``
+        The run's atomic units as JSON-safe tuples, in canonical order.
+        Units are *seed-independent*: every unit derives its randomness from
+        the spec seed and its own key (the paired
+        ``SeedSequence(seed, spawn_key=...)`` convention), never from which
+        shard runs it.
+    ``run_units(spec, units)``
+        Execute a subset of units; one JSON-safe payload per unit, aligned
+        with the input order.
+    ``merge(spec, units, payloads)``
+        Fold the payloads of **all** units (in canonical order) into the
+        workload's :class:`~repro.workloads.report.WorkloadOutcome`.
+    """
+
+    units: UnitsFn
+    run_units: RunUnitsFn
+    merge: MergeFn
 
 
 @dataclass(frozen=True)
@@ -65,9 +100,9 @@ class Workload:
     build_spec:
         ``params -> WorkloadSpec`` (params are the defaults merged with
         overrides, including ``seed``).
-    execute:
-        Optional custom executor ``spec -> WorkloadOutcome``; when omitted
-        the generic capability-routed executor runs the spec.
+    adapter:
+        Optional :class:`ShardAdapter`; when omitted the spec runs as the
+        generic capability-routed executor's cell units.
     formatter:
         Optional ``report -> str`` used by the CLI to print results.
     plotter:
@@ -78,7 +113,7 @@ class Workload:
     summary: str
     defaults: Mapping[str, Any]
     build_spec: SpecFactory
-    execute: Optional[Executor] = None
+    adapter: Optional[ShardAdapter] = None
     formatter: Optional[Formatter] = None
     plotter: Optional[Formatter] = None
 

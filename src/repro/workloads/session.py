@@ -10,8 +10,10 @@ drives it through the uniform lifecycle:
   run, on which path (``engine[<backend>]`` for batchable circuits,
   ``parallel[<workers>]`` / ``sequential`` for per-trial solvers, ``once``
   for deterministic ones), with how many trials — without running anything;
-* :meth:`Session.run` executes (custom workload executor, or the generic
-  capability-routed one) and returns a
+* :meth:`Session.run` executes the workload's
+  :class:`~repro.workloads.registry.ShardAdapter` triple (``units`` →
+  ``run_units`` → ``merge``; the generic capability-routed cell triple when
+  the workload registers none) and returns a
   :class:`~repro.workloads.report.RunReport`.
 
 ``seed=None`` specs draw fresh root entropy once, at session construction,
@@ -38,13 +40,13 @@ import numpy as np
 from repro.algorithms.registry import get_spec
 from repro.obs.trace import mark, span, spans_since, summarize_spans, tracing_enabled
 from repro.utils.validation import ValidationError, _config_jsonable
-from repro.workloads.executor import execute_spec
+from repro.workloads.executor import adapter_for
 from repro.workloads.registry import (
     Workload,
     get_workload,
     resolve_params,
 )
-from repro.workloads.report import RunReport, WorkloadOutcome
+from repro.workloads.report import RunReport
 from repro.workloads.spec import WorkloadSpec
 
 __all__ = ["PlanStep", "RunPlan", "Session", "run_workload"]
@@ -62,7 +64,7 @@ class PlanStep:
 
 @dataclass(frozen=True)
 class RunPlan:
-    """Preview of a session's execution (advisory for custom executors)."""
+    """Preview of a session's execution (advisory for workloads with an adapter)."""
 
     workload: str
     seed: Optional[int]
@@ -91,8 +93,8 @@ class Session:
     spec:
         The declarative description of the run.
     workload:
-        Optional registered workload providing a custom executor and
-        formatting; bare specs run through the generic executor.
+        Optional registered workload providing the shard adapter and
+        formatting; bare specs run as the generic executor's cell units.
     """
 
     def __init__(self, spec: WorkloadSpec, workload: Optional[Workload] = None) -> None:
@@ -106,8 +108,8 @@ class Session:
             # it once, up front, so plan() and run() agree and the report
             # records a seed the run can be reproduced from.  Any "seed"
             # carried in the workload params must track the resolution —
-            # custom executors build their experiment configs from params,
-            # and a stale None there would make them draw unrelated entropy.
+            # adapters build their experiment configs from params, and a
+            # stale None there would make them draw unrelated entropy.
             resolved = int(np.random.SeedSequence().entropy)
             params = dict(spec.params)
             if "seed" in params:
@@ -202,10 +204,11 @@ class Session:
             "session.execute", workload=self.spec.workload, shards=shards
         ):
             if shards == 1 and checkpoint_dir is None and not resume:
-                if self.workload is not None and self.workload.execute is not None:
-                    outcome = self.workload.execute(self.spec)
-                else:
-                    outcome = _generic_outcome(self.spec)
+                adapter = adapter_for(self.workload)
+                units = adapter.units(self.spec, 1)
+                outcome = adapter.merge(
+                    self.spec, units, adapter.run_units(self.spec, units)
+                )
             else:
                 from repro.distrib import run_sharded
 
@@ -230,35 +233,6 @@ class Session:
             metadata=metadata,
             version=__version__,
         )
-
-
-def arena_outcome_from_result(result) -> WorkloadOutcome:
-    """Wrap an :class:`~repro.arena.results.ArenaResult` as a workload outcome.
-
-    Shared by the in-process generic path and the sharded merge
-    (:mod:`repro.distrib`), so both produce identical records and
-    leaderboards from identical entries.
-    """
-    leaderboard = [
-        {**row, "score": row["mean_ratio"]} for row in result.aggregate()
-    ]
-    return WorkloadOutcome(
-        records=list(result.entries),
-        leaderboard=leaderboard,
-        metadata={
-            "suite": result.suite,
-            "graph_names": list(result.graph_names),
-            "solvers": list(result.solvers),
-            "n_trials": result.n_trials,
-            "n_samples": result.n_samples,
-            "arena_elapsed_seconds": result.elapsed_seconds,
-        },
-    )
-
-
-def _generic_outcome(spec: WorkloadSpec) -> WorkloadOutcome:
-    """Run *spec* through the generic executor, arena-shaped."""
-    return arena_outcome_from_result(execute_spec(spec))
 
 
 def run_workload(

@@ -7,7 +7,7 @@ capability-aware registry, :mod:`repro.algorithms.registry`), *how much work*
 :class:`repro.workloads.Session` turns a spec into a
 :class:`repro.workloads.RunReport`; registered workloads
 (:mod:`repro.workloads.registry`) are just named factories of specs plus an
-optional custom executor.
+optional shard adapter (``units`` / ``run_units`` / ``merge``).
 
 All four classes share the :class:`repro.utils.validation.ValidatedConfig`
 mixin, so an invalid spec cannot be constructed and every spec renders itself

@@ -17,7 +17,6 @@ from repro.distrib import (
     CheckpointStore,
     ShardCheckpoint,
     fingerprint,
-    get_shard_adapter,
     merge_checkpoints,
     plan_shards,
     run_sharded,
@@ -31,7 +30,7 @@ from repro.workloads import (
     GraphSource,
     Session,
     WorkloadSpec,
-    get_workload,
+    run_workload,
 )
 from repro.workloads.executor import cell_units
 
@@ -122,6 +121,28 @@ class TestShardDeterminism:
         assert _scrub(sharded.leaderboard) == _scrub(mono.leaderboard)
         assert sharded.metadata["distrib"]["n_shards"] == shards
 
+    def test_sharded_figure3_fans_units_out_over_workers(self, monkeypatch):
+        """``workers`` reaches figure3's units on sharded runs too."""
+        import repro.workloads.paper as paper
+
+        configs = []
+        real_parallel_map = paper.parallel_map
+
+        def recording_parallel_map(fn, items, config=None):
+            items = list(items)
+            configs.append((config, len(items)))
+            return real_parallel_map(fn, items, config=config)
+
+        monkeypatch.setattr(paper, "parallel_map", recording_parallel_map)
+        params = dict(
+            sizes=(12,), probabilities=(0.3,), trials=4, samples=8, seed=0,
+        )
+        fanned = run_workload("figure3", workers=2, shards=2, **params)
+        assert [(c.n_workers, n) for c, n in configs] == [(2, 2), (2, 2)]
+        serial = run_workload("figure3", workers=1, **params)
+        assert _comparable_records(fanned) == _comparable_records(serial)
+        assert _scrub(fanned.leaderboard) == _scrub(serial.leaderboard)
+
     def test_checkpointed_run_equals_in_memory(self, tmp_path, monolithic):
         """Payloads that round-trip through checkpoint files stay identical."""
         report = Session.from_workload("arena", **WORKLOAD_PARAMS["arena"]).run(
@@ -203,12 +224,6 @@ class TestPlan:
     def test_invalid_shard_count(self):
         with pytest.raises(ValidationError):
             plan_shards(self._spec(), 0)
-
-    def test_custom_executor_without_adapter_is_rejected(self):
-        workload = get_workload("figure4")
-        spec = self._spec(workload="not-registered-figure4")
-        with pytest.raises(ValidationError, match="no shard adapter"):
-            get_shard_adapter(spec, workload)
 
 
 class TestTrialOffset:

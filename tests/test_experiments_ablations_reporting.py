@@ -104,20 +104,21 @@ class TestReportFormatting:
     def test_figure_reports_contain_titles(self):
         from repro.circuits.config import LIFGWConfig, LIFTrevisanConfig
         from repro.experiments.config import Figure3Config, Figure4Config
-        from repro.experiments.figure3 import run_figure3_cell
+        from repro.experiments.figure3 import (
+            figure3_cell_from_graph_results,
+            run_figure3_graph,
+        )
         from repro.experiments.figure4 import run_figure4_panel
         from repro.graphs.generators import erdos_renyi
-        from repro.parallel.pool import ParallelConfig
 
         fast_gw = LIFGWConfig(burn_in_steps=10, sample_interval=2, sdp_max_iterations=200)
         fast_tr = LIFTrevisanConfig(burn_in_steps=10, sample_interval=2)
-        cell = run_figure3_cell(
-            12, 0.4,
-            config=Figure3Config(
-                sizes=(12,), probabilities=(0.4,), n_graphs_per_cell=1,
-                n_samples=16, n_solver_samples=8, seed=0, lif_gw=fast_gw, lif_tr=fast_tr,
-            ),
-            parallel=ParallelConfig(n_workers=1),
+        config3 = Figure3Config(
+            sizes=(12,), probabilities=(0.4,), n_graphs_per_cell=1,
+            n_samples=16, n_solver_samples=8, seed=0, lif_gw=fast_gw, lif_tr=fast_tr,
+        )
+        cell = figure3_cell_from_graph_results(
+            12, 0.4, [run_figure3_graph(12, 0.4, 0, config=config3)], config=config3
         )
         report3 = format_figure3_report([cell])
         assert "G(n=12" in report3

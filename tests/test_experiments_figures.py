@@ -9,15 +9,28 @@ import pytest
 
 from repro.circuits.config import LIFGWConfig, LIFTrevisanConfig
 from repro.experiments.config import Figure3Config, Figure4Config, Table1Config
-from repro.experiments.figure3 import METHODS, run_figure3, run_figure3_cell
-from repro.experiments.figure4 import run_figure4, run_figure4_panel
-from repro.experiments.table1 import run_table1, run_table1_row
+from repro.experiments.figure3 import (
+    METHODS,
+    figure3_cell_from_graph_results,
+    run_figure3_graph,
+)
+from repro.experiments.figure4 import run_figure4_panel
+from repro.experiments.table1 import run_table1_row
 from repro.graphs.generators import erdos_renyi
-from repro.parallel.pool import ParallelConfig
+from repro.workloads import run_workload
 
 
 FAST_GW = LIFGWConfig(burn_in_steps=20, sample_interval=3, sdp_max_iterations=300)
 FAST_TR = LIFTrevisanConfig(burn_in_steps=20, sample_interval=3)
+
+
+def _figure3_cell(n, p, config):
+    """One (n, p) panel from its per-graph unit bodies, in graph order."""
+    results = [
+        run_figure3_graph(n, p, j, config=config)
+        for j in range(config.n_graphs_per_cell)
+    ]
+    return figure3_cell_from_graph_results(n, p, results, config=config)
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +45,7 @@ def figure3_cell():
         lif_gw=FAST_GW,
         lif_tr=FAST_TR,
     )
-    return run_figure3_cell(20, 0.3, config=config, parallel=ParallelConfig(n_workers=1))
+    return _figure3_cell(20, 0.3, config)
 
 
 class TestFigure3:
@@ -67,17 +80,11 @@ class TestFigure3:
             assert np.all(figure3_cell.curves[method] < 1.5)
 
     def test_full_grid_runner(self):
-        config = Figure3Config(
-            sizes=(12, 16),
-            probabilities=(0.4,),
-            n_graphs_per_cell=1,
-            n_samples=32,
-            n_solver_samples=16,
-            seed=2,
-            lif_gw=FAST_GW,
-            lif_tr=FAST_TR,
+        report = run_workload(
+            "figure3", sizes=(12, 16), probabilities=(0.4,), trials=1,
+            samples=32, seed=2,
         )
-        cells = run_figure3(config=config, parallel=ParallelConfig(n_workers=1))
+        cells = report.records
         assert len(cells) == 2
         assert {c.n_vertices for c in cells} == {12, 16}
 
@@ -86,8 +93,8 @@ class TestFigure3:
             sizes=(14,), probabilities=(0.3,), n_graphs_per_cell=1,
             n_samples=32, n_solver_samples=16, seed=3, lif_gw=FAST_GW, lif_tr=FAST_TR,
         )
-        a = run_figure3_cell(14, 0.3, config=config, parallel=ParallelConfig(n_workers=1))
-        b = run_figure3_cell(14, 0.3, config=config, parallel=ParallelConfig(n_workers=1))
+        a = _figure3_cell(14, 0.3, config)
+        b = _figure3_cell(14, 0.3, config)
         for method in METHODS:
             np.testing.assert_allclose(a.curves[method], b.curves[method])
 
@@ -118,10 +125,9 @@ class TestFigure4:
         assert panel.n_vertices == 62
 
     def test_run_figure4_subset(self):
-        config = Figure4Config(
-            n_samples=32, n_solver_samples=16, seed=7, lif_gw=FAST_GW, lif_tr=FAST_TR
-        )
-        panels = run_figure4(["road-chesapeake", "eco-stmarks"], config=config)
+        panels = run_workload(
+            "figure4", graphs=("road-chesapeake", "eco-stmarks"), samples=32, seed=7
+        ).records
         assert [p.graph_name for p in panels] == ["road-chesapeake", "eco-stmarks"]
 
 
@@ -159,10 +165,8 @@ class TestTable1:
         assert not row.is_surrogate
 
     def test_run_table1_subset(self):
-        config = Table1Config(
-            n_samples=32, n_solver_samples=16, n_random_samples=32, seed=11,
-            lif_gw=FAST_GW, lif_tr=FAST_TR,
-        )
-        rows = run_table1(["road-chesapeake"], config=config)
+        rows = run_workload(
+            "table1", graphs=("road-chesapeake",), samples=32, seed=11
+        ).records
         assert len(rows) == 1
         assert rows[0].graph_name == "road-chesapeake"

@@ -7,16 +7,11 @@ import pytest
 
 from repro.parallel.partition import balance_by_cost, chunk_indices, partition_work
 from repro.parallel.pool import ParallelConfig, parallel_map
-from repro.parallel.seeds import SeededTask, seeded_tasks
 from repro.utils.validation import ValidationError
 
 
 def _square(x):
     return x * x
-
-
-def _seeded_draw(task):
-    return float(task.generator().random())
 
 
 class TestParallelConfig:
@@ -128,33 +123,3 @@ class TestPartitioning:
             balance_by_cost([-1.0], 2)
         with pytest.raises(ValidationError):
             balance_by_cost(np.ones((2, 2)), 2)
-
-
-class TestSeededTasks:
-    def test_task_count_and_payloads(self):
-        tasks = seeded_tasks(["a", "b", "c"], root_seed=1)
-        assert [t.payload for t in tasks] == ["a", "b", "c"]
-        assert [t.index for t in tasks] == [0, 1, 2]
-
-    def test_deterministic_per_index(self):
-        a = seeded_tasks([0, 1, 2], root_seed=7)
-        b = seeded_tasks([0, 1, 2], root_seed=7)
-        for ta, tb in zip(a, b):
-            assert ta.generator().random() == tb.generator().random()
-
-    def test_indices_independent(self):
-        tasks = seeded_tasks([0, 1], root_seed=7)
-        assert tasks[0].generator().random() != tasks[1].generator().random()
-
-    def test_results_identical_serial_vs_process(self):
-        tasks = seeded_tasks(list(range(8)), root_seed=3)
-        serial = parallel_map(_seeded_draw, tasks, ParallelConfig(n_workers=1))
-        multi = parallel_map(_seeded_draw, tasks, ParallelConfig(n_workers=2, serial_threshold=0))
-        assert serial == multi
-
-    def test_tasks_picklable(self):
-        import pickle
-
-        task = seeded_tasks([42], root_seed=5)[0]
-        clone = pickle.loads(pickle.dumps(task))
-        assert clone.generator().random() == task.generator().random()

@@ -49,7 +49,7 @@ def _comparable(report):
 class TestProblemsWorkload:
     def test_registered_with_defaults(self):
         workload = get_workload("problems")
-        assert workload.execute is None  # generic executor => sharding free
+        assert workload.adapter is None  # generic cell units => sharding free
         assert "problem" in workload.defaults
 
     def test_default_solvers_include_natives(self):

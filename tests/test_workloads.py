@@ -384,7 +384,7 @@ class TestWorkloadSeeding:
             assert entry.metadata["trial_weights"] == pytest.approx(expected)
 
     def test_seed_none_custom_executor_reproducible_from_report(self):
-        # The session resolves seed=None to drawn entropy; custom executors
+        # The session resolves seed=None to drawn entropy; workload adapters
         # (figure/table/ablation) must run on that resolution, so re-running
         # with the recorded report.seed reproduces the results exactly.
         first = run_workload("table1", graphs=("road-chesapeake",),
@@ -409,7 +409,6 @@ class TestBudgetDeadline:
 
     def test_engine_cell_truncates_under_tight_budget(self):
         from repro.cuts.cut import cut_weight
-        from repro.workloads.executor import execute_spec
 
         spec = WorkloadSpec(
             workload="arena",
@@ -418,8 +417,8 @@ class TestBudgetDeadline:
             budget=Budget(n_trials=4, n_samples=4000, max_seconds=1e-4),
             seed=3,
         )
-        report = execute_spec(spec)
-        for entry in report.entries:
+        report = Session(spec).run()
+        for entry in report.records:
             assert entry.used_engine
             assert entry.metadata["budget_truncated"] is True
             # Truncated, but every recorded round is a real one...
