@@ -1,20 +1,25 @@
-"""Cut representation and vectorised cut-weight evaluation.
+"""Cut representation and the one cut-weight kernel.
 
 The MAXCUT objective used throughout the paper is
 
-    cut(v) = 1/2 * sum_ij A_ij (1 - v_i v_j),   v in {-1, +1}^n,
+    cut(v) = 1/2 * sum_{edges ij} w_ij (1 - v_i v_j),   v in {-1, +1}^n.
 
-which counts (the weight of) edges whose endpoints receive opposite signs.
-Because the circuits generate hundreds of thousands of candidate cuts, the
-batch evaluator works directly on the edge list:  evaluating ``k`` cuts costs
-``O(k * m)`` with a single vectorised comparison, no dense ``n x n`` products.
+Every cut weight in the program — engine read-outs, hyperplane rounding,
+the random baseline, the exact solver, the Trevisan sweep — is computed by
+:class:`BatchCutEvaluator` as a quadratic form on the graph's cached CSR
+adjacency ``A``: for ``(k, n)`` ±1 rows ``S``,
+
+    q(S) = rowdot(S, S A),   cut(S) = (q(1) - q(S)) / 4,
+
+with sparse products over blocks of rows and one dot per row.
+:func:`cut_weights_batch` and :func:`cut_weight` validate their input and
+call the same kernel.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -60,11 +65,7 @@ def cut_weight(graph: Graph, assignment: np.ndarray) -> float:
         Total weight of edges whose endpoints have opposite labels.
     """
     assignment = check_spin_vector(assignment, graph.n_vertices)
-    if graph.n_edges == 0:
-        return 0.0
-    edges = graph.edges
-    crossing = assignment[edges[:, 0]] != assignment[edges[:, 1]]
-    return float(graph.edge_weights[crossing].sum())
+    return float(BatchCutEvaluator(graph).weights(assignment[None, :])[0])
 
 
 def cut_weights_batch(graph: Graph, assignments: np.ndarray) -> np.ndarray:
@@ -93,73 +94,45 @@ def cut_weights_batch(graph: Graph, assignments: np.ndarray) -> np.ndarray:
         )
     if assignments.size and not np.all(np.isin(assignments, (-1, 1))):
         raise ValidationError("assignments must contain only -1/+1 entries")
-    if graph.n_edges == 0:
-        return np.zeros(assignments.shape[0], dtype=np.float64)
-    edges = graph.edges
-    # (m, k) edge-major crossing mask: two gathers of contiguous vertex rows
-    # and one compare.
-    vertex_major = np.ascontiguousarray(assignments.T)
-    crossing = vertex_major[edges[:, 0]] != vertex_major[edges[:, 1]]
-    # One dot per contiguous cut row: a cut's weight does not depend on how
-    # many cuts the call evaluates, which a (k, m) @ (m,) product does not
-    # promise.
-    return np.vecdot(np.ascontiguousarray(crossing.T, dtype=np.float64), graph.edge_weights)
+    return BatchCutEvaluator(graph).weights(assignments)
+
+
+#: Rows per sparse product inside :class:`BatchCutEvaluator`.
+_ROW_BLOCK = 128
 
 
 class BatchCutEvaluator:
-    """Repeated batch cut evaluation with the per-call overhead hoisted out.
+    """The cut-weight kernel: a quadratic form on the cached CSR adjacency.
 
-    The streaming engine evaluates blocks of cuts (trials x read-out rounds)
-    many times per solve.  This helper captures the edge arrays once and
-    skips input validation (callers guarantee ±1 rows of the right width),
-    while computing the same per-row ``vecdot(crossing, edge_weights)``, so
-    its results are bitwise equal to :func:`cut_weights_batch` — and, since
-    every row is reduced on its own, a cut's weight is the same whichever
-    rows share its call (batch size and chunking never change a bit).
+    For ``(k, n)`` ±1 rows ``S`` (cast to float64), ``q(S)`` is the SciPy
+    CSR product ``A S^T`` followed by one ``np.vecdot`` per C-contiguous
+    row, and a cut weighs ``(q(1) - q(S)) / 4``; ``q(1) = 2 sum(w)`` is
+    computed once, by the same kernel.  Callers guarantee ±1 rows of the
+    right width (no validation here).
 
-    Evaluation runs in an array namespace
-    (:class:`repro.engine.xp.ArrayBackend`, default numpy): edge arrays are
-    transferred once at construction and the result stays in the namespace —
-    on numpy every call lowers to the exact host expressions above.  The
-    crossing mask is cast ``bool -> float64`` before the row dots
-    (accelerators cannot multiply booleans).
+    Numerics.  Every product ``A_ij s_j`` is exact, and each output entry
+    of the CSR product sums in CSR order whatever the number of rows, so a
+    cut's weight never depends on which rows share its call.  An all-one-
+    side cut is exactly ``0.0`` and ``cut(s) == cut(-s)`` bitwise.  On
+    integer (or dyadic) weights every partial sum is an exact integer, so
+    the result is the exact crossing weight; on real weights it differs
+    from a plain edge sum by round-off only.  :class:`~repro.graphs.graph.Graph`
+    keeps ``4 sum|w|`` finite, so no partial sum can overflow.
     """
 
-    __slots__ = ("_array", "_heads", "_tails", "_weights", "_n_edges", "_unit_weights")
+    __slots__ = ("_adjacency", "_uncut")
 
-    def __init__(self, graph: Graph, array_backend=None) -> None:
-        if array_backend is None:
-            # Function-level import: repro.engine imports this module, so the
-            # default-backend lookup must not re-enter the engine package
-            # mid-initialisation.
-            from repro.engine.xp import get_array_backend
+    def __init__(self, graph: Graph) -> None:
+        self._adjacency = graph.to_csr()
+        self._uncut = self._quadratic_form(np.ones((1, graph.n_vertices)))[0]
 
-            array_backend = get_array_backend("numpy")
-        self._array = array_backend
-        edges = graph.edges
-        host_weights = graph.edge_weights
-        self._n_edges = int(host_weights.size)
-        # int64 gather indices: numpy is indifferent, torch requires long.
-        self._heads = array_backend.asarray(np.ascontiguousarray(edges[:, 0]), dtype="int64")
-        self._tails = array_backend.asarray(np.ascontiguousarray(edges[:, 1]), dtype="int64")
-        self._weights = array_backend.asarray(host_weights)
-        # For unit weights the row dot is an exact integer sum, so counting
-        # crossing edges gives the bitwise-identical result without the
-        # bool->float cast.
-        self._unit_weights = bool(self._n_edges) and bool(
-            np.all(host_weights == 1.0)
-        )
-
-    def weights(self, assignments):
+    def weights(self, assignments: np.ndarray) -> np.ndarray:
         """Cut weights of a ``(k, n)`` block of ±1 assignments (unvalidated).
 
-        *assignments* may be host numpy or already in the evaluator's array
-        namespace; the result is a length-``k`` float64 vector in the
-        namespace (host ndarray under the default numpy backend).
-
-        Runs once per read-out round, so it carries no span of its own;
-        under active tracing it folds its elapsed time into the enclosing
-        span's attrs (``cut_eval_seconds`` / ``cut_evaluations``) instead.
+        Returns a length-``k`` float64 vector.  Runs once per engine chunk,
+        so it carries no span of its own; under active tracing it folds its
+        elapsed time into the enclosing span's attrs (``cut_eval_seconds`` /
+        ``cut_evaluations``) instead.
         """
         if not tracing_enabled():
             return self._weights_of(assignments)
@@ -170,19 +143,19 @@ class BatchCutEvaluator:
             accumulate("cut_eval_seconds", time.perf_counter() - start)
             accumulate("cut_evaluations", 1)
 
-    def _weights_of(self, assignments):
-        xp = self._array
-        assignments = xp.asarray(assignments)
-        if self._n_edges == 0:
-            return xp.zeros((assignments.shape[0],), dtype="float64")
-        # Edge-major (m, k) crossing mask: the gathers copy contiguous vertex
-        # rows and the count runs down whole rows of the mask, about twice
-        # as fast as gathering columns of the (k, n) block.
-        vertex_major = xp.copy(assignments.T)
-        crossing = vertex_major[self._heads] != vertex_major[self._tails]
-        if self._unit_weights:
-            return xp.astype(xp.count_nonzero(crossing, axis=0), "float64")
-        return xp.vecdot(xp.astype(crossing.T, "float64"), self._weights)
+    def _weights_of(self, assignments: np.ndarray) -> np.ndarray:
+        spins = np.ascontiguousarray(assignments, dtype=np.float64)
+        return (self._uncut - self._quadratic_form(spins)) / 4.0
+
+    def _quadratic_form(self, spins: np.ndarray) -> np.ndarray:
+        q = np.empty(spins.shape[0])
+        # Row blocks keep the product's operands in cache: one 1024-row
+        # product takes about twice as long as eight 128-row ones.
+        for lo in range(0, spins.shape[0], _ROW_BLOCK):
+            block = spins[lo:lo + _ROW_BLOCK]
+            products = np.ascontiguousarray((self._adjacency @ block.T).T)
+            q[lo:lo + _ROW_BLOCK] = np.vecdot(block, products)
+        return q
 
 
 @dataclass(frozen=True)

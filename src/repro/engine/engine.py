@@ -16,7 +16,9 @@ one row per (request, trial):
 4. integrates all rows' membranes in lock-step
    (:class:`repro.engine.simulator.BatchLIFSimulator`), each segment's weight
    product routed through a pluggable dense/sparse backend,
-5. evaluates the cut read-outs in chunks of rounds and streams them, one
+5. copies the read-outs to the host in chunks of rounds, evaluates each
+   chunk with its segment's CSR cut kernel
+   (:class:`repro.cuts.cut.BatchCutEvaluator`) and streams the weights, one
    round at a time, through a :class:`repro.engine.tracker.BestCutTracker`,
    optionally terminating early once the best-cut distribution plateaus, and
 6. splits the rows back into one :class:`SolveResult` per request, each
@@ -29,10 +31,12 @@ workload executor's cell units) for :meth:`BatchedSolverEngine.solve_group`.
 
 Numerical contract: on the numpy array path every row is computed on its
 own — per-trial drive products, elementwise integration, per-row plasticity
-and per-row cut dots — so results are bitwise invariant to the trial-block
-size (``max_block_bytes``), to group composition and to the cut-evaluation
-chunking, and ``sample_cuts`` equals trial 0 of a solve with the same seed.
-Accelerator backends agree to floating-point round-off.
+and per-row cut quadratic forms — so results are bitwise invariant to the
+trial-block size (``max_block_bytes``), to group composition and to the
+cut-evaluation chunking, and ``sample_cuts`` equals trial 0 of a solve with
+the same seed.  Cut weights are computed on the host whatever the array
+backend; accelerator backends agree to floating-point round-off in the
+dynamics only.
 
 Rows are processed in memory-bounded blocks, so graph size x step count
 never forces the full ``rows x steps x neurons`` current tensor into RAM.
@@ -113,7 +117,7 @@ class _Segment:
             head.circuit.build_device_pool, seeds, n_devices=head.plan.n_devices
         )
         self.simulator = BatchLIFSimulator(head.backend, head.plan.lif, head.plan.n_neurons)
-        self.evaluator = BatchCutEvaluator(head.circuit.graph, array_backend=head.backend.array)
+        self.evaluator = BatchCutEvaluator(head.circuit.graph)
         self.n_edges = head.circuit.graph.n_edges
 
 
@@ -432,10 +436,10 @@ class BatchedSolverEngine:
         ) as integrate_span:
             for r, payload in rounds:
                 # Assignments are computed in the array namespace; only the
-                # small products (cut weights, int8 assignments, recorded
-                # potentials) cross back to the host, where the tracker and
-                # the per-trial bests live.  Every `to_numpy` below is the
-                # identity on the numpy backend.
+                # small products (int8 assignments, recorded potentials)
+                # cross back to the host, where cut evaluation, the tracker
+                # and the per-trial bests live.  Every `to_numpy` below is
+                # the identity on the numpy backend.
                 readout_rows = None
                 if plan.readout == "membrane":
                     if potentials_out is not None:
@@ -469,14 +473,13 @@ class BatchedSolverEngine:
                     continue
 
                 first = r + 1 - n_pending
-                block = pending[:n_pending]
+                host = xp.to_numpy(pending[:n_pending])
                 weights = np.empty((n_pending, n_trials))
                 for segment, a, b in pieces:
-                    cuts = block[:, a - lo:b - lo].reshape(n_pending * (b - a), n_neurons)
-                    weights[:, a - lo:b - lo] = xp.to_numpy(
-                        segment.evaluator.weights(cuts)
-                    ).reshape(n_pending, b - a)
-                host = xp.to_numpy(block)
+                    cuts = host[:, a - lo:b - lo].reshape(n_pending * (b - a), n_neurons)
+                    weights[:, a - lo:b - lo] = segment.evaluator.weights(cuts).reshape(
+                        n_pending, b - a
+                    )
                 stop_at = None
                 for j in range(n_pending):
                     if tracker.update(first + j, weights[j]) and (

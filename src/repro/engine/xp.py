@@ -1,11 +1,11 @@
 """The array-API seam: one engine code path for CPU and GPU tensors.
 
 The batched engine's hot loop — device-state transfer, the weight matmul,
-the lock-step membrane updates, the cut read-out — is pure ndarray math.
+the lock-step membrane updates, the sign read-out — is pure ndarray math.
 This module abstracts *which* ndarray library executes it behind an
 :class:`ArrayBackend`: a thin, registered adapter exposing the handful of
-namespace operations the engine uses (``matmul``, ``vecdot``, ``multiply``,
-``add``, ``where``, allocation, host transfer) with NumPy semantics.  Three adapters
+namespace operations the engine uses (``matmul``, ``multiply``, ``add``,
+``where``, allocation, host transfer) with NumPy semantics.  Three adapters
 ship:
 
 ``numpy`` (default)
@@ -26,10 +26,11 @@ and only the sampled state block is transferred with
 :meth:`ArrayBackend.asarray`.  Seeds therefore stay bit-identical across
 backends — a torch run consumes exactly the random numbers a numpy run
 does, and differences are confined to floating-point summation order.
-Small per-round reductions (the ``(trials,)`` cut-weight vector consumed by
-the :class:`~repro.engine.tracker.BestCutTracker`) travel back through
-:meth:`ArrayBackend.to_numpy` for the same reason: control flow stays on
-the host, kernels stay on the device.
+The int8 read-out assignments travel back through
+:meth:`ArrayBackend.to_numpy` for the same reason: cut evaluation
+(:class:`repro.cuts.cut.BatchCutEvaluator`), the
+:class:`~repro.engine.tracker.BestCutTracker` and all control flow stay on
+the host, the dynamics' kernels stay on the device.
 
 Backend specs
 -------------
@@ -129,16 +130,6 @@ class ArrayBackend:
     def matmul(self, a: Any, b: Any, out: Optional[Any] = None) -> Any:
         raise NotImplementedError
 
-    def vecdot(self, a: Any, b: Any) -> Any:
-        """Row-wise dot product over the last axis.
-
-        Each row is reduced on its own and by the same kernel, so a row's
-        result does not depend on how many rows the call carries or on the
-        memory layout of *a* (a matrix-vector ``matmul`` may sum a row
-        differently for different row counts).
-        """
-        raise NotImplementedError
-
     def multiply(self, a: Any, b: Any, out: Optional[Any] = None) -> Any:
         raise NotImplementedError
 
@@ -146,9 +137,6 @@ class ArrayBackend:
         raise NotImplementedError
 
     def where(self, condition: Any, x: Any, y: Any) -> Any:
-        raise NotImplementedError
-
-    def count_nonzero(self, array: Any, axis: int) -> Any:
         raise NotImplementedError
 
     # -- introspection -----------------------------------------------------
@@ -209,11 +197,6 @@ class NumpyArrayBackend(ArrayBackend):
             return np.matmul(a, b)
         return np.matmul(a, b, out=out)
 
-    def vecdot(self, a: Any, b: Any) -> Any:
-        # Contiguous rows take BLAS ddot; strided ones (a column-major gather
-        # result) would take a different summation order.
-        return np.vecdot(np.ascontiguousarray(a), b)
-
     def multiply(self, a: Any, b: Any, out: Optional[Any] = None) -> Any:
         if out is None:
             return np.multiply(a, b)
@@ -227,19 +210,15 @@ class NumpyArrayBackend(ArrayBackend):
     def where(self, condition: Any, x: Any, y: Any) -> Any:
         return np.where(condition, x, y)
 
-    def count_nonzero(self, array: Any, axis: int) -> Any:
-        return np.count_nonzero(array, axis=axis)
-
 
 class TorchArrayBackend(ArrayBackend):
     """PyTorch adapter (CPU or CUDA), float64 state for near-parity.
 
     The device policy is "best visible": CUDA when available, else CPU —
     fixed at first use so one resolved backend never migrates mid-run.
-    Torch's ``out=`` kernels and boolean mask assignment line up with the
-    NumPy expressions the engine writes; the only deliberate divergences
-    are ``.clone()`` for :meth:`copy` and ``dim=`` for
-    :meth:`count_nonzero`.
+    Torch's ``out=`` kernels line up with the NumPy expressions the engine
+    writes; the only deliberate divergence is ``.clone()`` for
+    :meth:`copy`.
     """
 
     name = "torch"
@@ -317,9 +296,6 @@ class TorchArrayBackend(ArrayBackend):
         torch.matmul(a, b, out=out)
         return out
 
-    def vecdot(self, a: Any, b: Any) -> Any:
-        return self._torch().linalg.vecdot(a, b, dim=-1)
-
     def multiply(self, a: Any, b: Any, out: Optional[Any] = None) -> Any:
         torch = self._torch()
         if out is None:
@@ -337,10 +313,6 @@ class TorchArrayBackend(ArrayBackend):
     def where(self, condition: Any, x: Any, y: Any) -> Any:
         torch = self._torch()
         return torch.where(condition, x, y)
-
-    def count_nonzero(self, array: Any, axis: int) -> Any:
-        torch = self._torch()
-        return torch.count_nonzero(array, dim=axis)
 
 
 class CupyArrayBackend(ArrayBackend):
@@ -403,9 +375,6 @@ class CupyArrayBackend(ArrayBackend):
             return cupy.matmul(a, b)
         return cupy.matmul(a, b, out=out)
 
-    def vecdot(self, a: Any, b: Any) -> Any:
-        return self._cupy().multiply(a, b).sum(axis=-1)
-
     def multiply(self, a: Any, b: Any, out: Optional[Any] = None) -> Any:
         cupy = self._cupy()
         if out is None:
@@ -420,9 +389,6 @@ class CupyArrayBackend(ArrayBackend):
 
     def where(self, condition: Any, x: Any, y: Any) -> Any:
         return self._cupy().where(condition, x, y)
-
-    def count_nonzero(self, array: Any, axis: int) -> Any:
-        return self._cupy().count_nonzero(array, axis=axis)
 
 
 # ---------------------------------------------------------------------------

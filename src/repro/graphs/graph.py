@@ -20,6 +20,21 @@ from repro.utils.validation import ValidationError, check_finite
 __all__ = ["Graph"]
 
 
+def _check_weight_range(weights: np.ndarray) -> None:
+    """Reject summed edge weights whose cut arithmetic could overflow.
+
+    Every partial sum of the cut kernel (:class:`repro.cuts.cut.BatchCutEvaluator`)
+    is bounded by ``4 sum|w|``, so requiring that bound to be finite keeps
+    every cut weight, ``total_weight`` included, finite.
+    """
+    with np.errstate(over="ignore"):
+        bound = 4.0 * float(np.abs(weights).sum())
+    if not np.isfinite(bound):
+        raise ValidationError(
+            "edge weights are too large: 4 * sum(|w|) overflows float64"
+        )
+
+
 class Graph:
     """Undirected weighted graph with vertices ``0 .. n-1``.
 
@@ -29,7 +44,9 @@ class Graph:
         Number of vertices.  Isolated vertices are allowed.
     edges:
         Iterable of ``(u, v)`` or ``(u, v, weight)`` tuples.  Self-loops are
-        rejected; duplicate edges have their weights summed.
+        rejected; duplicate edges have their weights summed.  Weights must be
+        finite, and so must ``4 * sum(|w|)`` after summing, so that no cut
+        weight can overflow.
     name:
         Optional human-readable identifier (used in experiment reports).
 
@@ -92,6 +109,7 @@ class Graph:
         else:
             pairs = np.empty((0, 2), dtype=np.int64)
             weights = np.empty(0, dtype=np.float64)
+        _check_weight_range(weights)
 
         self._edges = pairs
         self._weights = weights
@@ -184,7 +202,9 @@ class Graph:
             keys = lo * np.int64(n_vertices) + hi
             unique_keys, inverse = np.unique(keys, return_inverse=True)
             summed = np.zeros(unique_keys.shape[0], dtype=np.float64)
-            np.add.at(summed, inverse, w)
+            with np.errstate(over="ignore"):
+                np.add.at(summed, inverse, w)
+            _check_weight_range(summed)
             pairs = np.empty((unique_keys.shape[0], 2), dtype=np.int64)
             pairs[:, 0] = unique_keys // n_vertices
             pairs[:, 1] = unique_keys % n_vertices

@@ -17,9 +17,8 @@ toward the extreme eigenvectors; each costs one sparse mat-mat).  When
 ``rank + oversample >= n`` the sketch captures the whole space and the
 result is exact up to floating point.
 
-Also here: :func:`sweep_cut_from_scores`, an ``O(m + n log n)`` threshold
-sweep that replaces the dense ``(n, n)`` batched sweep of
-:func:`repro.spectral.trevisan.trevisan_sweep_cut` on large graphs — every
+Also here: :func:`sweep_cut_from_scores`, the ``O(m + n log n)`` threshold
+sweep behind :func:`repro.spectral.trevisan.trevisan_sweep_cut` — every
 edge contributes to the contiguous run of thresholds separating its
 endpoints, so all ``n - 1`` prefix cuts come from one scatter-add plus a
 cumulative sum.
@@ -35,7 +34,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.cuts.cut import Cut, cut_weight
+from repro.cuts.cut import Cut, cut_weights_batch
 from repro.graphs.graph import Graph
 from repro.utils.rng import RandomState, as_generator, paired_seed
 from repro.utils.validation import ValidationError
@@ -175,11 +174,11 @@ def sweep_cut_from_scores(graph: Graph, scores: np.ndarray) -> Cut:
 
     Candidate ``k`` places the ``k`` smallest-score vertices on the ``-1``
     side (``k = 1 .. n-1``); the plain sign threshold (``scores > 0``) is
-    also tried, matching the candidate set of the dense batched sweep in
-    :func:`repro.spectral.trevisan.trevisan_sweep_cut`.  An edge is cut by
+    also tried and wins only when strictly heavier.  An edge is cut by
     exactly the thresholds strictly between its endpoints' sort positions,
     so all prefix-cut weights come from one scatter-add over edges plus a
-    cumulative sum — no ``(n, n)`` assignment matrix.
+    cumulative sum — no ``(n, n)`` assignment matrix.  The returned weight
+    is the cut kernel's (:func:`repro.cuts.cut.cut_weights_batch`).
     """
     n = graph.n_vertices
     scores = np.asarray(scores, dtype=np.float64).ravel()
@@ -194,11 +193,7 @@ def sweep_cut_from_scores(graph: Graph, scores: np.ndarray) -> Cut:
     position = np.empty(n, dtype=np.int64)
     position[order] = np.arange(n, dtype=np.int64)
 
-    sign_assignment = np.where(scores > 0.0, 1, -1).astype(np.int8)
-    sign_weight = cut_weight(graph, sign_assignment)
-
-    best_weight = -np.inf
-    best_k = 0
+    candidates = [np.where(scores > 0.0, 1, -1).astype(np.int8)]
     if n > 1 and graph.n_edges:
         edges = graph.edges
         weights = graph.edge_weights
@@ -209,11 +204,10 @@ def sweep_cut_from_scores(graph: Graph, scores: np.ndarray) -> Cut:
         np.add.at(diff, lo + 1, weights)
         np.add.at(diff, hi + 1, -weights)
         prefix_cuts = np.cumsum(diff)[1:n]  # weight of cut k = 1 .. n-1
-        best_k = int(np.argmax(prefix_cuts)) + 1
-        best_weight = float(prefix_cuts[best_k - 1])
-    if sign_weight > best_weight:
-        return Cut(assignment=sign_assignment, weight=float(sign_weight),
-                   graph_name=graph.name)
-    assignment = np.ones(n, dtype=np.int8)
-    assignment[order[:best_k]] = -1
-    return Cut(assignment=assignment, weight=best_weight, graph_name=graph.name)
+        prefix = np.ones(n, dtype=np.int8)
+        prefix[order[:int(np.argmax(prefix_cuts)) + 1]] = -1
+        candidates.insert(0, prefix)
+    cut_weights = cut_weights_batch(graph, np.stack(candidates))
+    best = int(np.argmax(cut_weights))
+    return Cut(assignment=candidates[best], weight=float(cut_weights[best]),
+               graph_name=graph.name)

@@ -19,9 +19,9 @@ that switches to the randomized sketch of
 :func:`repro.scale.sketch.sketched_minimum_eigenpair`.  Explicitly asking
 for ``method="dense"`` beyond :data:`DENSE_METHOD_MAX_VERTICES` raises a
 :class:`~repro.utils.validation.ValidationError` instead of silently
-allocating an ``(n, n)`` matrix.  The sweep itself also goes sparse above
-:data:`_BATCH_SWEEP_MAX_VERTICES` via
-:func:`repro.scale.sketch.sweep_cut_from_scores`.
+allocating an ``(n, n)`` matrix.  The sweep is the ``O(m + n log n)``
+scatter-add sweep of :func:`repro.scale.sketch.sweep_cut_from_scores` at
+every size.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from repro.cuts.cut import Cut, cut_weights_batch
+from repro.cuts.cut import Cut
 from repro.graphs.graph import Graph
+from repro.scale.sketch import sweep_cut_from_scores
 from repro.spectral.lanczos import lanczos_extreme_eigenpair
 from repro.utils.rng import RandomState
 from repro.utils.validation import ValidationError
@@ -58,10 +59,6 @@ DENSE_METHOD_MAX_VERTICES = 4096
 #: this many vertices (ARPACK's repeated re-orthogonalisation passes start
 #: to dominate; the sketch needs a fixed, small number of sparse mat-mats).
 SKETCH_AUTO_MIN_VERTICES = 32768
-
-#: The batched dense sweep materialises an ``(n, n)`` assignment matrix;
-#: above this size the ``O(m + n log n)`` scatter-add sweep is used instead.
-_BATCH_SWEEP_MAX_VERTICES = 2048
 
 
 def minimum_eigenvector(
@@ -159,34 +156,11 @@ def trevisan_sweep_cut(
     """Sweep-cut refinement: try every threshold along the sorted eigenvector.
 
     For eigenvector ``u`` sorted ascending, threshold ``t`` places vertices
-    with ``u_i <= t`` on one side.  Below :data:`_BATCH_SWEEP_MAX_VERTICES`
-    all candidates are evaluated in one batched cut-weight computation;
-    above, the equivalent ``O(m + n log n)`` scatter-add sweep of
-    :func:`repro.scale.sketch.sweep_cut_from_scores` is used, so the whole
-    pipeline stays free of ``(n, n)`` allocations on large graphs.
+    with ``u_i <= t`` on one side; the plain sign threshold is tried too.
+    All candidates come from the ``O(m + n log n)`` scatter-add sweep of
+    :func:`repro.scale.sketch.sweep_cut_from_scores`, so the pipeline makes
+    no ``(n, n)`` allocation at any size.
     """
     eigenvalue, eigenvector = minimum_eigenvector(graph, method=method, seed=seed)
-    n = graph.n_vertices
-    if n == 0:
-        cut = Cut(assignment=np.zeros(0, dtype=np.int8), weight=0.0, graph_name=graph.name)
-        return TrevisanResult(cut=cut, eigenvalue=eigenvalue, eigenvector=eigenvector, method=method)
-    if n > _BATCH_SWEEP_MAX_VERTICES:
-        from repro.scale.sketch import sweep_cut_from_scores
-
-        cut = sweep_cut_from_scores(graph, eigenvector)
-        return TrevisanResult(cut=cut, eigenvalue=eigenvalue, eigenvector=eigenvector, method=method)
-    order = np.argsort(eigenvector)
-    # Candidate k: the k smallest-entry vertices get -1, the rest +1 (k = 1..n-1),
-    # plus the plain sign threshold for completeness.
-    assignments = np.ones((n, n), dtype=np.int8)
-    for k in range(1, n):
-        assignments[k - 1, order[:k]] = -1
-    assignments[n - 1] = np.where(eigenvector > 0.0, 1, -1)
-    weights = cut_weights_batch(graph, assignments)
-    best = int(np.argmax(weights))
-    cut = Cut(
-        assignment=assignments[best].astype(np.int8),
-        weight=float(weights[best]),
-        graph_name=graph.name,
-    )
+    cut = sweep_cut_from_scores(graph, eigenvector)
     return TrevisanResult(cut=cut, eigenvalue=eigenvalue, eigenvector=eigenvector, method=method)

@@ -50,6 +50,24 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             Graph(2, [(0, 1, float("nan"))])
 
+    def test_overflowing_weights_rejected(self):
+        # Each weight is finite, but a sum is not, so cut weights and
+        # total_weight would overflow to inf.  The bound is 4 * sum|w|:
+        # mixed signs do not cancel in it.
+        for weights in ([1e308, 1e308], [4e307, -4e307]):
+            with pytest.raises(ValidationError, match="too large"):
+                Graph(3, [(0, 1, weights[0]), (1, 2, weights[1])])
+            with pytest.raises(ValidationError, match="too large"):
+                Graph.from_edge_arrays(3, np.array([0, 1]), np.array([1, 2]),
+                                       weights=np.array(weights))
+        # Duplicate edges overflow once summed, on both constructor paths.
+        with pytest.raises(ValidationError, match="too large"):
+            Graph(2, [(0, 1, 1e308), (1, 0, 1e308)])
+        with pytest.raises(ValidationError, match="too large"):
+            Graph.from_edge_arrays(2, np.array([0, 1]), np.array([1, 0]),
+                                   weights=np.array([1e308, 1e308]))
+        assert Graph(3, [(0, 1, 1e307), (1, 2, -1e307)]).total_weight == 0.0
+
     def test_bad_tuple_length_rejected(self):
         with pytest.raises(ValidationError):
             Graph(3, [(0, 1, 2, 3)])

@@ -46,6 +46,21 @@ def graph_with_assignment(draw):
 finite_floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 
 
+@st.composite
+def weighted_graph_with_assignment(draw):
+    """Float-weighted small graphs, all-positive or mixed-sign, with a ±1 row."""
+    n = draw(st.integers(min_value=3, max_value=12))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pairs = draw(st.lists(st.sampled_from(possible), unique=True, max_size=len(possible)))
+    weights = draw(st.sampled_from([
+        finite_floats.map(abs).filter(lambda w: w > 0.0),
+        finite_floats,
+    ]))
+    graph = Graph(n, [(u, v, draw(weights)) for u, v in pairs])
+    bits = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    return graph, np.array(bits, dtype=np.int8)
+
+
 # ---------------------------------------------------------------------------
 # Cut invariants
 # ---------------------------------------------------------------------------
@@ -92,6 +107,58 @@ class TestCutProperties:
         assert np.all(np.diff(best) >= 0)
         assert np.all(best >= arr)
         assert best[-1] == arr.max()
+
+
+#: Non-dyadic weights whose round-off shows are rarer than the simple floats
+#: hypothesis draws first, so the weighted properties get more examples.
+WEIGHTED_SETTINGS = settings(SETTINGS, max_examples=200)
+
+
+class TestWeightedCutProperties:
+    """Real weights: the kernel is exact in its symmetries, not in its sums."""
+
+    @WEIGHTED_SETTINGS
+    @given(weighted_graph_with_assignment())
+    def test_complement_invariance(self, data):
+        graph, assignment = data
+        assert cut_weight(graph, assignment) == cut_weight(graph, -assignment)
+
+    @WEIGHTED_SETTINGS
+    @given(weighted_graph_with_assignment())
+    def test_batch_matches_single(self, data):
+        graph, assignment = data
+        batch = cut_weights_batch(graph, assignment[None, :])
+        assert batch[0] == cut_weight(graph, assignment)
+
+    @WEIGHTED_SETTINGS
+    @given(weighted_graph_with_assignment())
+    def test_all_same_label_is_zero_cut(self, data):
+        graph, _ = data
+        ones = np.ones(graph.n_vertices, dtype=np.int8)
+        assert cut_weight(graph, ones) == 0.0
+        assert cut_weight(graph, -ones) == 0.0
+
+    @WEIGHTED_SETTINGS
+    @given(weighted_graph_with_assignment(), st.integers(0, 2**16),
+           st.integers(min_value=1, max_value=40))
+    def test_row_weight_independent_of_batch_mates(self, data, seed, n_rows):
+        graph, assignment = data
+        rng = np.random.default_rng(seed)
+        batch = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_rows, graph.n_vertices))
+        position = int(rng.integers(n_rows))
+        batch[position] = assignment
+        assert cut_weights_batch(graph, batch)[position] == cut_weight(graph, assignment)
+
+    @WEIGHTED_SETTINGS
+    @given(weighted_graph_with_assignment())
+    def test_weight_within_signed_edge_totals(self, data):
+        # With positive weights these are 0 <= cut <= total_weight.
+        graph, assignment = data
+        weights = graph.edge_weights
+        tolerance = 1e-12 * float(np.abs(weights).sum())
+        weight = cut_weight(graph, assignment)
+        assert weights[weights < 0].sum() - tolerance <= weight
+        assert weight <= weights[weights > 0].sum() + tolerance
 
 
 # ---------------------------------------------------------------------------

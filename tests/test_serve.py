@@ -162,6 +162,8 @@ class TestProtocol:
             {"graph": graph, "trials": True},           # bool is not an int
             {"graph": graph, "seed": -1},               # negative seed
             {"graph": graph, "timeout_seconds": 0},     # non-positive timeout
+            {"graph": {"n_vertices": 3,                 # weights overflow
+                       "edges": [[0, 1, 1e308], [1, 2, 1e308]]}},
         ):
             with pytest.raises(ValidationError):
                 parse_solve_payload(payload)
@@ -462,6 +464,15 @@ class TestTransports:
                 with pytest.raises(ServeClientError) as excinfo:
                     client.solve({"trials": 2})  # no graph/problem
                 assert excinfo.value.status == 400
+                # Finite weights whose sum overflows: the cut weights would
+                # be inf, which no JSON body can carry.
+                ring = {"n_vertices": 4,
+                        "edges": [[i, (i + 1) % 4, 1e308] for i in range(4)]}
+                with pytest.raises(ServeClientError) as excinfo:
+                    client.solve({"graph": ring, "circuit": "lif_tr",
+                                  "trials": 2, "samples": 8})
+                assert excinfo.value.status == 400
+                assert excinfo.value.reason == "bad_request"
                 with pytest.raises(ServeClientError) as excinfo:
                     client._request("GET", "/nope")
                 assert excinfo.value.status == 404
