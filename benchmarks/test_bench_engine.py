@@ -10,9 +10,11 @@ of:
   aggregate throughput; the membrane read-out must show a solid win too.
 * LIF-TR with the dense vs. sparse weight backend on a low-density graph.
 
-Timings take the best of several repeats (after a warm-up solve, so one-time
-page-faulting of the current buffers is not billed to either side).  Results
-are asserted bit-identical between the two runs before any speedup claim.
+Each speed-up is the ratio of the medians of 7 alternating (batched,
+one-trial-per-block) timing pairs, taken after a warm-up solve so one-time
+page-faulting of the current buffers is not billed to either side; a single
+best-of timing per side read below the floor under host load alone.  Every
+pair is asserted bit-identical before any speedup claim.
 """
 
 from __future__ import annotations
@@ -50,17 +52,28 @@ def _best_of(fn, repeats: int = 3):
     return best, result
 
 
-def _speedup(circuit, n_samples: int, repeats: int = 5):
+def _timed(fn):
+    start = time.perf_counter()
+    result = fn()
+    return time.perf_counter() - start, result
+
+
+def _speedup(circuit, n_samples: int, pairs: int = 7):
     request = SolveRequest(
         circuit=circuit, n_trials=N_TRIALS, n_samples=n_samples, seed=2
     )
-    solve(request)  # warm-up: allocator + BLAS
-    batched_s, batched = _best_of(lambda: solve(request), repeats)
     one_by_one = replace(request, max_block_bytes=1)
-    one_s, one = _best_of(lambda: solve(one_by_one), repeats)
-    assert np.array_equal(batched.trajectories, one.trajectories), (
-        "batched engine diverged from the one-trial-per-block run"
-    )
+    solve(request)  # warm-up: allocator + BLAS
+    batched_times, one_times = [], []
+    for _ in range(pairs):
+        batched_s, batched = _timed(lambda: solve(request))
+        one_s, one = _timed(lambda: solve(one_by_one))
+        assert np.array_equal(batched.trajectories, one.trajectories), (
+            "batched engine diverged from the one-trial-per-block run"
+        )
+        batched_times.append(batched_s)
+        one_times.append(one_s)
+    batched_s, one_s = float(np.median(batched_times)), float(np.median(one_times))
     return one_s / batched_s, batched_s, one_s
 
 

@@ -12,11 +12,11 @@ instance generator for experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sdp.manifold import random_oblique_point, retract, tangent_project
+from repro.sdp.manifold import random_oblique_point, riemannian_ascent
 from repro.utils.rng import RandomState, as_generator, spawn_generators
 from repro.utils.validation import ValidationError
 
@@ -133,8 +133,12 @@ def _clause_terms(instance: Max2SatInstance) -> tuple[np.ndarray, np.ndarray, np
     return idx1, idx2, signs
 
 
-def _sat_objective(instance: Max2SatInstance, V: np.ndarray, weights: np.ndarray) -> float:
-    """Relaxed expected satisfied weight.
+def _sat_value_and_gradient(
+    clause_terms: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    weights: np.ndarray,
+    V: np.ndarray,
+) -> Tuple[float, np.ndarray]:
+    """Relaxed expected satisfied weight, and its Euclidean gradient in V.
 
     For a clause (l1 or l2) with sign-adjusted vectors ``a = s1 v_{i1}`` and
     ``b = s2 v_{i2}`` the relaxation value is
@@ -142,25 +146,17 @@ def _sat_objective(instance: Max2SatInstance, V: np.ndarray, weights: np.ndarray
     ``(3 + v0.a + v0.b - a.b) / 4`` which equals the probability both literals
     are not simultaneously false under hyperplane rounding for the GW analysis.
     """
-    idx1, idx2, signs = _clause_terms(instance)
-    v0 = V[0]
-    a = signs[:, :1] * V[idx1]
-    b = signs[:, 1:] * V[idx2]
-    terms = (3.0 + a @ v0 + b @ v0 - np.sum(a * b, axis=1)) / 4.0
-    return float(np.dot(weights, terms))
-
-
-def _sat_gradient(instance: Max2SatInstance, V: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    idx1, idx2, signs = _clause_terms(instance)
+    idx1, idx2, signs = clause_terms
     grad = np.zeros_like(V)
     v0 = V[0]
     a = signs[:, :1] * V[idx1]
     b = signs[:, 1:] * V[idx2]
+    terms = (3.0 + a @ v0 + b @ v0 - np.sum(a * b, axis=1)) / 4.0
     w = weights[:, None] / 4.0
     grad[0] = np.sum(w * (a + b), axis=0)
     np.add.at(grad, idx1, signs[:, :1] * w * (v0[None, :] - b))
     np.add.at(grad, idx2, signs[:, 1:] * w * (v0[None, :] - a))
-    return grad
+    return float(np.dot(weights, terms)), grad
 
 
 def max2sat_gw(
@@ -184,29 +180,14 @@ def max2sat_gw(
     weights = np.array([c.weight for c in instance.clauses]) if instance.n_clauses else np.zeros(0)
     sdp_rng, rounding_rng = spawn_generators(seed, 2)
 
-    V = random_oblique_point(n + 1, rank, seed=sdp_rng)
-    objective = _sat_objective(instance, V, weights) if instance.n_clauses else 0.0
-    step = 1.0
-    if instance.n_clauses:
-        for _ in range(max_iterations):
-            grad = tangent_project(V, _sat_gradient(instance, V, weights))
-            grad_norm = float(np.linalg.norm(grad))
-            if grad_norm <= 1e-7 * max(1.0, instance.total_weight):
-                break
-            improved = False
-            trial = step
-            for _ in range(30):
-                candidate = retract(V, trial * grad)
-                candidate_objective = _sat_objective(instance, candidate, weights)
-                if candidate_objective > objective + 1e-12:
-                    V = candidate
-                    objective = candidate_objective
-                    step = min(trial * 2.0, 100.0)
-                    improved = True
-                    break
-                trial *= 0.5
-            if not improved:
-                break
+    clause_terms = _clause_terms(instance)
+    sdp = riemannian_ascent(
+        lambda V: _sat_value_and_gradient(clause_terms, weights, V),
+        random_oblique_point(n + 1, rank, seed=sdp_rng),
+        scale=max(1.0, instance.total_weight), tolerance=1e-7,
+        max_iterations=max_iterations,
+    )
+    V = sdp.vectors
 
     rng = as_generator(rounding_rng)
     normals = rng.standard_normal((n_samples, V.shape[1]))
@@ -219,7 +200,7 @@ def max2sat_gw(
     return Max2SatResult(
         assignment=assignments[best].astype(bool),
         value=float(values[best]),
-        sdp_objective=objective,
+        sdp_objective=sdp.objective,
         sample_values=values,
     )
 

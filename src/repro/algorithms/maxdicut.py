@@ -17,11 +17,11 @@ the same side of the hyperplane as ``v_0``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sdp.manifold import project_rows_to_sphere, random_oblique_point, retract, tangent_project
+from repro.sdp.manifold import random_oblique_point, riemannian_ascent
 from repro.utils.rng import RandomState, as_generator, spawn_generators
 from repro.utils.validation import ValidationError
 
@@ -140,33 +140,26 @@ class MaxDicutResult:
     sample_values: np.ndarray
 
 
-def _dicut_sdp_objective(graph: DirectedGraph, V: np.ndarray) -> float:
-    """Relaxed objective ``sum_a w_a (1 + v0.vu - v0.vv - vu.vv) / 4`` over arcs."""
-    if graph.n_arcs == 0:
-        return 0.0
-    v0 = V[0]
-    vu = V[1 + graph.arcs[:, 0]]
-    vv = V[1 + graph.arcs[:, 1]]
-    terms = 1.0 + vu @ v0 - vv @ v0 - np.sum(vu * vv, axis=1)
-    return float(np.dot(graph.arc_weights, terms) / 4.0)
-
-
-def _dicut_sdp_gradient(graph: DirectedGraph, V: np.ndarray) -> np.ndarray:
-    """Euclidean gradient of the relaxed dicut objective with respect to V."""
+def _dicut_sdp_value_and_gradient(
+    graph: DirectedGraph, V: np.ndarray
+) -> Tuple[float, np.ndarray]:
+    """Relaxed objective ``sum_a w_a (1 + v0.vu - v0.vv - vu.vv) / 4`` over arcs,
+    and its Euclidean gradient with respect to V."""
     grad = np.zeros_like(V)
     if graph.n_arcs == 0:
-        return grad
-    w = graph.arc_weights[:, None] / 4.0
+        return 0.0, grad
     u_idx = 1 + graph.arcs[:, 0]
     v_idx = 1 + graph.arcs[:, 1]
     v0 = V[0]
     vu = V[u_idx]
     vv = V[v_idx]
+    terms = 1.0 + vu @ v0 - vv @ v0 - np.sum(vu * vv, axis=1)
+    w = graph.arc_weights[:, None] / 4.0
     # d/dv0: sum w (vu - vv); d/dvu: w (v0 - vv); d/dvv: w (-v0 - vu)
     grad[0] = np.sum(w * (vu - vv), axis=0)
     np.add.at(grad, u_idx, w * (v0[None, :] - vv))
     np.add.at(grad, v_idx, w * (-v0[None, :] - vu))
-    return grad
+    return float(np.dot(graph.arc_weights, terms) / 4.0), grad
 
 
 def maxdicut_gw(
@@ -191,28 +184,13 @@ def maxdicut_gw(
         rank = max(4, int(np.ceil(np.sqrt(2.0 * (n + 1)))) + 1)
     sdp_rng, rounding_rng = spawn_generators(seed, 2)
 
-    V = random_oblique_point(n + 1, rank, seed=sdp_rng)
-    objective = _dicut_sdp_objective(graph, V)
-    step = 1.0
-    for _ in range(max_iterations):
-        grad = tangent_project(V, _dicut_sdp_gradient(graph, V))
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= 1e-7 * max(1.0, graph.total_weight):
-            break
-        improved = False
-        trial = step
-        for _ in range(30):
-            candidate = retract(V, trial * grad)
-            candidate_objective = _dicut_sdp_objective(graph, candidate)
-            if candidate_objective > objective + 1e-12:
-                V = candidate
-                objective = candidate_objective
-                step = min(trial * 2.0, 100.0)
-                improved = True
-                break
-            trial *= 0.5
-        if not improved:
-            break
+    sdp = riemannian_ascent(
+        lambda V: _dicut_sdp_value_and_gradient(graph, V),
+        random_oblique_point(n + 1, rank, seed=sdp_rng),
+        scale=max(1.0, graph.total_weight), tolerance=1e-7,
+        max_iterations=max_iterations,
+    )
+    V = sdp.vectors
 
     rng = as_generator(rounding_rng)
     normals = rng.standard_normal((n_samples, V.shape[1]))
@@ -225,6 +203,6 @@ def maxdicut_gw(
     return MaxDicutResult(
         in_set=in_sets[best],
         value=float(values[best]),
-        sdp_objective=objective,
+        sdp_objective=sdp.objective,
         sample_values=values,
     )

@@ -4,7 +4,8 @@ The paper solves the MAXCUT SDP with PyManopt (a Riemannian-manifold
 optimisation toolbox).  This package provides an equivalent solver written
 from scratch: the Burer-Monteiro low-rank factorisation ``X = W W^T`` with
 rows of ``W`` constrained to the unit sphere (the *oblique manifold*),
-optimised by Riemannian gradient ascent with backtracking line search.
+optimised by Riemannian gradient ascent with Barzilai-Borwein step sizes
+and a monotone Armijo backtracking safeguard.
 """
 
 from repro.sdp.manifold import (

@@ -7,7 +7,8 @@ The load-bearing claims:
   records nothing;
 * tracing never perturbs seeding — an engine run under an active capture is
   bit-identical to the same run untraced, and the capture carries the full
-  engine span taxonomy with per-round cut-evaluation accumulators;
+  engine span taxonomy with per-round cut-evaluation accumulators, and a
+  Figure 3 graph emits one ``sdp.solve`` span under each SDP-backed method;
 * the metrics registry's counters/gauges/histograms read coherently, with
   the nearest-rank percentile numerically identical to the historical serve
   implementation (empty window, single sample, window eviction);
@@ -25,6 +26,8 @@ import pytest
 
 from repro.circuits.config import LIFTrevisanConfig
 from repro.cli import main
+from repro.experiments.config import Figure3Config
+from repro.experiments.figure3 import run_figure3_graph
 from repro.experiments.runner import run_circuit_trials
 from repro.graphs.generators import erdos_renyi
 from repro.obs import (
@@ -226,6 +229,23 @@ class TestEngineIntegration:
         assert integrate.attrs["plasticity_seconds"] > 0.0
         solve_span = next(s for s in trace.spans if s.name == "engine.solve")
         assert solve_span.attrs["backend"] == traced.backend_name
+
+    def test_traced_figure3_graph_spans_both_sdp_solves(self):
+        config = Figure3Config(n_samples=16, n_solver_samples=4)
+        with capture() as trace:
+            run_figure3_graph(20, 0.3, 0, config=config)
+        by_id = {s.span_id: s for s in trace.spans}
+        solves = {
+            by_id[s.parent_id].name: s.attrs
+            for s in trace.spans if s.name == "sdp.solve"
+        }
+        assert sorted(solves) == ["figure3.lif_gw", "figure3.solver"]
+        assert solves["figure3.lif_gw"]["rank"] == config.lif_gw.rank
+        assert solves["figure3.solver"]["rank"] == 8  # ceil(sqrt(2 * 20)) + 1
+        for attrs in solves.values():
+            assert attrs["n_vertices"] == 20
+            assert attrs["converged"] is True
+            assert attrs["n_iterations"] > 0
 
 
 class TestMetrics:
