@@ -181,13 +181,16 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     bench.add_argument("--quick", action="store_true",
-                       help="reduced budgets for CI smoke runs (~seconds)")
+                       help="reduced budgets for CI smoke runs (about a minute; "
+                            "the engine legs keep their gated shape)")
     bench.add_argument("--suite", type=str, default=None,
                        help="graph suite to benchmark on (default: er-small)")
     bench.add_argument("--trials", type=int, default=None,
-                       help="trials per scenario (default: 16, quick: 6)")
+                       help="trials per scenario (default: 16, quick: 6; "
+                            "the engine legs: 64)")
     bench.add_argument("--samples", type=int, default=None,
-                       help="read-outs per trial (default: 128, quick: 48)")
+                       help="read-outs per trial (default: 128, quick: 48; "
+                            "the engine legs: 256)")
     bench.add_argument("--out", type=str, default="bench.json", metavar="FILE",
                        help="benchmark artifact path (default: bench.json)")
     bench.add_argument("--check", type=str, default=None, metavar="BASELINE",
@@ -567,8 +570,21 @@ def _command_bench(args: argparse.Namespace) -> int:
         "trials": args.trials if args.trials is not None else (6 if args.quick else 16),
         "samples": args.samples if args.samples is not None else (48 if args.quick else 128),
     }
+    # The engine legs keep their gated shape unless a budget is given.
+    if args.trials is not None:
+        overrides["engine_trials"] = args.trials
+    if args.samples is not None:
+        overrides["engine_samples"] = args.samples
     if args.suite is not None:
         overrides["suite"] = args.suite
+    # Read the baseline first: a bad path fails before the legs run.
+    baseline = None
+    if args.check:
+        try:
+            baseline = load_baseline(args.check)
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot load baseline {args.check!r}: {exc}", file=sys.stderr)
+            return 2
     try:
         workload = get_workload("bench")
         report = Session.from_workload("bench", **overrides).run()
@@ -585,11 +601,6 @@ def _command_bench(args: argparse.Namespace) -> int:
         report.save(args.save)
         print(f"results written to {args.save}")
     if args.check:
-        try:
-            baseline = load_baseline(args.check)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load baseline {args.check!r}: {exc}", file=sys.stderr)
-            return 2
         failures = check_baseline(report, baseline)
         if failures:
             print(f"\nbaseline gate FAILED against {args.check}:", file=sys.stderr)

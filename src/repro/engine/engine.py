@@ -128,6 +128,7 @@ class _Rows:
     best_weights: np.ndarray
     best_assignments: np.ndarray
     learner_weights: Optional[np.ndarray]
+    guard_firings: Optional[np.ndarray]
     trajectories: List[np.ndarray] = field(default_factory=list)
     potentials: List[np.ndarray] = field(default_factory=list)
     assignments: List[np.ndarray] = field(default_factory=list)
@@ -212,6 +213,9 @@ class BatchedSolverEngine:
             learner_weights=(
                 np.zeros((n_rows, n_neurons)) if plan.readout == "plasticity" else None
             ),
+            guard_firings=(
+                np.zeros(n_rows, dtype=np.int64) if plan.readout == "plasticity" else None
+            ),
         )
         max_block_bytes = min(item.request.max_block_bytes for item in group)
         block_size = self._block_size(max_block_bytes, n_rows, n_steps, n_neurons)
@@ -272,6 +276,10 @@ class BatchedSolverEngine:
                     "n_blocks": len(blocks), "n_devices": item.plan.n_devices,
                     **run_metadata, **item.plan.metadata,
                 }
+                if rows.guard_firings is not None:
+                    metadata["plasticity_guard_firings"] = int(
+                        rows.guard_firings[lo:hi].sum()
+                    )
                 if len(group) > 1:
                     metadata["instance_block"] = {
                         "size": len(group),
@@ -500,9 +508,14 @@ class BatchedSolverEngine:
                 if stop_at is not None:
                     break
             integrate_span.set(rounds_completed=completed)
+            if learners:
+                integrate_span.set(plasticity_guard_firings=sum(
+                    int(learner.guard_firings.sum()) for learner in learners
+                ))
 
         for (_, a, b), learner in zip(pieces, learners):
             rows.learner_weights[a:b] = learner.weights
+            rows.guard_firings[a:b] = learner.guard_firings
         rows.trajectories.append(trajectories[:, :completed])
         if potentials_out is not None:
             rows.potentials.append(potentials_out[:, :completed])

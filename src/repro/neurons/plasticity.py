@@ -190,6 +190,12 @@ class AntiHebbianMinorComponent:
         ``(len(seed), n_inputs)`` weights, each row drawn exactly as a 1-D
         learner with that seed draws it.  All rows share the update count
         and hence the learning rate.
+
+    Attributes
+    ----------
+    guard_firings:
+        Per weight row, the number of steps on which the norm guard
+        renormalised it (a 0-d count for a 1-D learner).
     """
 
     n_inputs: int
@@ -199,6 +205,7 @@ class AntiHebbianMinorComponent:
     seed: Union[RandomState, Sequence[RandomState]] = None
     weights: np.ndarray = field(init=False)
     n_updates: int = field(init=False, default=0)
+    guard_firings: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if self.n_inputs < 1:
@@ -212,6 +219,7 @@ class AntiHebbianMinorComponent:
                 row[:] = _unit_random(self.n_inputs, seed)
         else:
             self.weights = _unit_random(self.n_inputs, self.seed)
+        self.guard_firings = np.zeros(self.weights.shape[:-1], dtype=np.int64)
 
     def current_learning_rate(self) -> float:
         """Learning rate after the decay schedule at the current update count."""
@@ -239,11 +247,14 @@ class AntiHebbianMinorComponent:
         # (huge eta) from overflowing without affecting normal operation.
         # A norm above 10 needs a squared norm above 100, so the usual step
         # with no such row skips the guard; rows under the threshold are
-        # divided by 1.0, which is exact.
+        # divided by 1.0, which is exact.  Every renormalised row counts in
+        # guard_firings.
         squared = _rowdot(w, w)
         if np.count_nonzero(squared > 100.0):
             norm = np.sqrt(squared)
-            w /= _or_one(norm > 10.0, norm)
+            fired = norm > 10.0
+            w /= _or_one(fired, norm)
+            self.guard_firings += np.reshape(fired, self.guard_firings.shape)
         self.weights = w
         self.n_updates += 1
         return y

@@ -9,8 +9,8 @@ instances without ever materialising a dense ``(n, n)`` matrix:
   :meth:`repro.graphs.graph.Graph.from_edge_arrays`, so a 100k-vertex
   instance generates in milliseconds and the dense ``adjacency()`` path is
   never invoked.
-* :mod:`repro.scale.sketch` — randomized range-finder / randomized SVD over
-  the sparse normalized adjacency, the ``method="sketch"`` backend of
+* :mod:`repro.scale.sketch` — a randomized subspace sketch of the sparse
+  normalized adjacency's minimum eigenpair, the ``method="sketch"`` backend of
   :func:`repro.spectral.trevisan.minimum_eigenvector`, plus an
   ``O(m + n log n)`` sweep cut that replaces the dense batched sweep on
   large graphs.
@@ -30,8 +30,6 @@ from repro.scale.generators import (
     stochastic_kronecker,
 )
 from repro.scale.sketch import (
-    randomized_range_finder,
-    randomized_svd,
     sketched_minimum_eigenpair,
     sweep_cut_from_scores,
 )
@@ -50,8 +48,6 @@ __all__ = [
     "scale_configuration_model",
     "scale_watts_strogatz",
     "stochastic_kronecker",
-    "randomized_range_finder",
-    "randomized_svd",
     "sketched_minimum_eigenpair",
     "sweep_cut_from_scores",
     "EdgeDelta",

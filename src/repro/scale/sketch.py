@@ -30,7 +30,7 @@ deterministic given the root seed.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -40,8 +40,6 @@ from repro.utils.rng import RandomState, as_generator, paired_seed
 from repro.utils.validation import ValidationError
 
 __all__ = [
-    "randomized_range_finder",
-    "randomized_svd",
     "sketched_minimum_eigenpair",
     "sweep_cut_from_scores",
 ]
@@ -54,72 +52,6 @@ def _sketch_rng(seed: RandomState) -> np.random.Generator:
     if isinstance(seed, (np.random.Generator, np.random.SeedSequence)):
         return as_generator(seed)
     return as_generator(paired_seed(seed, _SKETCH_TAG))
-
-
-def randomized_range_finder(
-    matrix,
-    rank: int,
-    oversample: int = 8,
-    n_power_iterations: int = 2,
-    seed: RandomState = None,
-) -> np.ndarray:
-    """Orthonormal basis approximating the dominant range of *matrix*.
-
-    Parameters
-    ----------
-    matrix:
-        Anything supporting ``matrix @ X`` and ``.T`` (sparse CSR, dense
-        array, LinearOperator with transpose) of shape ``(rows, cols)``.
-    rank, oversample:
-        Number of basis columns kept is ``min(rows, rank + oversample)``.
-    n_power_iterations:
-        Subspace (power) iterations ``(A A^T)^q A Omega`` with a QR
-        re-orthonormalisation each half-step for numerical stability.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(rows, l)`` orthonormal ``Q`` with ``l = min(rows, rank + oversample)``.
-    """
-    rows = int(matrix.shape[0])
-    if rank < 1:
-        raise ValidationError(f"rank must be >= 1, got {rank}")
-    if oversample < 0:
-        raise ValidationError(f"oversample must be >= 0, got {oversample}")
-    l = min(rows, int(rank) + int(oversample))
-    if rows == 0 or l == 0:
-        return np.zeros((rows, 0), dtype=np.float64)
-    rng = _sketch_rng(seed)
-    omega = rng.standard_normal((int(matrix.shape[1]), l))
-    sample = np.asarray(matrix @ omega, dtype=np.float64)
-    q, _ = np.linalg.qr(sample)
-    for _ in range(int(n_power_iterations)):
-        z, _ = np.linalg.qr(np.asarray(matrix.T @ q, dtype=np.float64))
-        q, _ = np.linalg.qr(np.asarray(matrix @ z, dtype=np.float64))
-    return q
-
-
-def randomized_svd(
-    matrix,
-    rank: int,
-    oversample: int = 8,
-    n_power_iterations: int = 2,
-    seed: RandomState = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Randomized truncated SVD ``matrix ~= U @ diag(s) @ Vt``.
-
-    Sketch the range with :func:`randomized_range_finder`, project to the
-    small ``(l, cols)`` matrix ``B = Q^T A``, and take its exact SVD — the
-    APGL ``RandomisedSVD`` recipe.  Returns the top *rank* triplet.
-    """
-    q = randomized_range_finder(
-        matrix, rank, oversample=oversample,
-        n_power_iterations=n_power_iterations, seed=seed,
-    )
-    b = np.asarray(q.T @ matrix, dtype=np.float64)
-    u_small, s, vt = np.linalg.svd(b, full_matrices=False)
-    keep = min(int(rank), s.shape[0])
-    return np.asarray(q @ u_small)[:, :keep], s[:keep], vt[:keep]
 
 
 def sketched_minimum_eigenpair(

@@ -51,12 +51,14 @@ def project_rows_to_sphere(W: np.ndarray) -> np.ndarray:
     if W.ndim != 2:
         raise ValidationError(f"W must be 2-D, got shape {W.shape}")
     norms = np.linalg.norm(W, axis=1, keepdims=True)
-    out = np.empty_like(W)
     safe = norms[:, 0] > _EPS
+    if safe.all():
+        # The common path: one broadcast division, no masked copies.
+        return W / norms
+    out = np.empty_like(W)
     out[safe] = W[safe] / norms[safe]
-    if np.any(~safe):
-        out[~safe] = 0.0
-        out[~safe, 0] = 1.0
+    out[~safe] = 0.0
+    out[~safe, 0] = 1.0
     return out
 
 

@@ -25,8 +25,7 @@ Consumers:
   setup entirely.
 
 Every cache keeps hit/miss/eviction counters; :meth:`ContentAddressedCache.stats`
-renders them JSON-safe for the service's ``/stats`` endpoint and the bench
-workload's ``serve-batching`` scenario.
+renders them JSON-safe for the service's ``/stats`` endpoint.
 
 This module deliberately depends on nothing above the standard library, so
 any layer of the stack may import it without cycles.

@@ -1,15 +1,20 @@
 """The ``bench`` workload: the library's performance trajectory, measured.
 
-A registered workload (``repro run bench`` / ``repro bench``) that times the
-two performance claims the architecture rests on and emits a schema'd JSON
-artifact (``bench.json`` by default) a CI gate can diff against a committed
-tolerance baseline (``benchmarks/baseline.json``):
+A registered workload (``repro run bench`` / ``repro bench``) that times
+each optimised path against its reference path — every scenario is a
+wall-clock ratio — and emits a schema'd JSON artifact (``bench.json`` by
+default) a CI gate can diff against a committed tolerance baseline
+(``benchmarks/baseline.json``):
 
 ``engine:<circuit>``
     Trial-parallel batched engine vs the same request run one trial per
-    block (``max_block_bytes=1``: the engine one trial at a time) on the
-    largest suite graph, identical seeds.  Each leg's time is the median of
-    5 alternating (batched, one-trial) pairs, and every pair must agree.
+    block (``max_block_bytes=1``: the engine one trial at a time) at
+    ``engine_trials`` (64) trials x ``engine_samples`` (256) read-outs of one
+    ER(100, 0.25) graph, identical seeds.  The keys are ``engine:lif_gw``
+    (membrane read-out), ``engine:lif_gw:spike`` (the hardware-native spike
+    read-out) and ``engine:lif_tr``.  After one warm-up solve, each leg's
+    time is the median of 7 alternating (batched, one-trial) pairs, and
+    every pair must agree bit for bit.
     ``speedup = batched read-outs/s ÷ one-trial read-outs/s`` — equivalently
     time-per-read-out reference ÷ optimised — so > 1 means batching wins.
 ``sharded:arena``
@@ -23,32 +28,6 @@ tolerance baseline (``benchmarks/baseline.json``):
     direct/compiled wall time — it measures *reduction-path overhead*
     (expected near, and allowed below, 1), and its floor catches
     regressions in the compile/lift/certificate hot path.
-``serve-batching``
-    The solve service's cross-request coalescing (:mod:`repro.serve`):
-    K identical-shape requests submitted serially (one engine invocation
-    each) vs staged together (fused into single batches).  ``speedup`` here
-    is the *engine invocation* ratio serial/coalesced — deterministic, so
-    its floor gates the coalescing guarantee rather than wall-clock noise;
-    both wall times are still recorded.
-``portfolio-route``
-    The portfolio meta-solver's cold race (:mod:`repro.portfolio`) vs
-    running every candidate alone at the full budget.  ``speedup`` here is
-    the *quality ratio* — race best cut ÷ best single-solver best cut —
-    which is deterministic (paired per-trial seeds) and expected near, and
-    allowed slightly below, 1: the race spends a fraction of the
-    every-candidate budget, and its floor gates how much cut quality the
-    halving may give up.  Wall times of both paths are recorded so the
-    budget saving stays visible in the artifact.
-``engine-tensor``
-    The array-backend seam (:mod:`repro.engine.xp`): the engine run through
-    an explicit ``numpy:dense`` spec must be bit-identical to the default
-    ``auto`` engine run *and* to the same request run one trial per block;
-    when torch is
-    installed, the ``torch:dense`` path must agree to floating-point
-    round-off.  ``speedup`` is the fraction of parity checks passed
-    (deterministic; 1.0 = every check holds), so its floor gates the
-    seam's correctness guarantee, not wall clock.  Wall times of every
-    path ride along in the detail.
 ``engine-instance-batch``
     Graph-axis batching (:func:`repro.engine.solve_instance_block`): K
     same-shape instances × trials run as the row segments of one engine
@@ -63,13 +42,6 @@ tolerance baseline (``benchmarks/baseline.json``):
     (expected well above 1 and growing with ``n``); the agreement check
     verifies the edge counts match within tolerance and that the vectorised
     path never touched a dense adjacency.
-``sketch-vs-exact``
-    Sketched Trevisan rounding (``method="sketch"``,
-    :mod:`repro.scale.sketch`) vs the exact sparse eigensolver
-    (``method="arpack"``) on a scale-free graph.  ``speedup`` here is the
-    *cut-quality ratio* sketch ÷ exact — deterministic (seeded sketch,
-    ARPACK's fixed internal start), so its floor pins how much cut weight
-    the randomized subspace may give up; both wall times are recorded.
 ``obs-overhead``
     The tracer's own cost (:mod:`repro.obs`): one engine run with tracing
     truly disabled vs the identical run under an active capture.
@@ -93,8 +65,10 @@ Gating
 ------
 :func:`check_baseline` compares a bench report against a baseline file of
 per-scenario ``min_speedup`` floors; ``repro bench --check`` exits non-zero
-on any violation.  Floors are deliberately loose (CI machines are noisy);
-they catch order-of-magnitude regressions, not percent-level drift.
+on any violation.  The engine floors are the batching claims (spike read-out
+≥ 5×, membrane read-out ≥ 2×) at their gated shape; the others are
+deliberately loose (CI machines are noisy) and catch order-of-magnitude
+regressions, not percent-level drift.
 """
 
 from __future__ import annotations
@@ -102,7 +76,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -131,12 +105,15 @@ __all__ = [
 #: Schema tag written into every saved bench artifact's config header.
 BENCH_SCHEMA = "repro-bench/v1"
 
-#: Engine circuits timed by the ``engine:*`` scenarios.
-_ENGINE_CIRCUITS = ("lif_gw", "lif_tr")
+#: Engine scenario keys: the circuit, then the LIF-GW read-out if not membrane.
+_ENGINE_KEYS = ("lif_gw", "lif_gw:spike", "lif_tr")
+
+#: The engine scenarios' graph: ER(n, p), seeded by the bench seed.
+_ENGINE_GRAPH = (100, 0.25)
 
 #: Alternating (engine, one-trial) pairs per ``engine:*`` scenario; each leg's
 #: time is the median over the pairs.
-_ENGINE_TIMING_PAIRS = 5
+_ENGINE_TIMING_PAIRS = 7
 
 
 @register_result_type
@@ -173,21 +150,14 @@ class BenchRecord:
 
 def bench_scenarios(spec: WorkloadSpec, n_shards: int = 1) -> List[Tuple[str]]:
     """The scenario keys of one bench run: its units, one per scenario."""
-    scenarios = [(f"engine:{circuit}",) for circuit in _ENGINE_CIRCUITS]
-    scenarios.append(("sharded:arena",))
-    scenarios.append(("problems-compile",))
-    scenarios.append(("serve-batching",))
-    scenarios.append(("portfolio-route",))
-    scenarios.append(("engine-tensor",))
-    scenarios.append(("engine-instance-batch",))
-    scenarios.append(("scale-generate",))
-    scenarios.append(("sketch-vs-exact",))
-    scenarios.append(("obs-overhead",))
-    return scenarios
+    return [(f"engine:{key}",) for key in _ENGINE_KEYS] + [
+        ("sharded:arena",), ("problems-compile",), ("engine-instance-batch",),
+        ("scale-generate",), ("obs-overhead",),
+    ]
 
 
 def _bench_graph(spec: WorkloadSpec):
-    """The largest graph of the bench suite (engine gains grow with n)."""
+    """The largest graph of the bench suite."""
     from repro.workloads.executor import build_spec_graphs
 
     # The executor's cached builder, so repeated scenarios (and sharded
@@ -195,18 +165,23 @@ def _bench_graph(spec: WorkloadSpec):
     return max(build_spec_graphs(spec), key=lambda g: g.n_vertices)
 
 
-def _run_engine_scenario(spec: WorkloadSpec, circuit: str) -> Dict[str, Any]:
+def _run_engine_scenario(spec: WorkloadSpec, key: str) -> Dict[str, Any]:
+    from repro.circuits.config import LIFGWConfig
     from repro.circuits.lif_gw import LIFGWCircuit
     from repro.circuits.lif_trevisan import LIFTrevisanCircuit
+    from repro.graphs.generators import erdos_renyi
 
-    graph = _bench_graph(spec)
-    n_trials = spec.budget.n_trials
-    n_samples = spec.budget.n_samples
+    params = dict(spec.params)
+    n_trials = int(params["engine_trials"])
+    n_samples = int(params["engine_samples"])
     seed = spec.seed
+    graph = erdos_renyi(*_ENGINE_GRAPH, seed=seed, name="engine_bench_er")
+    circuit, _, readout = key.partition(":")
     # Build the circuit once (the LIF-GW SDP solve is the offline stage), so
     # both timings measure the simulation itself.
     if circuit == "lif_gw":
-        instance = LIFGWCircuit(graph, seed=seed)
+        config = LIFGWConfig(readout=readout or "membrane")
+        instance = LIFGWCircuit(graph, config=config, seed=seed)
     else:
         instance = LIFTrevisanCircuit(graph)
     common = dict(
@@ -214,16 +189,17 @@ def _run_engine_scenario(spec: WorkloadSpec, circuit: str) -> Dict[str, Any]:
         n_samples=n_samples, seed=seed, backend=spec.policy.backend,
     )
     # The reference is the same request one trial per block: what batching
-    # buys, with per-trial bests that must match bit for bit.  The legs are
-    # tens of milliseconds, so each is timed as the median of alternating
-    # pairs rather than once.
+    # buys, with per-trial bests that must match bit for bit.  A warm-up
+    # solve keeps the first page faults of the current buffers out of both
+    # legs, and each leg is the median of alternating pairs.
+    run_circuit_trials(**common)
     pairs = [
         (run_circuit_trials(**common), run_circuit_trials(max_block_bytes=1, **common))
         for _ in range(_ENGINE_TIMING_PAIRS)
     ]
     agree = all(
         engine.n_rounds == reference.n_rounds
-        and np.array_equal(engine.trial_best_weights, reference.trial_best_weights)
+        and np.array_equal(engine.trajectories, reference.trajectories)
         for engine, reference in pairs
     )
     engine_rate, reference_rate = (
@@ -235,7 +211,7 @@ def _run_engine_scenario(spec: WorkloadSpec, circuit: str) -> Dict[str, Any]:
     # Per-read-out throughput ratio, robust to early-stop truncation.
     speedup = engine_rate / reference_rate if reference_rate > 0 else float("inf")
     return {
-        "scenario": f"engine:{circuit}",
+        "scenario": f"engine:{key}",
         "suite": spec.graphs.label,
         "wall_seconds": engine_seconds,
         "baseline_seconds": reference_seconds,
@@ -245,6 +221,7 @@ def _run_engine_scenario(spec: WorkloadSpec, circuit: str) -> Dict[str, Any]:
             "n_vertices": int(graph.n_vertices),
             "n_trials": int(n_trials),
             "n_samples": int(n_samples),
+            "readout": pairs[0][0].metadata["readout"],
             "backend": pairs[0][0].backend_name,
             "engine_samples_per_second": engine_rate,
             "one_trial_samples_per_second": reference_rate,
@@ -367,223 +344,6 @@ def _run_problems_scenario(spec: WorkloadSpec) -> Dict[str, Any]:
     }
 
 
-def _run_serve_scenario(spec: WorkloadSpec) -> Dict[str, Any]:
-    from repro.graphs.io import graph_to_dict
-    from repro.serve import ServiceConfig, SolverService
-
-    # K same-shape requests (one graph, one circuit, distinct sampling
-    # seeds): the serial path answers them one at a time — one engine
-    # invocation each — while the coalesced path stages all K behind a
-    # parked worker so the batching scheduler fuses them into
-    # ceil(K * trials / max_batch_trials) invocations.  The gated `speedup`
-    # is the *invocation* ratio (serial ÷ coalesced): it is what coalescing
-    # actually buys and, unlike wall time, is exact on a noisy CI machine.
-    graph = _bench_graph(spec)
-    n_requests = int(dict(spec.params).get("serve_requests", 8))
-    n_trials = max(1, spec.budget.n_trials // 4)
-    payloads = [
-        {
-            "graph": graph_to_dict(graph),
-            "circuit": "lif_tr",
-            "trials": n_trials,
-            "samples": spec.budget.n_samples,
-            "seed": int(spec.seed) + index,
-            "backend": spec.policy.backend,
-        }
-        for index in range(n_requests)
-    ]
-    config = ServiceConfig(max_batch_trials=max(64, n_requests * n_trials))
-    wait = 300.0
-
-    with SolverService(config) as serial_service:
-        started = time.perf_counter()
-        serial_responses = [
-            serial_service.solve(payload, timeout=wait) for payload in payloads
-        ]
-        serial_elapsed = time.perf_counter() - started
-        serial_invocations = serial_service.stats()["engine"]["invocations"]
-
-    with SolverService(config, autostart=False) as coalesced_service:
-        started = time.perf_counter()
-        jobs = [coalesced_service.submit(payload) for payload in payloads]
-        coalesced_service.start()
-        coalesced_responses = [job.wait(wait) for job in jobs]
-        coalesced_elapsed = time.perf_counter() - started
-        coalesced_stats = coalesced_service.stats()
-    coalesced_invocations = coalesced_stats["engine"]["invocations"]
-
-    def _weights(responses):
-        return [
-            None if r is None else r.get("trial_best_weights") for r in responses
-        ]
-
-    results_match = (
-        all(r is not None and r.get("status") == "ok" for r in serial_responses)
-        and all(r is not None and r.get("status") == "ok" for r in coalesced_responses)
-        and _weights(serial_responses) == _weights(coalesced_responses)
-    )
-    return {
-        "scenario": "serve-batching",
-        "suite": spec.graphs.label,
-        "wall_seconds": float(coalesced_elapsed),
-        "baseline_seconds": float(serial_elapsed),
-        "speedup": float(serial_invocations / coalesced_invocations)
-                   if coalesced_invocations else float("inf"),
-        "detail": {
-            "graph": graph.name,
-            "n_requests": n_requests,
-            "n_trials_per_request": n_trials,
-            "n_samples": int(spec.budget.n_samples),
-            "serial_invocations": int(serial_invocations),
-            "coalesced_invocations": int(coalesced_invocations),
-            "coalesce_ratio": float(coalesced_stats["engine"]["coalesce_ratio"]),
-            "serial_wall_seconds": float(serial_elapsed),
-            "coalesced_wall_seconds": float(coalesced_elapsed),
-            "results_match": bool(results_match),
-        },
-    }
-
-
-def _run_portfolio_scenario(spec: WorkloadSpec) -> Dict[str, Any]:
-    from repro.portfolio.race import race
-    from repro.workloads.spec import Budget as _Budget
-
-    # The cold-routing claim: a successive-halving race over K candidates
-    # recovers (nearly) the best single candidate's cut while spending a
-    # fraction of the run-everyone budget.  Both paths use the same paired
-    # per-trial seeds, so the quality ratio is exactly reproducible and the
-    # replay check below is bit-exact.
-    graph = _bench_graph(spec)
-    candidates = tuple(dict(spec.params).get(
-        "portfolio_candidates", ("lif_tr", "trevisan", "local_search")
-    ))
-    budget = _Budget(
-        n_trials=spec.budget.n_trials, n_samples=spec.budget.n_samples
-    )
-    backend = spec.policy.backend
-
-    started = time.perf_counter()
-    raced = race(graph, candidates, budget=budget, seed=spec.seed,
-                 backend=backend)
-    race_elapsed = time.perf_counter() - started
-
-    # Reference: every candidate alone at the full budget (a k=1 race is
-    # exactly the single solver run with the same seed derivation).
-    started = time.perf_counter()
-    singles = {
-        name: race(graph, [name], budget=budget, seed=spec.seed,
-                   backend=backend).best_cut.weight
-        for name in candidates
-    }
-    singles_elapsed = time.perf_counter() - started
-    best_single = max(singles.values())
-
-    # Determinism check: replaying the winner alone with the trial count it
-    # actually consumed must reproduce the race's winning weight bit-exactly.
-    replay = race(
-        graph, [raced.winner],
-        budget=_Budget(n_trials=max(1, raced.trials_used[raced.winner]),
-                       n_samples=spec.budget.n_samples),
-        seed=spec.seed, backend=backend,
-    )
-    return {
-        "scenario": "portfolio-route",
-        "suite": spec.graphs.label,
-        "wall_seconds": float(race_elapsed),
-        "baseline_seconds": float(singles_elapsed),
-        "speedup": float(raced.best_cut.weight / best_single)
-                   if best_single > 0 else 1.0,
-        "detail": {
-            "graph": graph.name,
-            "candidates": list(candidates),
-            "winner": raced.winner,
-            "race_best_weight": float(raced.best_cut.weight),
-            "best_single_weight": float(best_single),
-            "single_best_weights": {k: float(v) for k, v in singles.items()},
-            "race_total_trials": int(raced.total_trials),
-            "full_total_trials": int(budget.n_trials * len(candidates)),
-            "trials_used": dict(raced.trials_used),
-            "race_wall_seconds": float(race_elapsed),
-            "singles_wall_seconds": float(singles_elapsed),
-            "results_match": bool(
-                replay.best_cut.weight == raced.best_cut.weight
-            ),
-        },
-    }
-
-
-def _run_engine_tensor_scenario(spec: WorkloadSpec) -> Dict[str, Any]:
-    from repro.circuits.lif_gw import LIFGWCircuit
-    from repro.engine import get_array_backend
-
-    # Parity gate of the array-backend seam.  All paths run the same circuit
-    # instance with the same seeds; the gated "speedup" is the fraction of
-    # parity checks that hold (deterministic), wall times ride in the detail.
-    graph = _bench_graph(spec)
-    n_trials = spec.budget.n_trials
-    n_samples = spec.budget.n_samples
-    seed = spec.seed
-    instance = LIFGWCircuit(graph, seed=seed)
-    common = dict(
-        circuit=instance, graph=None, n_trials=n_trials,
-        n_samples=n_samples, seed=seed,
-    )
-
-    started = time.perf_counter()
-    auto = run_circuit_trials(backend="auto", **common)
-    auto_elapsed = time.perf_counter() - started
-
-    started = time.perf_counter()
-    numpy_spec = run_circuit_trials(backend="numpy:dense", **common)
-    numpy_elapsed = time.perf_counter() - started
-
-    reference = run_circuit_trials(backend="auto", max_block_bytes=1, **common)
-
-    def _identical(a, b):
-        return bool(
-            np.array_equal(a.trial_best_weights, b.trial_best_weights)
-            and np.array_equal(a.trial_best_assignments, b.trial_best_assignments)
-            and np.array_equal(a.trajectories, b.trajectories)
-        )
-
-    checks = {
-        "numpy_spec_bit_identical_to_auto": _identical(numpy_spec, auto),
-        "numpy_engine_bit_identical_one_trial_per_block": _identical(auto, reference),
-    }
-    detail: Dict[str, Any] = {
-        "graph": graph.name,
-        "n_vertices": int(graph.n_vertices),
-        "n_trials": int(n_trials),
-        "n_samples": int(n_samples),
-        "auto_wall_seconds": float(auto_elapsed),
-        "numpy_wall_seconds": float(numpy_elapsed),
-        "array_backend": str(auto.metadata.get("array_backend", "numpy")),
-    }
-    torch_available, torch_reason = get_array_backend("torch").available()
-    detail["torch_available"] = bool(torch_available)
-    if torch_available:
-        started = time.perf_counter()
-        torch_result = run_circuit_trials(backend="torch:dense", **common)
-        detail["torch_wall_seconds"] = float(time.perf_counter() - started)
-        checks["torch_allclose_to_numpy"] = bool(
-            np.allclose(torch_result.trial_best_weights, auto.trial_best_weights)
-            and np.allclose(torch_result.trajectories, auto.trajectories)
-        )
-    else:
-        detail["torch_skip_reason"] = torch_reason
-    detail["checks"] = {key: bool(value) for key, value in checks.items()}
-    passed = sum(1 for value in checks.values() if value)
-    detail["results_match"] = passed == len(checks)
-    return {
-        "scenario": "engine-tensor",
-        "suite": spec.graphs.label,
-        "wall_seconds": float(numpy_elapsed),
-        "baseline_seconds": float(auto_elapsed),
-        "speedup": float(passed / len(checks)),
-        "detail": detail,
-    }
-
-
 def _run_instance_block_scenario(spec: WorkloadSpec) -> Dict[str, Any]:
     from repro.circuits.lif_gw import LIFGWCircuit
     from repro.engine import SolveRequest, solve, solve_instance_block
@@ -700,50 +460,6 @@ def _run_scale_generate_scenario(spec: WorkloadSpec) -> Dict[str, Any]:
     }
 
 
-def _run_sketch_scenario(spec: WorkloadSpec) -> Dict[str, Any]:
-    from repro.scale.generators import scale_barabasi_albert
-    from repro.spectral.trevisan import trevisan_sweep_cut
-
-    # Quality ratio of the sketched Trevisan pipeline against the exact
-    # sparse eigensolver on the same graph.  Both sides are deterministic
-    # (seeded sketch; ARPACK uses its fixed internal start), so the gated
-    # speedup is reproducible — wall times ride along in the detail.
-    n = int(dict(spec.params).get("sketch_n", 1024))
-    graph = scale_barabasi_albert(n, 4, seed=spec.seed)
-
-    started = time.perf_counter()
-    exact = trevisan_sweep_cut(graph, method="arpack")
-    exact_elapsed = time.perf_counter() - started
-
-    started = time.perf_counter()
-    sketched = trevisan_sweep_cut(graph, method="sketch", seed=spec.seed)
-    sketched_elapsed = time.perf_counter() - started
-
-    quality = (
-        sketched.cut.weight / exact.cut.weight
-        if exact.cut.weight > 0 else 1.0
-    )
-    return {
-        "scenario": "sketch-vs-exact",
-        "suite": spec.graphs.label,
-        "wall_seconds": float(sketched_elapsed),
-        "baseline_seconds": float(exact_elapsed),
-        "speedup": float(quality),
-        "detail": {
-            "graph": graph.name,
-            "n_vertices": int(graph.n_vertices),
-            "n_edges": int(graph.n_edges),
-            "exact_weight": float(exact.cut.weight),
-            "sketch_weight": float(sketched.cut.weight),
-            "exact_eigenvalue": float(exact.eigenvalue),
-            "sketch_eigenvalue": float(sketched.eigenvalue),
-            "exact_wall_seconds": float(exact_elapsed),
-            "sketch_wall_seconds": float(sketched_elapsed),
-            "results_match": bool(graph._adjacency is None),
-        },
-    }
-
-
 def _run_obs_overhead_scenario(spec: WorkloadSpec) -> Dict[str, Any]:
     from repro.circuits.lif_trevisan import LIFTrevisanCircuit
 
@@ -838,18 +554,10 @@ def _dispatch_bench_scenario(spec: WorkloadSpec, scenario: str) -> Dict[str, Any
         return _run_sharded_scenario(spec)
     if scenario == "problems-compile":
         return _run_problems_scenario(spec)
-    if scenario == "serve-batching":
-        return _run_serve_scenario(spec)
-    if scenario == "portfolio-route":
-        return _run_portfolio_scenario(spec)
-    if scenario == "engine-tensor":
-        return _run_engine_tensor_scenario(spec)
     if scenario == "engine-instance-batch":
         return _run_instance_block_scenario(spec)
     if scenario == "scale-generate":
         return _run_scale_generate_scenario(spec)
-    if scenario == "sketch-vs-exact":
-        return _run_sketch_scenario(spec)
     if scenario == "obs-overhead":
         return _run_obs_overhead_scenario(spec)
     raise ValidationError(f"unknown bench scenario {scenario!r}")
@@ -953,7 +661,7 @@ register_workload(Workload(
     defaults={
         "suite": "er-small", "trials": 16, "samples": 128,
         "solvers": ("lif_tr", "random"), "backend": "auto", "arena_shards": 2,
-        "scale_n": 3000, "sketch_n": 1024,
+        "engine_trials": 64, "engine_samples": 256, "scale_n": 3000,
         "instance_count": 8, "instance_n": 48, "instance_trials": 2,
     },
     build_spec=_bench_spec,

@@ -236,6 +236,24 @@ class TestRunArenaEngineRouting:
         assert result.entries[0].metadata["trial_weights"] == expected
 
 
+class TestSolverLeaderboard:
+    def test_sdp_methods_lead_and_random_trails(self):
+        """Every registered solver on one ER(80, 0.25) graph, 256 samples."""
+        graph = erdos_renyi(80, 0.25, seed=7, name="comparison_er80")
+        names = [
+            "solver", "lif_gw", "lif_tr", "trevisan", "random",
+            "annealing", "tempering", "local_search",
+        ]
+        weights = {
+            name: get_spec(name).fn(graph, n_samples=256, seed=13).weight
+            for name in names
+        }
+        reference = max(weights.values())
+        assert weights["solver"] >= 0.95 * reference
+        assert weights["lif_gw"] >= 0.9 * reference
+        assert weights["random"] <= reference
+
+
 class TestArenaResult:
     @pytest.fixture
     def result(self, tiny_graphs):

@@ -1,8 +1,10 @@
 """Tests for the sharded-execution CLI surface: ``run --shards/--resume``,
 ``repro merge`` and ``repro bench``."""
 
+import io
 import json
 import os
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -24,6 +26,11 @@ _ARENA_ARGS = [
     "run", "arena", "--trials", "2", "--samples", "8",
     "--param", "solvers=lif_tr,random", "--param", "suite=structured-small",
 ]
+
+
+_BASELINE = os.path.join(
+    os.path.dirname(__file__), os.pardir, "benchmarks", "baseline.json"
+)
 
 
 def _scrub(value):
@@ -168,19 +175,32 @@ class TestMergeCommand:
 
 
 class TestBenchCommand:
+    #: A small budget for every leg: these tests check the CLI plumbing, and
+    #: CI's bench-smoke step gates the committed floors at their real shape.
+    _ARGV = ["bench", "--quick", "--trials", "4", "--samples", "16"]
+
     @pytest.fixture(scope="class")
     def bench_run(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("bench") / "bench.json"
-        argv = ["bench", "--quick", "--trials", "4", "--samples", "16",
-                "--out", str(out)]
-        return argv, out
+        """One bench run with --out, the global --save and a passing --check.
 
-    def test_quick_bench_writes_schema_artifact_and_bar_chart(
-        self, bench_run, capsys
-    ):
-        argv, out = bench_run
-        assert main(argv) == 0
-        stdout = capsys.readouterr().out
+        The check's baseline lists every committed scenario at floor 0, so it
+        passes exactly when no committed scenario is missing from the report.
+        """
+        root = tmp_path_factory.mktemp("bench")
+        out, extra = root / "bench.json", root / "extra.json"
+        with open(_BASELINE, encoding="utf-8") as handle:
+            committed = json.load(handle)["min_speedup"]
+        present = root / "present.json"
+        present.write_text(json.dumps({"min_speedup": dict.fromkeys(committed, 0.0)}))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(["--save", str(extra), *self._ARGV, "--out", str(out),
+                         "--check", str(present)])
+        return code, stdout.getvalue(), stderr.getvalue(), out, extra
+
+    def test_quick_bench_writes_schema_artifact_and_bar_chart(self, bench_run):
+        code, stdout, _, out, _ = bench_run
+        assert code == 0
         assert "bench speedups" in stdout  # the ascii_bar_chart leaderboard
         assert "engine:lif_gw |" in stdout
         payload = json.loads(out.read_text())
@@ -188,42 +208,32 @@ class TestBenchCommand:
         assert payload["config"]["metadata"]["schema"] == "repro-bench/v1"
         scenarios = {r["scenario"] for r in payload["results"]}
         assert scenarios == {
-            "engine:lif_gw", "engine:lif_tr", "sharded:arena",
-            "problems-compile", "serve-batching", "portfolio-route",
-            "engine-tensor", "engine-instance-batch",
-            "scale-generate", "sketch-vs-exact", "obs-overhead",
+            "engine:lif_gw", "engine:lif_gw:spike", "engine:lif_tr",
+            "sharded:arena", "problems-compile", "engine-instance-batch",
+            "scale-generate", "obs-overhead",
         }
 
-    def test_check_passes_against_committed_baseline(self, bench_run, capsys):
-        argv, _ = bench_run
-        baseline = os.path.join(
-            os.path.dirname(__file__), os.pardir, "benchmarks", "baseline.json"
-        )
-        assert main(argv + ["--check", baseline]) == 0
-        assert "baseline gate: OK" in capsys.readouterr().out
+    def test_check_passes_when_every_committed_scenario_is_reported(self, bench_run):
+        code, stdout, stderr, _, _ = bench_run
+        assert code == 0, stderr
+        assert "baseline gate: OK (8 floor(s)" in stdout
 
-    def test_check_fails_against_impossible_floors(self, bench_run, tmp_path, capsys):
-        argv, _ = bench_run
+    def test_check_fails_against_impossible_floors(self, tmp_path, capsys):
         strict = tmp_path / "strict.json"
         strict.write_text(json.dumps({"min_speedup": {"engine:lif_gw": 1e9}}))
+        argv = [*self._ARGV, "--out", str(tmp_path / "B.json")]
         assert main(argv + ["--check", str(strict)]) == 1
         assert "below the baseline floor" in capsys.readouterr().err
 
-    def test_global_save_flag_is_honored(self, tmp_path, capsys):
-        out = tmp_path / "B.json"
-        extra = tmp_path / "extra.json"
-        assert main([
-            "--save", str(extra), "bench", "--quick", "--trials", "4",
-            "--samples", "16", "--out", str(out),
-        ]) == 0
-        capsys.readouterr()
+    def test_global_save_flag_is_honored(self, bench_run):
+        _, _, _, out, extra = bench_run
         assert json.loads(out.read_text())["experiment"] == "bench"
         assert json.loads(extra.read_text())["experiment"] == "bench"
 
-    def test_check_with_unreadable_baseline_is_friendly_error(
-        self, bench_run, tmp_path, capsys
-    ):
-        argv, _ = bench_run
+    def test_check_with_unreadable_baseline_is_friendly_error(self, tmp_path, capsys):
+        out = tmp_path / "B.json"
         missing = tmp_path / "nope.json"
-        assert main(argv + ["--check", str(missing)]) == 2
+        argv = [*self._ARGV, "--out", str(out), "--check", str(missing)]
+        assert main(argv) == 2
         assert "cannot load baseline" in capsys.readouterr().err
+        assert not out.exists()  # the baseline is read before any leg runs

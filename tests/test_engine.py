@@ -524,3 +524,37 @@ class TestDeadline:
             SolveRequest(
                 circuit=_tr(small_er_graph), n_trials=1, deadline_seconds=-1.0
             )
+
+
+class TestPlasticityGuardCount:
+    """The LIF-TR learner's norm guard is counted per request, never silent."""
+
+    @pytest.mark.parametrize("n", [50, 100])
+    def test_guard_never_fires_at_defaults(self, n):
+        # A default 4-trial solve: 1024 read-outs, 10,240 plasticity steps.
+        result = run_circuit_trials(
+            erdos_renyi(n, 0.25, seed=0), circuit="lif_tr", n_trials=4,
+            n_samples=1024, seed=0,
+        )
+        assert result.metadata["n_plasticity_updates"] == 10240
+        assert result.metadata["plasticity_guard_firings"] == 0
+
+    def test_guard_fires_with_a_large_learning_rate(self, small_er_graph):
+        config = LIFTrevisanConfig(
+            burn_in_steps=25, sample_interval=4, learning_rate=1.0
+        )
+        batched = run_circuit_trials(
+            small_er_graph, circuit="lif_tr", config=config, n_trials=3,
+            n_samples=16, seed=1,
+        )
+        assert batched.metadata["plasticity_guard_firings"] > 0
+        # One trial per block counts the same firings as the batch.
+        one_by_one = run_circuit_trials(
+            small_er_graph, circuit="lif_tr", config=config, n_trials=3,
+            n_samples=16, seed=1, max_block_bytes=1,
+        )
+        assert np.array_equal(batched.trajectories, one_by_one.trajectories)
+        assert (
+            one_by_one.metadata["plasticity_guard_firings"]
+            == batched.metadata["plasticity_guard_firings"]
+        )

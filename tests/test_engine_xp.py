@@ -15,6 +15,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.circuits.config import LIFTrevisanConfig
+from repro.circuits.lif_trevisan import LIFTrevisanCircuit
 from repro.engine import (
     ArrayBackend,
     BackendSpec,
@@ -212,6 +214,22 @@ class TestForGraph:
         ))
         assert result.backend_name == "sparse"
 
+    def test_sparse_and_dense_weights_give_the_same_cuts(self):
+        # LIF-TR on a low-density graph: the two weight backends agree on
+        # every read-out (their round-off never flips a sign here).
+        graph = erdos_renyi(256, 0.015, seed=3)
+        circuit = LIFTrevisanCircuit(
+            graph, config=LIFTrevisanConfig(burn_in_steps=50, sample_interval=5)
+        )
+        dense, sparse = (
+            solve(SolveRequest(
+                circuit=circuit, n_trials=8, n_samples=64, seed=4, backend=backend,
+            ))
+            for backend in ("dense", "sparse")
+        )
+        assert (dense.backend_name, sparse.backend_name) == ("dense", "sparse")
+        assert np.array_equal(dense.trajectories, sparse.trajectories)
+
 
 class TestNumpyBitIdentity:
     def test_numpy_spec_bit_identical_to_sequential(self):
@@ -257,9 +275,10 @@ class TestTorchParity:
         accel = solve(SolveRequest(backend="torch:dense", **common))
         return host, accel
 
-    def test_torch_dense_allclose_to_numpy(self):
+    @pytest.mark.parametrize("circuit", ["lif_tr", "lif_gw"])
+    def test_torch_dense_allclose_to_numpy(self, circuit):
         graph = erdos_renyi(28, 0.4, seed=5)
-        host, accel = self._results("lif_tr", graph)
+        host, accel = self._results(circuit, graph)
         assert accel.metadata["array_backend"] == "torch"
         np.testing.assert_allclose(
             accel.trajectories, host.trajectories, rtol=1e-9, atol=1e-9

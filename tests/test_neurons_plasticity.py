@@ -171,6 +171,29 @@ class TestAntiHebbianMinorComponent:
         learner.train(rng.standard_normal((7, 2)))
         assert learner.n_updates == 7
 
+    def test_guard_firings_count_each_renormalised_row(self, rng):
+        seeds = [31, 32, 33]
+        params = dict(learning_rate=0.05, normalize_inputs=False)
+        batch = AntiHebbianMinorComponent(4, seed=seeds, **params)
+        single = AntiHebbianMinorComponent(4, seed=seeds[1], **params)
+        assert batch.guard_firings.shape == (3,) and single.guard_firings.shape == ()
+        reference = batch.weights.copy()
+        expected = np.zeros(3, dtype=np.int64)
+        for _ in range(20):
+            x = 0.1 * rng.standard_normal((3, 4))
+            x[1] *= 1e3  # only row 1 ever crosses the guard's norm
+            eta = batch.current_learning_rate()
+            batch.step(x)
+            single.step(x[1])
+            for i in range(3):
+                reference[i], _, tripped = _reference_anti_hebbian_step(
+                    reference[i], x[i], eta, False
+                )
+                expected[i] += tripped
+        assert expected[1] > 0 and expected[0] == expected[2] == 0
+        assert np.array_equal(batch.guard_firings, expected)
+        assert single.guard_firings == expected[1]
+
 
 def _reference_anti_hebbian_step(w, x, eta, normalize_inputs):
     """The 1-D learner step as it stood before the rule was made batchable.

@@ -227,6 +227,7 @@ class TestEngineIntegration:
         interval = LIFTrevisanConfig().sample_interval
         assert integrate.attrs["plasticity_steps"] == 12 * interval
         assert integrate.attrs["plasticity_seconds"] > 0.0
+        assert integrate.attrs["plasticity_guard_firings"] == 0
         solve_span = next(s for s in trace.spans if s.name == "engine.solve")
         assert solve_span.attrs["backend"] == traced.backend_name
 
@@ -404,8 +405,9 @@ _QUICK_PROFILE_PARAMS = {
     "arena": ["-p", "solvers=random,trevisan", "-p", "trials=1",
               "-p", "samples=8"],
     "bench": ["-p", "trials=2", "-p", "samples=8", "-p", "scale_n=200",
-              "-p", "sketch_n=64", "-p", "instance_count=2",
-              "-p", "instance_n=12", "-p", "instance_trials=1"],
+              "-p", "engine_trials=2", "-p", "engine_samples=8",
+              "-p", "instance_count=2", "-p", "instance_n=12",
+              "-p", "instance_trials=1"],
     "evolving": ["-p", "steps=1", "-p", "deltas=2", "-p", "trials=1",
                  "-p", "samples=8"],
     "figure3": ["-p", "sizes=12", "-p", "probabilities=0.2", "-p", "trials=1",

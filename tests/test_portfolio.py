@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.registry import get_spec, list_solvers
+from repro.arena import build_suite
 from repro.engine.sampler import trial_seed_sequences
 from repro.experiments.runner import run_circuit_trials, save_results
 from repro.graphs.generators import complete_bipartite, erdos_renyi
@@ -216,6 +217,29 @@ class TestRace:
             race(graph, ["lif_tr", "lif_tr"])
         with pytest.raises(ValidationError):
             race(graph, [])
+
+    def test_race_keeps_the_best_single_candidates_cut(self):
+        # The cold-routing claim, on the largest er-small graph: the halving
+        # race gives up at most 15% of the best single candidate's cut (each
+        # run alone at the full budget, paired seeds), and replaying the
+        # winner alone for the trials it used reproduces its cut exactly.
+        graph = max(build_suite("er-small", seed=0), key=lambda g: g.n_vertices)
+        candidates = ("lif_tr", "trevisan", "local_search")
+        budget = Budget(n_trials=6, n_samples=48)
+        raced = race(graph, candidates, budget=budget, seed=0)
+        best_single = max(
+            race(graph, [name], budget=budget, seed=0).best_cut.weight
+            for name in candidates
+        )
+        assert raced.best_cut.weight >= 0.85 * best_single
+        assert raced.total_trials < budget.n_trials * len(candidates)
+        replay = race(
+            graph, [raced.winner],
+            budget=Budget(n_trials=max(1, raced.trials_used[raced.winner]),
+                          n_samples=budget.n_samples),
+            seed=0,
+        )
+        assert replay.best_cut.weight == raced.best_cut.weight
 
     def test_rung_trace_records_halving(self, graph):
         result = race(graph, ["lif_tr", "local_search", "trevisan"],

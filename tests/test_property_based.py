@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -11,7 +11,7 @@ from repro.graphs.generators import erdos_renyi
 from repro.graphs.graph import Graph
 from repro.neurons.covariance import covariance_from_weights
 from repro.neurons.plasticity import anti_hebbian_oja_update, oja_update
-from repro.sdp.manifold import project_rows_to_sphere, retract, tangent_project
+from repro.sdp.manifold import _EPS, project_rows_to_sphere, retract, tangent_project
 from repro.analysis.convergence import running_best, sample_points_log_spaced
 
 SETTINGS = settings(
@@ -208,6 +208,25 @@ class TestManifoldProperties:
     def test_projection_gives_unit_rows(self, W):
         P = project_rows_to_sphere(W)
         np.testing.assert_allclose(np.linalg.norm(P, axis=1), 1.0, atol=1e-9)
+
+    @SETTINGS
+    @given(
+        hnp.arrays(np.float64, (6, 3), elements=finite_floats),
+        st.one_of(st.none(), st.integers(0, 5)),
+    )
+    @example(np.ones((6, 3)), 2)
+    def test_projection_bit_identical_to_masked_expression(self, W, zero_row):
+        # The plain division of the common path gives the same bits as the
+        # per-row masked copy, and a zero row still maps to e_1.
+        if zero_row is not None:
+            W[zero_row] = 0.0
+        norms = np.linalg.norm(W, axis=1, keepdims=True)
+        safe = norms[:, 0] > _EPS
+        masked = np.empty_like(W)
+        masked[safe] = W[safe] / norms[safe]
+        masked[~safe] = 0.0
+        masked[~safe, 0] = 1.0
+        assert np.array_equal(project_rows_to_sphere(W), masked)
 
     @SETTINGS
     @given(
