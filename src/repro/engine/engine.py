@@ -15,9 +15,12 @@ one row per (request, trial):
    (:class:`repro.engine.sampler.BatchDeviceSampler`),
 4. integrates all rows' membranes in lock-step
    (:class:`repro.engine.simulator.BatchLIFSimulator`), each segment's weight
-   product routed through a pluggable dense/sparse backend,
-5. copies the read-outs to the host in chunks of rounds, evaluates each
-   chunk with its segment's CSR cut kernel
+   product routed through a pluggable dense/sparse backend: the membrane
+   read-out filters the rank-wide device stream and applies the weights only
+   at the read-out steps; the spike and plasticity read-outs drive neuron
+   currents and step every neuron,
+5. signs and copies the read-outs to the host in chunks of rounds, evaluates
+   each chunk with its segment's CSR cut kernel
    (:class:`repro.cuts.cut.BatchCutEvaluator`) and streams the weights, one
    round at a time, through a :class:`repro.engine.tracker.BestCutTracker`,
    optionally terminating early once the best-cut distribution plateaus, and
@@ -30,16 +33,19 @@ into groups of equal execution shape (the solve service's batches, the
 workload executor's cell units) for :meth:`BatchedSolverEngine.solve_group`.
 
 Numerical contract: on the numpy array path every row is computed on its
-own — per-trial drive products, elementwise integration, per-row plasticity
-and per-row cut quadratic forms — so results are bitwise invariant to the
+own — per-row device filters and per-trial weight products, elementwise
+integration, per-row plasticity and per-row cut quadratic forms — so
+results are bitwise invariant to the
 trial-block size (``max_block_bytes``), to group composition and to the
 cut-evaluation chunking, and ``sample_cuts`` equals trial 0 of a solve with
 the same seed.  Cut weights are computed on the host whatever the array
 backend; accelerator backends agree to floating-point round-off in the
 dynamics only.
 
-Rows are processed in memory-bounded blocks, so graph size x step count
-never forces the full ``rows x steps x neurons`` current tensor into RAM.
+Rows are processed in memory-bounded blocks: a membrane block holds each
+row's device stream and read-out rows, a spike or plasticity block its
+``steps x neurons`` currents, so no run forces a ``rows x steps x neurons``
+tensor into RAM at once.
 """
 
 from __future__ import annotations
@@ -218,7 +224,12 @@ class BatchedSolverEngine:
             ),
         )
         max_block_bytes = min(item.request.max_block_bytes for item in group)
-        block_size = self._block_size(max_block_bytes, n_rows, n_steps, n_neurons)
+        if plan.readout == "membrane":
+            # Device rows (the filtered stream) plus read-out rows.
+            row_values = n_steps * plan.n_devices + request.n_samples * n_neurons
+        else:
+            row_values = n_steps * n_neurons  # the neuron current buffer
+        block_size = self._block_size(max_block_bytes, n_rows, 8 * row_values)
         blocks = [
             (lo, min(lo + block_size, n_rows)) for lo in range(0, n_rows, block_size)
         ]
@@ -368,51 +379,44 @@ class BatchedSolverEngine:
         ]
         simulator = pieces[0][0].simulator
         xp = simulator.xp
+        membrane = plan.readout == "membrane"
         # Device sampling always covers the full requested step count so each
         # trial consumes the same random numbers whatever the block layout
         # (the RNG bridge: sampling stays on host NumPy whatever the array
-        # backend), but blocks that replay an earlier block's truncated round
-        # count only pay the weight product for the steps they integrate.
-        needed_steps = plan.burn_in + rounds_limit * plan.interval
-        split = plan.burn_in if plan.readout == "spike" else 0
-        currents = xp.empty((n_trials, needed_steps, n_neurons), dtype="float64")
-        for segment, a, b in pieces:
-            states = segment.sampler.sample_block(
-                range(a - segment.lo, b - segment.lo), n_steps
-            )[:, :needed_steps]
-            # One host->device transfer per piece; identity on numpy.
-            segment.simulator.drive_currents(
-                xp.asarray(states), split_at=split, out=currents[a - lo:b - lo]
-            )
-            del states
-
-        learners = []
-        if plan.readout == "plasticity":
-            # One learner per piece, one weight row per trial, each row seeded
-            # from its own trial's auxiliary stream.  A one-trial piece builds
-            # a 1-D learner, whose per-row values stay NumPy scalars (its fast
-            # path); a row evolves bitwise alike either way.
-            for segment, a, b in pieces:
-                aux = [
-                    segment.sampler.aux_generator(t - segment.lo) for t in range(a, b)
-                ]
-                learners.append(
-                    segment.plan.plasticity_builder(aux if b - a > 1 else aux[0])
-                )
-            rounds = simulator.iter_subthreshold_rounds(
-                currents, plan.burn_in, plan.interval, rounds_limit
-            )
-        elif plan.readout == "membrane":
-            rounds = simulator.iter_membrane_readouts(
-                currents, plan.burn_in, plan.interval, rounds_limit
+        # backend).
+        states = [
+            segment.sampler.sample_block(range(a - segment.lo, b - segment.lo), n_steps)
+            for segment, a, b in pieces
+        ]
+        if membrane:
+            # The filter depends only on the LIF parameters every segment
+            # shares, so the whole block is filtered in one call.
+            drive = simulator.filter_device_states(
+                np.concatenate(states), plan.burn_in, plan.interval
             )
         else:
-            rounds = simulator.iter_spike_readouts(
-                currents, plan.burn_in, plan.interval, rounds_limit
-            )
+            # Blocks that replay an earlier block's truncated round count
+            # only pay the weight product for the steps they integrate.
+            needed_steps = plan.burn_in + rounds_limit * plan.interval
+            split = plan.burn_in if plan.readout == "spike" else 0
+            drive = xp.empty((n_trials, needed_steps, n_neurons), dtype="float64")
+            for (segment, a, b), block in zip(pieces, states):
+                # One host->device transfer per piece; identity on numpy.
+                segment.simulator.drive_currents(
+                    xp.asarray(block[:, :needed_steps]), split_at=split,
+                    out=drive[a - lo:b - lo],
+                )
+        del states
 
-        trial_index = np.arange(lo, hi)
-        trajectories = np.zeros((n_trials, rounds_limit))
+        # Read-outs are evaluated a chunk of rounds per call per piece; the
+        # tracker still sees them one round at a time.  A run that may stop
+        # early (a plateau rule or a deadline) evaluates every round before
+        # reading the next, so it never integrates or learns past its stop
+        # round and its learner rows end exactly there.
+        may_stop = request.early_stop is not None or request.deadline_seconds is not None
+        chunk = 1 if may_stop else chunk_rounds(
+            n_trials, max(segment.n_edges for segment, _, _ in pieces), rounds_limit
+        )
         potentials_out = (
             np.zeros((n_trials, rounds_limit, n_neurons))
             if request.record_potentials and plan.readout != "spike"
@@ -423,71 +427,57 @@ class BatchedSolverEngine:
             if request.record_assignments
             else None
         )
-        # Read-outs wait in `pending` until a chunk of rounds is evaluated in
-        # one call per piece; the tracker still sees them one round at a
-        # time.  A run that may stop early (a plateau rule or a deadline)
-        # evaluates every round before integrating the next, so it never
-        # simulates past its stop round and its learner rows end exactly
-        # there.
-        may_stop = request.early_stop is not None or request.deadline_seconds is not None
-        chunk = 1 if may_stop else chunk_rounds(
-            n_trials, max(segment.n_edges for segment, _, _ in pieces), rounds_limit
-        )
-        pending = xp.empty((chunk, n_trials, n_neurons), dtype="int8")
-        n_pending = 0
+        learners = []
+        if membrane:
+            chunks = self._membrane_chunks(
+                xp, pieces, lo, drive, rounds_limit, chunk, potentials_out
+            )
+        else:
+            if plan.readout == "plasticity":
+                # One learner per piece, one weight row per trial, each row
+                # seeded from its own trial's auxiliary stream.  A one-trial
+                # piece builds a 1-D learner, whose per-row values stay NumPy
+                # scalars (its fast path); a row evolves bitwise alike either
+                # way.
+                for segment, a, b in pieces:
+                    aux = [
+                        segment.sampler.aux_generator(t - segment.lo)
+                        for t in range(a, b)
+                    ]
+                    learners.append(
+                        segment.plan.plasticity_builder(aux if b - a > 1 else aux[0])
+                    )
+                rounds = simulator.iter_subthreshold_rounds(
+                    drive, plan.burn_in, plan.interval, rounds_limit
+                )
+            else:
+                rounds = simulator.iter_spike_readouts(
+                    drive, plan.burn_in, plan.interval, rounds_limit
+                )
+            chunks = self._stepped_chunks(
+                xp, plan, pieces, lo, n_trials, rounds, learners, rounds_limit,
+                chunk, potentials_out,
+            )
 
+        trial_index = np.arange(lo, hi)
+        trajectories = np.zeros((n_trials, rounds_limit))
         tracker.start_block()
         completed = 0
         with span(
             "engine.integrate", n_trials=n_trials, rounds_limit=rounds_limit,
             readout=plan.readout, chunk_rounds=chunk,
         ) as integrate_span:
-            for r, payload in rounds:
-                # Assignments are computed in the array namespace; only the
-                # small products (int8 assignments, recorded potentials)
-                # cross back to the host, where cut evaluation, the tracker
-                # and the per-trial bests live.  Every `to_numpy` below is
-                # the identity on the numpy backend.
-                readout_rows = None
-                if plan.readout == "membrane":
-                    if potentials_out is not None:
-                        readout_rows = xp.to_numpy(payload)
-                    assignments = membrane_sign_assignments_xp(xp, payload)
-                elif plan.readout == "spike":
-                    assignments = spikes_to_assignments_xp(xp, payload)
-                else:
-                    # The learners are the circuits' own host-side rules, so
-                    # this read-out bridges each round's rows back to NumPy
-                    # and steps every trial of a piece at once, one call per
-                    # interval step.
-                    membrane = xp.to_numpy(payload)
-                    readout_rows = membrane[:, -1]
-                    step_start = time.perf_counter()
-                    signs = np.empty((n_trials, n_neurons), dtype=np.int8)
-                    for (_, a, b), learner in zip(pieces, learners):
-                        piece = membrane[a - lo:b - lo]
-                        for x in piece[0] if b - a == 1 else piece.swapaxes(0, 1):
-                            learner.step(x)
-                        signs[a - lo:b - lo] = learner.sign_assignment()
-                    assignments = xp.asarray(signs)
-                    # No-ops unless tracing is enabled.
-                    accumulate("plasticity_seconds", time.perf_counter() - step_start)
-                    accumulate("plasticity_steps", plan.interval * len(learners))
-                pending[n_pending] = assignments
-                n_pending += 1
-                if potentials_out is not None:
-                    potentials_out[:, r] = readout_rows
-                if n_pending < chunk and r + 1 < rounds_limit:
-                    continue
-
-                first = r + 1 - n_pending
-                host = xp.to_numpy(pending[:n_pending])
+            for first, host in chunks:
+                # host: (trials, rounds, neurons) int8 read-outs of rounds
+                # first, first + 1, ...; cut evaluation, the tracker and the
+                # per-trial bests live on the host.
+                n_pending = host.shape[1]
                 weights = np.empty((n_pending, n_trials))
                 for segment, a, b in pieces:
-                    cuts = host[:, a - lo:b - lo].reshape(n_pending * (b - a), n_neurons)
+                    cuts = host[a - lo:b - lo].reshape((b - a) * n_pending, n_neurons)
                     weights[:, a - lo:b - lo] = segment.evaluator.weights(cuts).reshape(
-                        n_pending, b - a
-                    )
+                        b - a, n_pending
+                    ).T
                 stop_at = None
                 for j in range(n_pending):
                     if tracker.update(first + j, weights[j]) and (
@@ -499,10 +489,9 @@ class BatchedSolverEngine:
                         stop_at = j
                         break
                 used = n_pending if stop_at is None else stop_at + 1
-                n_pending = 0
                 completed = first + used
                 fold_chunk(
-                    weights[:used], host[:used], first, trial_index, trajectories,
+                    weights[:used], host[:, :used], first, trial_index, trajectories,
                     assignments_out, rows.best_weights, rows.best_assignments,
                 )
                 if stop_at is not None:
@@ -522,6 +511,75 @@ class BatchedSolverEngine:
         if assignments_out is not None:
             rows.assignments.append(assignments_out[:, :completed])
         return completed
+
+    @staticmethod
+    def _membrane_chunks(xp, pieces, lo, filtered, rounds_limit, chunk, potentials_out):
+        """Yield ``(first_round, host int8 read-outs)`` of the membrane read-out.
+
+        Each piece forms its rows with its own weights
+        (:meth:`BatchLIFSimulator.iter_membrane_readouts`) and signs a chunk
+        of rounds in one call.
+        """
+        readouts = [
+            segment.simulator.iter_membrane_readouts(
+                filtered[a - lo:b - lo], rounds_limit, chunk
+            )
+            for segment, a, b in pieces
+        ]
+        for parts in zip(*readouts):
+            first, head = parts[0]
+            count = head.shape[1]
+            host = np.empty((len(filtered), count, head.shape[2]), dtype=np.int8)
+            for (_, a, b), (_, potentials) in zip(pieces, parts):
+                host[a - lo:b - lo] = xp.to_numpy(membrane_sign_assignments_xp(xp, potentials))
+                if potentials_out is not None:
+                    potentials_out[a - lo:b - lo, first:first + count] = xp.to_numpy(potentials)
+            yield first, host
+
+    @staticmethod
+    def _stepped_chunks(
+        xp, plan, pieces, lo, n_trials, rounds, learners, rounds_limit, chunk,
+        potentials_out,
+    ):
+        """Yield ``(first_round, host int8 read-outs)`` of a stepped read-out.
+
+        Spike masks and plasticity sign read-outs arrive one round at a
+        time from the simulator's loop and are gathered into chunks.
+        """
+        n_neurons = plan.n_neurons
+        pending = xp.empty((n_trials, chunk, n_neurons), dtype="int8")
+        n_pending = 0
+        for r, payload in rounds:
+            # Assignments are computed in the array namespace; only the
+            # small products (int8 assignments, recorded potentials) cross
+            # back to the host.  Every `to_numpy` below is the identity on
+            # the numpy backend.
+            if plan.readout == "spike":
+                assignments = spikes_to_assignments_xp(xp, payload)
+            else:
+                # The learners are the circuits' own host-side rules, so
+                # this read-out bridges each round's rows back to NumPy and
+                # steps every trial of a piece at once, one call per
+                # interval step.
+                membrane = xp.to_numpy(payload)
+                if potentials_out is not None:
+                    potentials_out[:, r] = membrane[:, -1]
+                step_start = time.perf_counter()
+                signs = np.empty((n_trials, n_neurons), dtype=np.int8)
+                for (_, a, b), learner in zip(pieces, learners):
+                    piece = membrane[a - lo:b - lo]
+                    for x in piece[0] if b - a == 1 else piece.swapaxes(0, 1):
+                        learner.step(x)
+                    signs[a - lo:b - lo] = learner.sign_assignment()
+                assignments = xp.asarray(signs)
+                # No-ops unless tracing is enabled.
+                accumulate("plasticity_seconds", time.perf_counter() - step_start)
+                accumulate("plasticity_steps", plan.interval * len(learners))
+            pending[:, n_pending] = assignments
+            n_pending += 1
+            if n_pending == chunk or r + 1 == rounds_limit:
+                yield r + 1 - n_pending, xp.to_numpy(pending[:, :n_pending])
+                n_pending = 0
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -553,10 +611,9 @@ class BatchedSolverEngine:
         return None
 
     @staticmethod
-    def _block_size(max_block_bytes: int, n_rows: int, n_steps: int, n_neurons: int) -> int:
-        """Rows per block such that the current buffer stays under the cap."""
-        bytes_per_trial = max(1, n_steps * n_neurons * 8)
-        by_memory = max(1, max_block_bytes // bytes_per_trial)
+    def _block_size(max_block_bytes: int, n_rows: int, bytes_per_trial: int) -> int:
+        """Rows per block such that the block's per-trial buffers stay under the cap."""
+        by_memory = max(1, max_block_bytes // max(1, bytes_per_trial))
         return int(min(n_rows, by_memory))
 
     @staticmethod
@@ -600,7 +657,10 @@ def fold_chunk(
     trial_best_weights: np.ndarray,
     trial_best_assignments: np.ndarray,
 ) -> None:
-    """Record a chunk of ``(rounds, trials)`` read-outs starting at round *first*.
+    """Record a chunk of read-outs starting at round *first*.
+
+    *weights* is ``(rounds, trials)`` and *assignments* the matching
+    ``(trials, rounds, neurons)`` block.
 
     A trial's best is the earliest read-out with its highest weight:
     ``argmax`` picks the first maximum inside the chunk, and only a
@@ -610,7 +670,7 @@ def fold_chunk(
     n_rounds, n_trials = weights.shape
     trajectories[:, first:first + n_rounds] = weights.T
     if assignments_out is not None:
-        assignments_out[:, first:first + n_rounds] = assignments.swapaxes(0, 1)
+        assignments_out[:, first:first + n_rounds] = assignments
     best_round = np.argmax(weights, axis=0)
     columns = np.arange(n_trials)
     chunk_best = weights[best_round, columns]
@@ -618,7 +678,7 @@ def fold_chunk(
     if improved.any():
         trial_best_weights[trial_index[improved]] = chunk_best[improved]
         trial_best_assignments[trial_index[improved]] = assignments[
-            best_round[improved], columns[improved]
+            columns[improved], best_round[improved]
         ]
 
 

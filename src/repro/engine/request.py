@@ -136,8 +136,11 @@ class SolveRequest:
         If True, the result includes every read-out's ±1 assignment
         (``trials x rounds x vertices``), not just the per-trial bests.
     max_block_bytes:
-        Soft cap on the per-block drive-current buffer; trials are processed
-        in blocks so memory stays bounded for large graphs / long runs.
+        Soft cap on a trial block's per-trial buffers; trials are processed
+        in blocks so memory stays bounded for large graphs / long runs.  A
+        membrane read-out block holds each trial's ``steps x devices``
+        device stream and ``samples x neurons`` read-out rows; a spike or
+        plasticity block holds its ``steps x neurons`` drive currents.
     """
 
     circuit: Union[str, NeuromorphicCircuit] = "lif_gw"

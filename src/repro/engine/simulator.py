@@ -1,24 +1,36 @@
 """Batched (trial-parallel) LIF membrane integration.
 
-:class:`BatchLIFSimulator` is the one implementation of the LIF dynamics:
-it advances *all trials at once* — the membrane state is a ``(trials,
-neurons)`` matrix and every Euler step is a single vectorised update
-``V <- leak * V + gain * I_t`` on that matrix, with the synaptic currents
-``I`` produced by one weight-application matmul per trial (dense or sparse
-backend).  A one-trial block (``sample_cuts``) is the same loop over a
-``(1, neurons)`` matrix.
+:class:`BatchLIFSimulator` is the one implementation of the LIF dynamics.
+It advances *all trials at once*, in one of two ways:
 
-Every array operation is issued through the weight backend's
-:class:`~repro.engine.xp.ArrayBackend` namespace, so the same integration
-code runs on NumPy, torch, or cupy state tensors; the state lives wherever
-the array backend puts it (host or device) for the whole integration.
+* **Device space (membrane read-out).** Below threshold the membrane is
+  linear in the device states, so :meth:`~BatchLIFSimulator.filter_device_states`
+  runs the leaky filter on the rank-wide device stream on the host and
+  :meth:`~BatchLIFSimulator.iter_membrane_readouts` applies the weights only
+  at the read-out steps, one weight product per trial.  No neuron current
+  is formed and no step is integrated per neuron.
+* **Neuron space (spike and plasticity read-outs).** The spike read-out
+  resets and the plasticity rule consumes every step, so
+  :meth:`~BatchLIFSimulator.drive_currents` forms the ``(trials, steps,
+  neurons)`` synaptic currents with one weight product per trial (dense or
+  sparse backend) and every Euler step is one vectorised update
+  ``V <- leak * V + gain * I_t`` on the ``(trials, neurons)`` state.  A
+  one-trial block (``sample_cuts``) is the same loop over a ``(1,
+  neurons)`` matrix.
 
-Numerical contract: every per-element operation (leak, gain, threshold,
-reset) acts on each trial row alone, and each trial's currents come from
-its own 2-D product, so on the NumPy path a trial's trajectory is bitwise
-the same whatever the block it shares (pinned by
-``tests/test_engine_goldens.py``).  Accelerator paths agree to
-floating-point round-off (kernel summation order differs).
+Array operations after the host-side device filter are issued through the
+weight backend's :class:`~repro.engine.xp.ArrayBackend` namespace, so the
+same code runs on NumPy, torch, or cupy state tensors.
+
+Numerical contract: every per-element operation acts on each trial row
+alone, each trial's weight product is its own 2-D product, and the device
+filter's reductions are per row, so on the NumPy path a trial's read-outs
+are bitwise the same whatever the block it shares (pinned by
+``tests/test_engine_goldens.py``).  The device-space membrane rows agree
+with the neuron-space Euler recurrence to round-off (``tests/test_engine.py``
+and ``tests/test_neurons_lif.py`` check 1e-12 relative, with equal signs).
+Accelerator paths agree to floating-point round-off (kernel summation order
+differs).
 
 ``drive_currents(..., out=...)`` drives into row slices of one shared
 ``(rows, steps, neurons)`` buffer: the engine gives each segment of a
@@ -29,6 +41,8 @@ simulator for the drive, and integrates every row in one lock-step loop.
 from __future__ import annotations
 
 from typing import Iterator, Optional, Tuple
+
+import numpy as np
 
 from repro.engine.backends import WeightBackend
 from repro.engine.xp import ArrayBackend, get_array_backend
@@ -89,8 +103,8 @@ class BatchLIFSimulator:
         trial's currents do not depend on its block-mates.  ``split_at``
         computes the first ``split_at`` steps and the rest as *separate*
         products — the spike read-out passes its burn-in there (the split
-        its pinned goldens were computed with); the membrane/subthreshold
-        read-outs use one product over all steps (``split_at=0``).
+        its pinned goldens were computed with); the plasticity read-out uses
+        one product over all steps (``split_at=0``).
 
         ``out``, when given, receives the currents in place — a
         ``(trials, steps, neurons)`` buffer in the simulator's array
@@ -128,38 +142,85 @@ class BatchLIFSimulator:
             return currents
 
     # ------------------------------------------------------------------
+    def filter_device_states(self, device_states, burn_in: int, interval: int):
+        """Leaky-filtered device stream at every read-out step (host NumPy).
+
+        Below threshold the membrane is linear in the device states:
+        ``V_t = leak * V_{t-1} + (dt / C) * (s_t - offset) W^T`` equals
+        ``F_t W^T`` for the same filter ``F_t = leak * F_{t-1} + u_t`` run
+        on the centred, gain-scaled states ``u = (dt / C) * (s - offset)``.
+        Returns ``F`` at read-out steps ``burn_in + (r + 1) * interval - 1``
+        as a ``(trials, rounds, devices)`` float64 array.
+
+        Each round's ``interval`` inputs and the burn-in are contracted
+        with their leak kernels by one ``np.vecdot`` (a per-row ``ddot``),
+        and the rounds are scanned with ``F_r = leak**interval * F_{r-1} +
+        G_r`` in log2(rounds) vectorised doubling passes.  Every value
+        depends only on its own trial's row and round index, so ``F`` is
+        bitwise the same whatever the block, its block-mates or the number
+        of rounds.
+        """
+        if device_states.ndim != 3:
+            raise ValidationError(
+                f"device_states must be (trials, steps, devices), got {device_states.shape}"
+            )
+        n_trials, n_steps, n_devices = device_states.shape
+        n_rounds = (n_steps - burn_in) // interval
+        params = self._params
+        leak = params.leak_factor
+        with span("engine.drive", n_trials=n_trials, n_steps=n_steps, space="device"):
+            inputs = np.subtract(device_states, params.input_offset, dtype=np.float64)
+            inputs *= params.dt / params.capacitance
+            # The kernels contract along the step axis, a strided view.
+            rounds = inputs[:, burn_in:burn_in + n_rounds * interval].reshape(
+                n_trials, n_rounds, interval, n_devices
+            )
+            filtered = np.vecdot(
+                rounds.swapaxes(2, 3), leak ** np.arange(interval - 1, -1, -1.0)
+            )
+            settled = np.vecdot(
+                inputs[:, :burn_in].swapaxes(1, 2),
+                leak ** np.arange(burn_in - 1, -1, -1.0),
+            )
+            decay = leak ** interval
+            if n_rounds:
+                filtered[:, 0] += decay * settled
+            # Doubling scan: after the pass with stride d every round holds
+            # the sum over its last 2d rounds.  The right-hand side is a new
+            # array, so each pass reads the previous pass's values.
+            stride = 1
+            while stride < n_rounds:
+                filtered[:, stride:] += decay ** stride * filtered[:, :-stride]
+                stride *= 2
+        return filtered
+
     def iter_membrane_readouts(
         self,
-        currents,
-        burn_in: int,
-        interval: int,
+        filtered,
         n_rounds: int,
+        chunk: int,
     ) -> Iterator[Tuple[int, object]]:
-        """Subthreshold integration yielding ``(round, potentials)`` per read-out.
+        """Membrane read-outs ``(first_round, potentials)``, a chunk at a time.
 
-        Spiking is disabled (no reset); the yielded ``(trials, neurons)``
-        rows are the membrane potentials at read-out steps
-        ``burn_in + (r + 1) * interval - 1``.
-
-        The ``currents`` buffer is scaled by ``dt / C`` in place on first
-        iteration (one vectorised pass instead of one multiply per step);
-        iterate a fresh buffer each time.
+        *filtered* is :meth:`filter_device_states`'s ``(trials, rounds,
+        devices)`` output.  The first ``next()`` forms every read-out row
+        ``V = F W^T`` in the array namespace, one 2-D weight product per
+        trial over all of *filtered*'s rounds, so a trial's rows depend
+        neither on its block-mates nor on *n_rounds*.  Each yield is the
+        ``(trials, rounds, neurons)`` slice of up to *chunk* consecutive
+        rounds, stopping after round ``n_rounds - 1``.
         """
         xp = self._xp
-        leak = self._params.leak_factor
-        xp.multiply(currents, self._params.dt / self._params.capacitance, out=currents)
-        potentials = xp.zeros((currents.shape[0], self._n_neurons), dtype="float64")
-        # In-place V <- leak*V; V <- V + I_t applies the identical elementwise
-        # operations as `leak * V + I_t` without per-step temporaries.
-        for t in range(burn_in):
-            xp.multiply(potentials, leak, out=potentials)
-            xp.add(potentials, currents[:, t], out=potentials)
-        for r in range(n_rounds):
-            base = burn_in + r * interval
-            for k in range(interval):
-                xp.multiply(potentials, leak, out=potentials)
-                xp.add(potentials, currents[:, base + k], out=potentials)
-            yield r, xp.copy(potentials)
+        filtered = xp.asarray(filtered)
+        n_trials = filtered.shape[0]
+        potentials = xp.empty(
+            (n_trials, filtered.shape[1], self._n_neurons), dtype="float64"
+        )
+        # The filtered states are already centred: the drive's offset is 0.
+        for b in range(n_trials):
+            self._backend.drive(filtered[b], 0.0, out=potentials[b])
+        for first in range(0, n_rounds, chunk):
+            yield first, potentials[:, first:min(first + chunk, n_rounds)]
 
     def iter_spike_readouts(
         self,

@@ -5,7 +5,7 @@ the lock-step membrane updates, the sign read-out — is pure ndarray math.
 This module abstracts *which* ndarray library executes it behind an
 :class:`ArrayBackend`: a thin, registered adapter exposing the handful of
 namespace operations the engine uses (``matmul``, ``multiply``, ``add``,
-``where``, allocation, host transfer) with NumPy semantics.  Three adapters
+``astype``, allocation, host transfer) with NumPy semantics.  Three adapters
 ship:
 
 ``numpy`` (default)
@@ -123,9 +123,6 @@ class ArrayBackend:
     def astype(self, array: Any, dtype: str) -> Any:
         raise NotImplementedError
 
-    def copy(self, array: Any) -> Any:
-        raise NotImplementedError
-
     # -- kernels -----------------------------------------------------------
     def matmul(self, a: Any, b: Any, out: Optional[Any] = None) -> Any:
         raise NotImplementedError
@@ -134,9 +131,6 @@ class ArrayBackend:
         raise NotImplementedError
 
     def add(self, a: Any, b: Any, out: Optional[Any] = None) -> Any:
-        raise NotImplementedError
-
-    def where(self, condition: Any, x: Any, y: Any) -> Any:
         raise NotImplementedError
 
     # -- introspection -----------------------------------------------------
@@ -189,9 +183,6 @@ class NumpyArrayBackend(ArrayBackend):
     def astype(self, array: Any, dtype: str) -> Any:
         return array.astype(self.dtype(dtype))
 
-    def copy(self, array: Any) -> Any:
-        return array.copy()
-
     def matmul(self, a: Any, b: Any, out: Optional[Any] = None) -> Any:
         if out is None:
             return np.matmul(a, b)
@@ -207,9 +198,6 @@ class NumpyArrayBackend(ArrayBackend):
             return np.add(a, b)
         return np.add(a, b, out=out)
 
-    def where(self, condition: Any, x: Any, y: Any) -> Any:
-        return np.where(condition, x, y)
-
 
 class TorchArrayBackend(ArrayBackend):
     """PyTorch adapter (CPU or CUDA), float64 state for near-parity.
@@ -217,8 +205,7 @@ class TorchArrayBackend(ArrayBackend):
     The device policy is "best visible": CUDA when available, else CPU —
     fixed at first use so one resolved backend never migrates mid-run.
     Torch's ``out=`` kernels line up with the NumPy expressions the engine
-    writes; the only deliberate divergence is ``.clone()`` for
-    :meth:`copy`.
+    writes.
     """
 
     name = "torch"
@@ -286,9 +273,6 @@ class TorchArrayBackend(ArrayBackend):
     def astype(self, array: Any, dtype: str) -> Any:
         return array.to(self.dtype(dtype))
 
-    def copy(self, array: Any) -> Any:
-        return array.clone()
-
     def matmul(self, a: Any, b: Any, out: Optional[Any] = None) -> Any:
         torch = self._torch()
         if out is None:
@@ -309,10 +293,6 @@ class TorchArrayBackend(ArrayBackend):
             return torch.add(a, b)
         torch.add(a, b, out=out)
         return out
-
-    def where(self, condition: Any, x: Any, y: Any) -> Any:
-        torch = self._torch()
-        return torch.where(condition, x, y)
 
 
 class CupyArrayBackend(ArrayBackend):
@@ -366,9 +346,6 @@ class CupyArrayBackend(ArrayBackend):
     def astype(self, array: Any, dtype: str) -> Any:
         return array.astype(self.dtype(dtype))
 
-    def copy(self, array: Any) -> Any:
-        return array.copy()
-
     def matmul(self, a: Any, b: Any, out: Optional[Any] = None) -> Any:
         cupy = self._cupy()
         if out is None:
@@ -386,9 +363,6 @@ class CupyArrayBackend(ArrayBackend):
         if out is None:
             return cupy.add(a, b)
         return cupy.add(a, b, out=out)
-
-    def where(self, condition: Any, x: Any, y: Any) -> Any:
-        return self._cupy().where(condition, x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -65,17 +65,18 @@ def spikes_to_assignments_xp(xp, spikes):
 
     *spikes* is a boolean array in *xp*'s namespace
     (:class:`repro.engine.xp.ArrayBackend`); no validation, the batched
-    engine guarantees a 2-D mask.  On the numpy backend every call lowers to
-    the exact expression of the host function, so results stay bitwise
-    equal.
+    engine guarantees a mask.  ``2 * mask - 1`` in int8 gives the host
+    function's values exactly, an order of magnitude faster than
+    ``where(mask, 1, -1)`` on NumPy.
     """
-    return xp.astype(xp.where(spikes, 1, -1), "int8")
+    return xp.astype(spikes, "int8") * 2 - 1
 
 
 def membrane_sign_assignments_xp(xp, potentials, threshold: float = 0.0):
     """Array-namespace variant of :func:`membrane_sign_assignments`.
 
-    Same contract as :func:`spikes_to_assignments_xp`: unvalidated, bitwise
-    equal to the host function on the numpy backend.
+    Same contract as :func:`spikes_to_assignments_xp`: unvalidated, equal
+    to the host function's values, of any shape (the engine signs a whole
+    chunk of rounds in one call).
     """
-    return xp.astype(xp.where(potentials > threshold, 1, -1), "int8")
+    return spikes_to_assignments_xp(xp, potentials > threshold)

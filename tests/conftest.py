@@ -105,3 +105,28 @@ def subthreshold_membranes():
         return np.concatenate(rows, axis=1)[0] if rows else np.zeros((0, weights.shape[0]))
 
     return run
+
+
+#: Device-space membrane read-outs agree with the neuron-space Euler
+#: recurrence to this relative tolerance (against the largest |V| of a trial).
+MEMBRANE_RTOL = 1e-12
+
+
+@pytest.fixture
+def assert_membranes_match():
+    """Check read-out rows against a neuron-space reference trajectory.
+
+    Returns ``check(rows, reference)``: the largest difference is at most
+    :data:`MEMBRANE_RTOL` of the reference's largest magnitude, and the signs
+    agree wherever the reference is above that round-off.
+    """
+
+    def check(rows, reference):
+        rows, reference = np.asarray(rows), np.asarray(reference)
+        assert rows.shape == reference.shape
+        bound = MEMBRANE_RTOL * np.abs(reference).max(initial=0.0)
+        assert np.abs(rows - reference).max(initial=0.0) <= bound
+        clear = np.abs(reference) > bound
+        assert np.array_equal(rows[clear] > 0, reference[clear] > 0)
+
+    return check

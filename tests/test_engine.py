@@ -12,6 +12,9 @@ with no edges); ``tests/test_engine_goldens.py`` pins the absolute bits.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -111,8 +114,15 @@ class TestSeededEquivalence:
             )
             _assert_bit_identical(solve(request), _one_trial_at_a_time(request))
 
-    def test_membrane_traces_match_sequential(self, medium_er_graph, subthreshold_membranes):
-        """Read-out membrane rows equal each trial's own subthreshold trajectory."""
+    def test_membrane_traces_match_sequential(
+        self, medium_er_graph, subthreshold_membranes, assert_membranes_match
+    ):
+        """Read-out membrane rows match each trial's own subthreshold trajectory.
+
+        The engine filters the device stream and applies the weights at the
+        read-out steps; the reference integrates every neuron step by step,
+        so the two agree to round-off, with equal signs.
+        """
         config = GW_CONFIG
         circuit = _gw(medium_er_graph)
         n_samples = 9
@@ -130,7 +140,7 @@ class TestSeededEquivalence:
                 burn_in=config.burn_in_steps, params=config.lif,
             )
             rows = potentials[config.sample_interval - 1 :: config.sample_interval]
-            assert np.array_equal(result.potentials[i], rows[:n_samples])
+            assert_membranes_match(result.potentials[i], rows[:n_samples])
 
     @pytest.mark.parametrize("build", [_gw, _tr], ids=["lif_gw", "lif_tr"])
     def test_cut_chunking_changes_nothing(self, build, monkeypatch):
@@ -169,9 +179,12 @@ class TestSeededEquivalence:
         ):
             request = SolveRequest(circuit=circuit, n_trials=6, n_samples=10, seed=4)
             one_block = solve(request)
-            bytes_per_trial = (
-                (config.burn_in_steps + 10 * config.sample_interval)
-                * medium_er_graph.n_vertices * 8
+            n_steps = config.burn_in_steps + 10 * config.sample_interval
+            n = medium_er_graph.n_vertices
+            # A membrane block holds each trial's device rows and read-out
+            # rows; the other read-outs hold a (steps, neurons) current buffer.
+            bytes_per_trial = 8 * (
+                n_steps * config.rank + 10 * n if config is GW_CONFIG else n_steps * n
             )
             many_blocks = solve(
                 SolveRequest(
@@ -191,6 +204,111 @@ class TestSeededEquivalence:
             SolveRequest(circuit=circuit, n_trials=3, n_samples=8, seed=21)
         )
         _assert_bit_identical(result, reference)
+
+
+def _telegraph(n_devices, rng):
+    from repro.devices.telegraph import TelegraphNoisePool
+
+    return TelegraphNoisePool(n_devices, switch_up=0.3, switch_down=0.2, seed=rng)
+
+
+def _biased(n_devices, rng):
+    from repro.devices.bernoulli import BiasedCoinPool
+
+    return BiasedCoinPool(0.6, n_devices=n_devices, seed=rng)
+
+
+class TestDeviceSpaceReadout:
+    """The engine's membrane read-outs against the neuron-space recurrence.
+
+    Each trial's recorded rows are checked against its own device stream
+    integrated neuron by neuron, step by step (the ``subthreshold_membranes``
+    reference), to the stated relative round-off with equal signs.
+    """
+
+    def _check(self, circuit, subthreshold_membranes, assert_membranes_match, **kwargs):
+        request = SolveRequest(circuit=circuit, record_potentials=True, **kwargs)
+        result = solve(request)
+        config = circuit.config
+        n_steps = config.burn_in_steps + request.n_samples * config.sample_interval
+        seeds = trial_seed_sequences(request.seed, request.n_trials)
+        for i, trial_seed in enumerate(seeds):
+            device_rng, _ = spawn_generators(trial_seed, 2)
+            states = circuit.build_device_pool(device_rng).sample(n_steps)
+            reference = subthreshold_membranes(
+                circuit.weights, states, burn_in=config.burn_in_steps, params=config.lif,
+            )[config.sample_interval - 1::config.sample_interval]
+            assert_membranes_match(result.potentials[i], reference[:result.n_rounds])
+        return result
+
+    @pytest.mark.parametrize(
+        "config, n_samples",
+        [
+            (LIFGWConfig(burn_in_steps=0, sample_interval=4), 12),
+            (LIFGWConfig(burn_in_steps=25, sample_interval=1), 40),
+            (LIFGWConfig(burn_in_steps=25, sample_interval=4), 1),
+            (LIFGWConfig(burn_in_steps=25, sample_interval=4, rank=1), 12),
+            (LIFGWConfig(burn_in_steps=25, sample_interval=4, weight_scale=3.5), 12),
+            (LIFGWConfig(), 24),
+        ],
+        ids=["burn_in_0", "interval_1", "one_sample", "rank_1", "weight_scale", "default"],
+    )
+    def test_config_edges(
+        self, medium_er_graph, config, n_samples, subthreshold_membranes,
+        assert_membranes_match,
+    ):
+        self._check(
+            _gw(medium_er_graph, config=config), subthreshold_membranes,
+            assert_membranes_match, n_trials=3, n_samples=n_samples, seed=13,
+        )
+
+    @pytest.mark.parametrize("factory", [_telegraph, _biased], ids=["telegraph", "biased"])
+    def test_device_pools(
+        self, medium_er_graph, factory, subthreshold_membranes, assert_membranes_match
+    ):
+        circuit = LIFGWCircuit(
+            medium_er_graph, config=GW_CONFIG, seed=11, device_pool_factory=factory
+        )
+        self._check(
+            circuit, subthreshold_membranes, assert_membranes_match,
+            n_trials=3, n_samples=10, seed=5,
+        )
+
+    def test_early_stop_run(self, small_bipartite, subthreshold_membranes, assert_membranes_match):
+        result = self._check(
+            _gw(small_bipartite), subthreshold_membranes, assert_membranes_match,
+            n_trials=2, n_samples=400, seed=3,
+            early_stop=EarlyStopConfig(patience=4, min_rounds=5),
+        )
+        assert result.early_stopped and result.n_rounds < 400
+
+    def test_membrane_solve_does_not_import_scipy_signal(self):
+        """The filter is numpy only: scipy.signal alone adds ~40 MB of RSS."""
+        code = (
+            "import sys\n"
+            "from repro.engine import SolveRequest, solve\n"
+            "from repro.graphs.generators import erdos_renyi\n"
+            "graph = erdos_renyi(30, 0.3, seed=1)\n"
+            "result = solve(SolveRequest(circuit='lif_gw', graph=graph, n_trials=2,"
+            " n_samples=8, seed=0, record_potentials=True))\n"
+            "assert result.metadata['readout'] == 'membrane'\n"
+            "print('scipy.signal' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+            check=True,
+        )
+        assert completed.stdout.strip() == "False"
+
+    def test_deadline_run(self, medium_er_graph, subthreshold_membranes, assert_membranes_match):
+        result = self._check(
+            _gw(medium_er_graph), subthreshold_membranes, assert_membranes_match,
+            n_trials=2, n_samples=50, seed=3, deadline_seconds=1e-9,
+        )
+        assert result.metadata["deadline_exceeded"] and result.n_rounds < 50
 
 
 class TestEdgeCases:

@@ -160,6 +160,29 @@ class TestFusedEqualsPerInstance:
             _assert_identical(result, solve(request))
 
 
+    def test_membrane_blocks_spanning_segments(self):
+        # The same layout on the membrane read-out: each segment applies its
+        # own weights to its rows of the block's filtered device stream.
+        config = LIFGWConfig(burn_in_steps=25, sample_interval=4)
+        graphs = [erdos_renyi(18, 0.4, seed=400 + i) for i in range(2)]
+        first, second = (LIFGWCircuit(g, config=config, seed=1) for g in graphs)
+        n_steps = config.burn_in_steps + 6 * config.sample_interval
+        requests = [
+            SolveRequest(
+                circuit=circuit, n_trials=trials, n_samples=6, seed=seed,
+                max_block_bytes=3 * 8 * (n_steps * config.rank + 6 * 18),
+                record_potentials=True,
+            )
+            for circuit, trials, seed in [(first, 2, 1), (first, 3, 2), (second, 2, 3)]
+        ]
+        fused = solve_instance_block(requests)
+        assert fused[0].metadata["n_blocks"] == 3
+        assert [r.metadata["instance_block"]["segment_trials"] for r in fused] == [5, 5, 2]
+        for result, request in zip(fused, requests):
+            solo = solve(request)
+            _assert_identical(result, solo)
+            assert np.array_equal(result.potentials, solo.potentials)
+
 class TestFallbacks:
     def _assert_fallback_identical(self, requests):
         results = solve_instance_block(requests)

@@ -117,10 +117,22 @@ class TestDynamics:
 
     def test_run_record_potentials(self, rng):
         simulator = _simulator(rng.standard_normal((6, 4)))
-        currents = _currents(simulator, FairCoinPool(4, seed=3).sample(50))
-        rows = [p for _, p in simulator.iter_membrane_readouts(currents, 0, 1, 50)]
+        filtered = simulator.filter_device_states(
+            FairCoinPool(4, seed=3).sample(50)[None], 0, 1
+        )
+        assert filtered.shape == (1, 50, 4)
+        rows = [p for _, p in simulator.iter_membrane_readouts(filtered, 50, 1)]
         assert len(rows) == 50
-        assert rows[0].shape == (1, 6)
+        assert rows[0].shape == (1, 1, 6)
+
+    def test_membrane_readouts_come_in_chunks_up_to_the_round_limit(self, rng):
+        simulator = _simulator(rng.standard_normal((6, 4)))
+        filtered = simulator.filter_device_states(
+            FairCoinPool(4, seed=3).sample(3 * 50)[None].repeat(2, axis=0), 0, 3
+        )
+        chunks = list(simulator.iter_membrane_readouts(filtered, 41, 16))
+        assert [first for first, _ in chunks] == [0, 16, 32]
+        assert [p.shape for _, p in chunks] == [(2, 16, 6), (2, 16, 6), (2, 9, 6)]
 
     def test_run_wrong_width_raises(self, rng):
         simulator = _simulator(rng.standard_normal((6, 4)))
@@ -243,3 +255,46 @@ class TestStationaryStatistics:
         # The membrane potential is an AR(1)-filtered version of the same input mix,
         # so cross-neuron correlations match the Gram-matrix correlations.
         assert np.max(np.abs(empirical - theoretical)) < 0.12
+
+
+class TestDeviceSpaceMembrane:
+    """The filtered device stream times ``W^T`` is the subthreshold membrane.
+
+    The reference is the neuron-space Euler recurrence, stepped per neuron
+    and per step; the device-space read-out sums the same terms in another
+    order, so it agrees to round-off and reads the same signs.
+    """
+
+    @pytest.mark.parametrize(
+        "rank, burn_in, interval, n_rounds",
+        [(4, 25, 4, 9), (1, 25, 4, 9), (4, 0, 4, 9), (4, 25, 1, 30), (3, 7, 5, 1),
+         (2, 0, 1, 1), (4, 100, 10, 70)],
+    )
+    def test_readouts_match_neuron_space_reference(
+        self, rank, burn_in, interval, n_rounds, subthreshold_membranes,
+        assert_membranes_match,
+    ):
+        rng = np.random.default_rng(rank * 1000 + burn_in * 10 + interval)
+        weights = 2.5 * rng.standard_normal((12, rank))
+        params = LIFParameters(capacitance=0.7, resistance=9.0, dt=0.2, input_offset=0.4)
+        states = FairCoinPool(rank, seed=n_rounds).sample_batch(3, burn_in + n_rounds * interval)
+        simulator = _simulator(weights, params)
+        filtered = simulator.filter_device_states(states, burn_in, interval)
+        ((first, rows),) = simulator.iter_membrane_readouts(filtered, n_rounds, n_rounds)
+        assert first == 0 and rows.shape == (3, n_rounds, 12)
+        for trial in range(3):
+            reference = subthreshold_membranes(
+                weights, states[trial], burn_in=burn_in, params=params
+            )[interval - 1::interval]
+            assert_membranes_match(rows[trial], reference)
+
+    def test_readouts_do_not_depend_on_block_mates_or_round_limit(self, rng):
+        """A trial's rows are bitwise the same alone, in a block and cut short."""
+        simulator = _simulator(rng.standard_normal((30, 4)))
+        states = FairCoinPool(4, seed=11).sample_batch(5, 25 + 4 * 40)
+        block = simulator.filter_device_states(states, 25, 4)
+        alone = simulator.filter_device_states(states[2:3], 25, 4)
+        assert np.array_equal(block[2], alone[0])
+        ((_, rows),) = simulator.iter_membrane_readouts(block, 40, 40)
+        ((_, short),) = simulator.iter_membrane_readouts(alone, 7, 40)
+        assert np.array_equal(rows[2, :7], short[0])
