@@ -104,10 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="shorthand for --param samples=N")
     run.add_argument("--workers", type=int, default=None,
                      help="shorthand for --param workers=N")
-    run.add_argument("--backend", type=str, default=None, metavar="SPEC",
-                     help="shorthand for --param backend=SPEC (engine backend "
-                          "spec: auto, dense, sparse, numpy, torch, cupy, or "
-                          "<array>:<weight> like torch:dense)")
+    run.add_argument("--backend", type=str, default=None, metavar="NAME",
+                     help="shorthand for --param backend=NAME (engine weight "
+                          "backend: auto, dense or sparse)")
     run.add_argument("--plan", action="store_true",
                      help="print the execution plan and exit without running")
     run.add_argument("--plot", action="store_true",
@@ -136,19 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     # workloads --------------------------------------------------------------
     subparsers.add_parser("workloads", help="list the registered workloads")
-
-    # backends ---------------------------------------------------------------
-    subparsers.add_parser(
-        "backends",
-        help="list the engine's array and weight backends with availability",
-        description=(
-            "Probe the two backend registries of the batched engine: array "
-            "backends (the tensor namespace a batch runs on — numpy always, "
-            "torch/cupy when installed) and weight backends (how the weight "
-            "matrix is applied — dense GEMM or sparse CSR). Any listed pair "
-            "combines as --backend <array>:<weight>."
-        ),
-    )
 
     # merge ------------------------------------------------------------------
     merge = subparsers.add_parser(
@@ -232,11 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="portfolio model for --solver auto (from "
                             "`repro portfolio fit`); without one, auto "
                             "races its candidate pool cold")
-    solve.add_argument("--backend", type=str, default="auto", metavar="SPEC",
-                       help="engine backend spec for batchable solvers: auto, "
-                            "a weight backend (dense/sparse), an array "
-                            "backend (numpy/torch/cupy), or <array>:<weight> "
-                            "(see `repro backends`)")
+    solve.add_argument("--backend", type=str, default="auto", metavar="NAME",
+                       help="engine weight backend for batchable solvers: "
+                            "auto, dense or sparse")
 
     # engine -----------------------------------------------------------------
     engine = subparsers.add_parser(
@@ -259,11 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of independent trials in the batch")
     engine.add_argument("--samples", type=int, default=256,
                         help="cut read-outs per trial")
-    engine.add_argument("--backend", type=str, default="auto", metavar="SPEC",
-                        help="backend spec: auto, a weight backend "
-                             "(dense/sparse), an array backend "
-                             "(numpy/torch/cupy), or <array>:<weight> "
-                             "(see `repro backends`)")
+    engine.add_argument("--backend", type=str, default="auto", metavar="NAME",
+                        help="weight backend: auto (density-routed), dense "
+                             "or sparse")
     engine.add_argument("--early-stop-patience", type=int, default=0, metavar="ROUNDS",
                         help="stop after this many non-improving read-out rounds "
                              "(0 disables early stopping)")
@@ -677,32 +659,6 @@ def _command_workloads(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_backends(_args: argparse.Namespace) -> int:
-    from repro.engine import probe_array_backends, probe_weight_backends
-    from repro.experiments.reporting import format_table
-
-    def rows(probes):
-        return [
-            [
-                probe["name"],
-                "yes" if probe["available"] else "no",
-                probe["device"] if probe["available"] else "-",
-                probe["reason"],
-            ]
-            for probe in probes
-        ]
-
-    print("array backends (tensor namespace the engine batch runs on):")
-    print(format_table(["name", "available", "device", "notes"],
-                       rows(probe_array_backends())))
-    print("\nweight backends (how the weight matrix is applied):")
-    print(format_table(["name", "available", "device", "notes"],
-                       rows(probe_weight_backends())))
-    print("\nselect with: repro engine|solve|run ... --backend "
-          "<name> or <array>:<weight>   (e.g. --backend torch:dense)")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Plain commands
 # ---------------------------------------------------------------------------
@@ -726,10 +682,10 @@ def _command_solve(args: argparse.Namespace) -> int:
             )
             return 2
         try:
-            from repro.engine import resolve_backend
+            from repro.engine import check_backend
             from repro.experiments.runner import run_circuit_trials
 
-            resolve_backend(args.backend)  # fail fast, before the SDP solve
+            check_backend(args.backend)  # fail fast, before the SDP solve
             result = run_circuit_trials(
                 graph=graph, circuit=spec.circuit, n_trials=1,
                 n_samples=args.samples, seed=args.seed, backend=args.backend,
@@ -738,8 +694,7 @@ def _command_solve(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         cut = result.best_cut
-        engine_note = (f" (batched engine, backend {result.backend_name}"
-                       f" on {result.metadata.get('array_backend', 'numpy')})")
+        engine_note = f" (batched engine, backend {result.backend_name})"
     else:
         solver = get_solver(args.solver)
         extra: Dict[str, Any] = {}
@@ -836,13 +791,13 @@ def _solve_problem(args: argparse.Namespace) -> int:
 def _command_engine(args: argparse.Namespace) -> int:
     from repro.circuits.lif_gw import LIFGWCircuit
     from repro.circuits.lif_trevisan import LIFTrevisanCircuit
-    from repro.engine import EarlyStopConfig, resolve_backend
+    from repro.engine import EarlyStopConfig, check_backend
     from repro.experiments.runner import run_circuit_trials
 
-    # Fail fast on a bad or unavailable backend spec, before the (possibly
-    # expensive) graph load and offline SDP solve.
+    # Fail fast on a bad backend, before the (possibly expensive) graph load
+    # and offline SDP solve.
     try:
-        resolve_backend(args.backend)
+        check_backend(args.backend)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1016,7 +971,6 @@ def _command_portfolio(args: argparse.Namespace) -> int:
 _COMMANDS = {
     "run": _command_run,
     "workloads": _command_workloads,
-    "backends": _command_backends,
     "merge": _command_merge,
     "bench": _command_bench,
     "profile": _command_profile,

@@ -48,49 +48,6 @@ class DevicePool(abc.ABC):
         """Draw a single time step: ``(n_devices,)`` array of 0/1 values."""
         return self.sample(1)[0]
 
-    def sample_batch(self, n_trials: int, n_steps: int, rng=None) -> np.ndarray:
-        """Draw *n_trials* independent trial blocks: ``(n_trials, n_steps, n_devices)``.
-
-        Each trial is an independent replica of the pool's stochastic process
-        started from a fresh initial state, with its randomness drawn from
-        *rng* (``None`` falls back to the pool's own stream).  The built-in
-        pools override this with implementations vectorised across all three
-        axes.
-
-        This default serves custom subclasses by looping :meth:`sample`,
-        honouring *rng* by temporarily substituting it for the pool's
-        ``_rng`` stream (the seeding idiom every pool in this library
-        follows).  A subclass that stores its generator elsewhere must
-        override ``sample_batch`` to accept *rng*; passing one to the
-        default raises rather than silently sampling from the wrong
-        stream.  Trials are consecutive segments of one stream, so
-        temporally-stateful custom pools should also override if strict
-        fresh-replica semantics matter.
-
-        Note: the batched engine does *not* use this method for its
-        bit-reproducible path (it builds one pool per trial from per-trial
-        seeds); ``sample_batch`` is the bulk-sampling API for statistics,
-        calibration, and Monte-Carlo sweeps where trial-vs-batch-size
-        reproducibility is not required.
-        """
-        n_trials, n_steps, generator = self._batch_args(n_trials, n_steps, rng)
-        if rng is not None and not hasattr(self, "_rng"):
-            raise ValidationError(
-                f"{type(self).__name__} does not store its generator at _rng; "
-                "override sample_batch to honour an explicit rng"
-            )
-        if n_trials == 0:
-            return np.zeros((0, n_steps, self.n_devices), dtype=np.int8)
-        substitute = rng is not None and hasattr(self, "_rng")
-        saved = self._rng if substitute else None
-        if substitute:
-            self._rng = generator
-        try:
-            return np.stack([self.sample(n_steps) for _ in range(n_trials)])
-        finally:
-            if substitute:
-                self._rng = saved
-
     @abc.abstractmethod
     def expected_mean(self) -> np.ndarray:
         """Theoretical per-device mean state (length ``n_devices``)."""
@@ -110,26 +67,6 @@ class DevicePool(abc.ABC):
         if n_steps < 0:
             raise ValidationError(f"n_steps must be non-negative, got {n_steps}")
         return n_steps
-
-    def _batch_args(self, n_trials: int, n_steps: int, rng) -> tuple:
-        """Validate batch-sampling arguments and resolve the generator.
-
-        Returns ``(n_trials, n_steps, generator)`` where the generator is
-        *rng* normalised, or the pool's own stream when *rng* is ``None``.
-        """
-        from repro.utils.rng import as_generator
-
-        n_trials = int(n_trials)
-        if n_trials < 0:
-            raise ValidationError(f"n_trials must be non-negative, got {n_trials}")
-        n_steps = self._check_steps(n_steps)
-        if rng is None:
-            generator = getattr(self, "_rng", None)
-            if generator is None:
-                generator = as_generator(None)
-        else:
-            generator = as_generator(rng)
-        return n_trials, n_steps, generator
 
     def __repr__(self) -> str:  # pragma: no cover - repr formatting
         return f"{type(self).__name__}(n_devices={self._n_devices})"

@@ -28,12 +28,6 @@ class FairCoinPool(DevicePool):
             0, 2, size=(n_steps, self.n_devices), dtype=np.int8
         )
 
-    def sample_batch(self, n_trials: int, n_steps: int, rng=None) -> np.ndarray:
-        n_trials, n_steps, generator = self._batch_args(n_trials, n_steps, rng)
-        return generator.integers(
-            0, 2, size=(n_trials, n_steps, self.n_devices), dtype=np.int8
-        )
-
     def expected_mean(self) -> np.ndarray:
         return np.full(self.n_devices, 0.5)
 
@@ -75,11 +69,6 @@ class BiasedCoinPool(DevicePool):
         n_steps = self._check_steps(n_steps)
         uniform = self._rng.random((n_steps, self.n_devices))
         return (uniform < self._probabilities[None, :]).astype(np.int8)
-
-    def sample_batch(self, n_trials: int, n_steps: int, rng=None) -> np.ndarray:
-        n_trials, n_steps, generator = self._batch_args(n_trials, n_steps, rng)
-        uniform = generator.random((n_trials, n_steps, self.n_devices))
-        return (uniform < self._probabilities[None, None, :]).astype(np.int8)
 
     def expected_mean(self) -> np.ndarray:
         return self._probabilities.copy()

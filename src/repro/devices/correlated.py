@@ -66,22 +66,6 @@ class CorrelatedDevicePool(DevicePool):
         latent = np.sqrt(rho) * common + np.sqrt(1.0 - rho) * independent
         return (latent > 0.0).astype(np.int8)
 
-    def sample_batch(self, n_trials: int, n_steps: int, rng=None) -> np.ndarray:
-        """Independent replicas, fully vectorised (one Gaussian draw per axis).
-
-        The common factor is shared within each trial's time step but
-        independent across trials, preserving the engineered equicorrelation
-        per trial.
-        """
-        n_trials, n_steps, generator = self._batch_args(n_trials, n_steps, rng)
-        if n_steps == 0 or n_trials == 0:
-            return np.zeros((n_trials, n_steps, self.n_devices), dtype=np.int8)
-        rho = self._gaussian_correlation
-        common = generator.standard_normal((n_trials, n_steps, 1))
-        independent = generator.standard_normal((n_trials, n_steps, self.n_devices))
-        latent = np.sqrt(rho) * common + np.sqrt(1.0 - rho) * independent
-        return (latent > 0.0).astype(np.int8)
-
     def expected_mean(self) -> np.ndarray:
         return np.full(self.n_devices, 0.5)
 

@@ -93,25 +93,5 @@ class DriftingDevicePool(DevicePool):
         self._log_odds = log_odds
         return states
 
-    def sample_batch(self, n_trials: int, n_steps: int, rng=None) -> np.ndarray:
-        """Independent replicas, each starting at the long-run mean log-odds.
-
-        Vectorised across trials: the OU log-odds walk advances all
-        ``n_trials x n_devices`` processes at once per step.  The pool's own
-        drift state is not consumed or modified.
-        """
-        n_trials, n_steps, generator = self._batch_args(n_trials, n_steps, rng)
-        if n_steps == 0 or n_trials == 0:
-            return np.zeros((n_trials, n_steps, self.n_devices), dtype=np.int8)
-        shape = (n_trials, self.n_devices)
-        log_odds = np.full(shape, self._mu, dtype=np.float64)
-        innovations = generator.standard_normal((n_steps,) + shape)
-        uniforms = generator.random((n_steps,) + shape)
-        states = np.empty((n_trials, n_steps, self.n_devices), dtype=np.int8)
-        for t in range(n_steps):
-            log_odds = log_odds + self._theta * (self._mu - log_odds) + self._sigma * innovations[t]
-            states[:, t] = (uniforms[t] < _sigmoid(log_odds)).astype(np.int8)
-        return states
-
     def expected_mean(self) -> np.ndarray:
         return np.full(self.n_devices, _sigmoid(np.array([self._mu]))[0])

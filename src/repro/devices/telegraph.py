@@ -79,28 +79,6 @@ class TelegraphNoisePool(DevicePool):
         self._state = state
         return states
 
-    def sample_batch(self, n_trials: int, n_steps: int, rng=None) -> np.ndarray:
-        """Independent replicas, each started from the stationary distribution.
-
-        Vectorised across trials: the two-state Markov chain advances all
-        ``n_trials x n_devices`` chains at once per step.  The pool's own
-        persistent state is not consumed or modified.
-        """
-        n_trials, n_steps, generator = self._batch_args(n_trials, n_steps, rng)
-        shape = (n_trials, self.n_devices)
-        if n_steps == 0 or n_trials == 0:
-            return np.zeros((n_trials, n_steps, self.n_devices), dtype=np.int8)
-        stationary_p1 = self.expected_mean()[None, :]
-        state = (generator.random(shape) < stationary_p1).astype(np.int8)
-        uniforms = generator.random((n_steps,) + shape)
-        states = np.empty((n_trials, n_steps, self.n_devices), dtype=np.int8)
-        for t in range(n_steps):
-            switch_prob = np.where(state == 0, self._p_up, self._p_down)
-            flips = uniforms[t] < switch_prob
-            state = np.where(flips, 1 - state, state).astype(np.int8)
-            states[:, t] = state
-        return states
-
     def expected_mean(self) -> np.ndarray:
         total = self._p_up + self._p_down
         if total == 0.0:

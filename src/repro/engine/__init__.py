@@ -9,14 +9,10 @@ Public API
     dynamics implementation (``sample_cuts`` is a one-trial solve).
 :class:`EarlyStopConfig`
     Plateau rule for streaming best-cut early stopping.
-:func:`resolve_backend` / :meth:`WeightBackend.for_graph`
-    The backend-selection API: one spec string ("auto", "sparse",
-    "torch:dense", ...) resolves both the array namespace
-    (:class:`ArrayBackend`: numpy/torch/cupy) and the weight backend.
-:func:`register_backend` / :func:`list_backends` /
-:func:`register_array_backend` / :func:`list_array_backends`
-    Extend or inspect the weight- and array-backend registries
-    (``dense``/``sparse`` and ``numpy``/``torch``/``cupy`` ship by default).
+:data:`BACKENDS` / :func:`check_backend` / :meth:`WeightBackend.for_graph`
+    The backend choice — ``"auto"`` (density-routed), ``"dense"`` or
+    ``"sparse"`` — and the weight backend it builds for a graph.  The
+    engine computes in NumPy.
 :func:`solve_instance_block`
     Run many requests at once: requests of equal execution shape share one
     engine run as row segments of one group, bitwise per request (the solve
@@ -24,12 +20,11 @@ Public API
 """
 
 from repro.engine.backends import (
+    BACKENDS,
     DenseBackend,
     SparseBackend,
     WeightBackend,
-    list_backends,
-    probe_weight_backends,
-    register_backend,
+    check_backend,
 )
 from repro.engine.engine import BatchedSolverEngine, solve
 from repro.engine.instances import solve_instance_block
@@ -42,49 +37,22 @@ from repro.engine.sampler import (
 )
 from repro.engine.simulator import BatchLIFSimulator
 from repro.engine.tracker import BestCutTracker
-from repro.engine.xp import (
-    ArrayBackend,
-    BackendSpec,
-    CupyArrayBackend,
-    NumpyArrayBackend,
-    ResolvedBackend,
-    TorchArrayBackend,
-    get_array_backend,
-    list_array_backends,
-    parse_backend_spec,
-    probe_array_backends,
-    register_array_backend,
-    resolve_backend,
-)
 
 __all__ = [
-    "ArrayBackend",
-    "BackendSpec",
+    "BACKENDS",
     "BatchDeviceSampler",
     "BatchLIFSimulator",
     "BatchPlan",
     "BatchedSolverEngine",
     "BestCutTracker",
-    "CupyArrayBackend",
     "DenseBackend",
     "EarlyStopConfig",
-    "NumpyArrayBackend",
-    "ResolvedBackend",
     "SolveRequest",
     "SolveResult",
     "SparseBackend",
-    "TorchArrayBackend",
     "WeightBackend",
-    "get_array_backend",
-    "list_array_backends",
-    "list_backends",
-    "parse_backend_spec",
-    "probe_array_backends",
-    "probe_weight_backends",
-    "register_array_backend",
-    "register_backend",
+    "check_backend",
     "request_trial_seeds",
-    "resolve_backend",
     "solve",
     "solve_instance_block",
     "trial_seed_sequences",

@@ -19,11 +19,11 @@ one row per (request, trial):
    read-out filters the rank-wide device stream and applies the weights only
    at the read-out steps; the spike and plasticity read-outs drive neuron
    currents and step every neuron,
-5. signs and copies the read-outs to the host in chunks of rounds, evaluates
-   each chunk with its segment's CSR cut kernel
-   (:class:`repro.cuts.cut.BatchCutEvaluator`) and streams the weights, one
-   round at a time, through a :class:`repro.engine.tracker.BestCutTracker`,
-   optionally terminating early once the best-cut distribution plateaus, and
+5. signs the read-outs in chunks of rounds, evaluates each chunk with its
+   segment's CSR cut kernel (:class:`repro.cuts.cut.BatchCutEvaluator`) and
+   streams the weights, one round at a time, through a
+   :class:`repro.engine.tracker.BestCutTracker`, optionally terminating
+   early once the best-cut distribution plateaus, and
 6. splits the rows back into one :class:`SolveResult` per request, each
    re-deriving its best cut over its own rows.
 
@@ -32,15 +32,12 @@ one row per (request, trial):
 into groups of equal execution shape (the solve service's batches, the
 workload executor's cell units) for :meth:`BatchedSolverEngine.solve_group`.
 
-Numerical contract: on the numpy array path every row is computed on its
-own — per-row device filters and per-trial weight products, elementwise
-integration, per-row plasticity and per-row cut quadratic forms — so
-results are bitwise invariant to the
-trial-block size (``max_block_bytes``), to group composition and to the
-cut-evaluation chunking, and ``sample_cuts`` equals trial 0 of a solve with
-the same seed.  Cut weights are computed on the host whatever the array
-backend; accelerator backends agree to floating-point round-off in the
-dynamics only.
+Numerical contract: every row is computed on its own — per-row device
+filters and per-trial weight products, elementwise integration, per-row
+plasticity and per-row cut quadratic forms — so results are bitwise
+invariant to the trial-block size (``max_block_bytes``), to group
+composition and to the cut-evaluation chunking, and ``sample_cuts`` equals
+trial 0 of a solve with the same seed.
 
 Rows are processed in memory-bounded blocks: a membrane block holds each
 row's device stream and read-out rows, a spike or plasticity block its
@@ -65,10 +62,7 @@ from repro.engine.request import SolveRequest, SolveResult
 from repro.engine.sampler import BatchDeviceSampler, request_trial_seeds
 from repro.engine.simulator import BatchLIFSimulator
 from repro.engine.tracker import BestCutTracker
-from repro.neurons.encoding import (
-    membrane_sign_assignments_xp,
-    spikes_to_assignments_xp,
-)
+from repro.neurons.encoding import _signs
 from repro.obs.trace import accumulate, span
 from repro.utils.logging import get_logger
 from repro.utils.validation import ValidationError
@@ -101,8 +95,7 @@ class ResolvedRequest:
         return (
             plan.n_neurons, plan.n_devices, plan.burn_in, plan.interval,
             plan.readout, plan.lif, request.n_samples, self.backend.name,
-            self.backend.array.name, request.record_potentials,
-            request.record_assignments,
+            request.record_potentials, request.record_assignments,
         )
 
 
@@ -146,12 +139,9 @@ def resolve_request(request: SolveRequest) -> ResolvedRequest:
     with span("engine.circuit_build"):
         circuit = BatchedSolverEngine._resolve_circuit(request)
     plan = circuit.engine_plan()
-    # One resolution point for both seams: the request's backend spec
-    # ("auto", "sparse", "torch:dense", ...) picks the array namespace and
-    # the weight backend together; an explicit weight name in the spec
-    # always wins over the density heuristic.
+    # An explicit "dense"/"sparse" always wins over the density heuristic.
     backend = WeightBackend.for_graph(
-        circuit.graph, plan.weights, policy=request.backend,
+        circuit.graph, plan.weights, backend=request.backend,
         sparse_weights=plan.sparse_weights,
     )
     return ResolvedRequest(
@@ -191,7 +181,7 @@ class BatchedSolverEngine:
     def _solve_group(self, group: List[ResolvedRequest], solve_span) -> List[SolveResult]:
         start = time.perf_counter() - sum(item.build_seconds for item in group)
         head = group[0]
-        request, plan, xp = head.request, head.plan, head.backend.array
+        request, plan = head.request, head.plan
         if request.n_trials == 0:  # zero-trial requests always run alone
             return [self._empty_result(head)]
         n_neurons = plan.n_neurons
@@ -269,8 +259,6 @@ class BatchedSolverEngine:
         early_stopped = n_rounds < request.n_samples
         run_metadata = {
             "readout": plan.readout,
-            "array_backend": xp.name,
-            "array_device": xp.device_label(),
             "early_stop_round": tracker.stop_round if early_stopped else None,
             "deadline_exceeded": tracker.deadline_exceeded,
             **(
@@ -378,12 +366,9 @@ class BatchedSolverEngine:
             for segment in segments if segment.lo < hi and lo < segment.hi
         ]
         simulator = pieces[0][0].simulator
-        xp = simulator.xp
         membrane = plan.readout == "membrane"
         # Device sampling always covers the full requested step count so each
-        # trial consumes the same random numbers whatever the block layout
-        # (the RNG bridge: sampling stays on host NumPy whatever the array
-        # backend).
+        # trial consumes the same random numbers whatever the block layout.
         states = [
             segment.sampler.sample_block(range(a - segment.lo, b - segment.lo), n_steps)
             for segment, a, b in pieces
@@ -399,12 +384,10 @@ class BatchedSolverEngine:
             # only pay the weight product for the steps they integrate.
             needed_steps = plan.burn_in + rounds_limit * plan.interval
             split = plan.burn_in if plan.readout == "spike" else 0
-            drive = xp.empty((n_trials, needed_steps, n_neurons), dtype="float64")
+            drive = np.empty((n_trials, needed_steps, n_neurons))
             for (segment, a, b), block in zip(pieces, states):
-                # One host->device transfer per piece; identity on numpy.
                 segment.simulator.drive_currents(
-                    xp.asarray(block[:, :needed_steps]), split_at=split,
-                    out=drive[a - lo:b - lo],
+                    block[:, :needed_steps], split_at=split, out=drive[a - lo:b - lo],
                 )
         del states
 
@@ -430,7 +413,7 @@ class BatchedSolverEngine:
         learners = []
         if membrane:
             chunks = self._membrane_chunks(
-                xp, pieces, lo, drive, rounds_limit, chunk, potentials_out
+                pieces, lo, drive, rounds_limit, chunk, potentials_out
             )
         else:
             if plan.readout == "plasticity":
@@ -455,7 +438,7 @@ class BatchedSolverEngine:
                     drive, plan.burn_in, plan.interval, rounds_limit
                 )
             chunks = self._stepped_chunks(
-                xp, plan, pieces, lo, n_trials, rounds, learners, rounds_limit,
+                plan, pieces, lo, n_trials, rounds, learners, rounds_limit,
                 chunk, potentials_out,
             )
 
@@ -467,14 +450,13 @@ class BatchedSolverEngine:
             "engine.integrate", n_trials=n_trials, rounds_limit=rounds_limit,
             readout=plan.readout, chunk_rounds=chunk,
         ) as integrate_span:
-            for first, host in chunks:
-                # host: (trials, rounds, neurons) int8 read-outs of rounds
-                # first, first + 1, ...; cut evaluation, the tracker and the
-                # per-trial bests live on the host.
-                n_pending = host.shape[1]
+            for first, signs in chunks:
+                # signs: (trials, rounds, neurons) int8 read-outs of rounds
+                # first, first + 1, ...
+                n_pending = signs.shape[1]
                 weights = np.empty((n_pending, n_trials))
                 for segment, a, b in pieces:
-                    cuts = host[a - lo:b - lo].reshape((b - a) * n_pending, n_neurons)
+                    cuts = signs[a - lo:b - lo].reshape((b - a) * n_pending, n_neurons)
                     weights[:, a - lo:b - lo] = segment.evaluator.weights(cuts).reshape(
                         b - a, n_pending
                     ).T
@@ -491,7 +473,7 @@ class BatchedSolverEngine:
                 used = n_pending if stop_at is None else stop_at + 1
                 completed = first + used
                 fold_chunk(
-                    weights[:used], host[:, :used], first, trial_index, trajectories,
+                    weights[:used], signs[:, :used], first, trial_index, trajectories,
                     assignments_out, rows.best_weights, rows.best_assignments,
                 )
                 if stop_at is not None:
@@ -513,8 +495,8 @@ class BatchedSolverEngine:
         return completed
 
     @staticmethod
-    def _membrane_chunks(xp, pieces, lo, filtered, rounds_limit, chunk, potentials_out):
-        """Yield ``(first_round, host int8 read-outs)`` of the membrane read-out.
+    def _membrane_chunks(pieces, lo, filtered, rounds_limit, chunk, potentials_out):
+        """Yield ``(first_round, int8 read-outs)`` of the membrane read-out.
 
         Each piece forms its rows with its own weights
         (:meth:`BatchLIFSimulator.iter_membrane_readouts`) and signs a chunk
@@ -529,56 +511,46 @@ class BatchedSolverEngine:
         for parts in zip(*readouts):
             first, head = parts[0]
             count = head.shape[1]
-            host = np.empty((len(filtered), count, head.shape[2]), dtype=np.int8)
+            signs = np.empty((len(filtered), count, head.shape[2]), dtype=np.int8)
             for (_, a, b), (_, potentials) in zip(pieces, parts):
-                host[a - lo:b - lo] = xp.to_numpy(membrane_sign_assignments_xp(xp, potentials))
+                signs[a - lo:b - lo] = _signs(potentials > 0.0)
                 if potentials_out is not None:
-                    potentials_out[a - lo:b - lo, first:first + count] = xp.to_numpy(potentials)
-            yield first, host
+                    potentials_out[a - lo:b - lo, first:first + count] = potentials
+            yield first, signs
 
     @staticmethod
     def _stepped_chunks(
-        xp, plan, pieces, lo, n_trials, rounds, learners, rounds_limit, chunk,
+        plan, pieces, lo, n_trials, rounds, learners, rounds_limit, chunk,
         potentials_out,
     ):
-        """Yield ``(first_round, host int8 read-outs)`` of a stepped read-out.
+        """Yield ``(first_round, int8 read-outs)`` of a stepped read-out.
 
         Spike masks and plasticity sign read-outs arrive one round at a
         time from the simulator's loop and are gathered into chunks.
         """
         n_neurons = plan.n_neurons
-        pending = xp.empty((n_trials, chunk, n_neurons), dtype="int8")
+        pending = np.empty((n_trials, chunk, n_neurons), dtype=np.int8)
         n_pending = 0
         for r, payload in rounds:
-            # Assignments are computed in the array namespace; only the
-            # small products (int8 assignments, recorded potentials) cross
-            # back to the host.  Every `to_numpy` below is the identity on
-            # the numpy backend.
             if plan.readout == "spike":
-                assignments = spikes_to_assignments_xp(xp, payload)
+                pending[:, n_pending] = _signs(payload)
             else:
-                # The learners are the circuits' own host-side rules, so
-                # this read-out bridges each round's rows back to NumPy and
-                # steps every trial of a piece at once, one call per
-                # interval step.
-                membrane = xp.to_numpy(payload)
+                # Each learner steps every trial of its piece at once, one
+                # call per interval step.
                 if potentials_out is not None:
-                    potentials_out[:, r] = membrane[:, -1]
+                    potentials_out[:, r] = payload[:, -1]
                 step_start = time.perf_counter()
-                signs = np.empty((n_trials, n_neurons), dtype=np.int8)
                 for (_, a, b), learner in zip(pieces, learners):
-                    piece = membrane[a - lo:b - lo]
+                    piece = payload[a - lo:b - lo]
                     for x in piece[0] if b - a == 1 else piece.swapaxes(0, 1):
                         learner.step(x)
-                    signs[a - lo:b - lo] = learner.sign_assignment()
-                assignments = xp.asarray(signs)
+                    pending[a - lo:b - lo, n_pending] = learner.sign_assignment()
                 # No-ops unless tracing is enabled.
                 accumulate("plasticity_seconds", time.perf_counter() - step_start)
                 accumulate("plasticity_steps", plan.interval * len(learners))
-            pending[:, n_pending] = assignments
             n_pending += 1
             if n_pending == chunk or r + 1 == rounds_limit:
-                yield r + 1 - n_pending, xp.to_numpy(pending[:, :n_pending])
+                yield r + 1 - n_pending, pending[:, :n_pending]
                 n_pending = 0
 
     # ------------------------------------------------------------------

@@ -11,13 +11,14 @@ Seeding contract
 ----------------
 Trial *i* of a request with root seed ``s`` receives the seed sequence
 ``SeedSequence(entropy=s, spawn_key=(i,))`` — the same child that
-:class:`repro.utils.rng.SeedStream` hands to work item *i*.  On the numpy array path trial *i* is bitwise the
-same whatever the trial-block size (``max_block_bytes``) or the batch it
-shares (a request group), and equal to the one-trial solve
+:class:`repro.utils.rng.SeedStream` hands to work item *i*.  On the dense
+backend trial *i* is bitwise the same whatever the trial-block size
+(``max_block_bytes``) or the batch it shares (a request group), and equal
+to the one-trial solve
 
     circuit.sample_cuts(n_samples, seed=SeedSequence(s, spawn_key=(i,)))
 
-Sparse and accelerator backends agree with it to floating-point round-off.
+The sparse backend agrees with it to floating-point round-off.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 
 from repro.circuits.base import CircuitResult, NeuromorphicCircuit, SampleTrajectory
 from repro.cuts.cut import Cut
+from repro.engine.backends import check_backend
 from repro.utils.validation import ValidationError
 
 __all__ = ["EarlyStopConfig", "SolveRequest", "SolveResult"]
@@ -108,16 +110,14 @@ class SolveRequest:
     config:
         Circuit configuration forwarded when the engine builds the circuit.
     backend:
-        Backend spec resolved by :func:`repro.engine.xp.resolve_backend`:
-        ``"auto"``, a weight backend (``"dense"``/``"sparse"`` or any name
-        registered with :func:`repro.engine.backends.register_backend`), an
-        array backend (``"numpy"``/``"torch"``/``"cupy"``), or the combined
-        ``"<array>:<weight>"`` form (e.g. ``"torch:dense"``).  An explicit
-        weight name is always honoured; ``"auto"`` picks ``sparse`` for
+        ``"auto"``, ``"dense"`` or ``"sparse"``
+        (:data:`repro.engine.backends.BACKENDS`); anything else raises
+        :class:`ValidationError` here.  An explicit ``"dense"`` or
+        ``"sparse"`` is always honoured; ``"auto"`` picks ``sparse`` for
         large low-density graphs with square weight matrices and ``dense``
-        otherwise.  Only the numpy dense path is pinned bitwise (the
-        seeding contract above); sparse and accelerator (torch/cupy) paths
-        agree with it to floating-point round-off.
+        otherwise.  Only the dense path is pinned bitwise (the seeding
+        contract above); the sparse path agrees with it to floating-point
+        round-off.
     early_stop:
         Optional plateau rule; ``None`` disables early stopping (every trial
         then runs all ``n_samples`` read-outs).
@@ -169,6 +169,7 @@ class SolveRequest:
             raise ValidationError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.max_block_bytes < 1:
             raise ValidationError("max_block_bytes must be positive")
+        check_backend(self.backend)
         if self.trial_seeds is not None:
             # Normalise lists/generators to the declared tuple form (the
             # dataclass is frozen, hence the object.__setattr__).

@@ -5,7 +5,7 @@ It advances *all trials at once*, in one of two ways:
 
 * **Device space (membrane read-out).** Below threshold the membrane is
   linear in the device states, so :meth:`~BatchLIFSimulator.filter_device_states`
-  runs the leaky filter on the rank-wide device stream on the host and
+  runs the leaky filter on the rank-wide device stream and
   :meth:`~BatchLIFSimulator.iter_membrane_readouts` applies the weights only
   at the read-out steps, one weight product per trial.  No neuron current
   is formed and no step is integrated per neuron.
@@ -18,19 +18,12 @@ It advances *all trials at once*, in one of two ways:
   one-trial block (``sample_cuts``) is the same loop over a ``(1,
   neurons)`` matrix.
 
-Array operations after the host-side device filter are issued through the
-weight backend's :class:`~repro.engine.xp.ArrayBackend` namespace, so the
-same code runs on NumPy, torch, or cupy state tensors.
-
 Numerical contract: every per-element operation acts on each trial row
 alone, each trial's weight product is its own 2-D product, and the device
-filter's reductions are per row, so on the NumPy path a trial's read-outs
-are bitwise the same whatever the block it shares (pinned by
-``tests/test_engine_goldens.py``).  The device-space membrane rows agree
+filter's reductions are per row, so a trial's read-outs are bitwise the
+same whatever the block it shares (pinned by ``tests/test_engine_goldens.py``).  The device-space membrane rows agree
 with the neuron-space Euler recurrence to round-off (``tests/test_engine.py``
 and ``tests/test_neurons_lif.py`` check 1e-12 relative, with equal signs).
-Accelerator paths agree to floating-point round-off (kernel summation order
-differs).
 
 ``drive_currents(..., out=...)`` drives into row slices of one shared
 ``(rows, steps, neurons)`` buffer: the engine gives each segment of a
@@ -40,12 +33,11 @@ simulator for the drive, and integrates every row in one lock-step loop.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
 from repro.engine.backends import WeightBackend
-from repro.engine.xp import ArrayBackend, get_array_backend
 from repro.neurons.lif import LIFParameters
 from repro.obs.trace import span
 from repro.utils.validation import ValidationError
@@ -60,16 +52,12 @@ class BatchLIFSimulator:
     ----------
     backend:
         Weight-application backend turning centred device states into
-        synaptic currents.  Its ``array`` attribute fixes the array
-        namespace the integration runs in.
+        synaptic currents.
     params:
         Electrical parameters shared by all neurons and trials, including
         threshold/reset semantics.
     n_neurons:
         Number of neurons per trial.
-    array_backend:
-        Optional explicit array backend; defaults to the weight backend's
-        (falling back to numpy).
     """
 
     def __init__(
@@ -77,23 +65,12 @@ class BatchLIFSimulator:
         backend: WeightBackend,
         params: LIFParameters,
         n_neurons: int,
-        array_backend: Optional[ArrayBackend] = None,
     ) -> None:
         if n_neurons < 1:
             raise ValidationError(f"n_neurons must be >= 1, got {n_neurons}")
         self._backend = backend
         self._params = params
         self._n_neurons = int(n_neurons)
-        self._xp = (
-            array_backend
-            or getattr(backend, "array", None)
-            or get_array_backend("numpy")
-        )
-
-    @property
-    def xp(self) -> ArrayBackend:
-        """The array backend the integration runs in."""
-        return self._xp
 
     # ------------------------------------------------------------------
     def drive_currents(self, device_states, split_at: int = 0, out=None):
@@ -107,10 +84,9 @@ class BatchLIFSimulator:
         one product over all steps (``split_at=0``).
 
         ``out``, when given, receives the currents in place — a
-        ``(trials, steps, neurons)`` buffer in the simulator's array
-        namespace.  The engine passes each segment's row slice of a
-        block-wide buffer here, so several circuits' drives land in one
-        tensor.
+        ``(trials, steps, neurons)`` float64 buffer.  The engine passes each
+        segment's row slice of a block-wide buffer here, so several
+        circuits' drives land in one tensor.
         """
         if device_states.ndim != 3:
             raise ValidationError(
@@ -122,13 +98,11 @@ class BatchLIFSimulator:
         # per-trial drive calls are the hot inner loop and stay span-free.
         with span(
             "engine.drive", n_trials=n_trials, n_steps=n_steps,
-            backend=getattr(self._backend, "name", "?"),
+            backend=self._backend.name,
         ):
             currents = out
             if currents is None:
-                currents = self._xp.empty(
-                    (n_trials, n_steps, self._n_neurons), dtype="float64"
-                )
+                currents = np.empty((n_trials, n_steps, self._n_neurons))
             for b in range(n_trials):
                 if 0 < split_at < n_steps:
                     self._backend.drive(
@@ -143,7 +117,7 @@ class BatchLIFSimulator:
 
     # ------------------------------------------------------------------
     def filter_device_states(self, device_states, burn_in: int, interval: int):
-        """Leaky-filtered device stream at every read-out step (host NumPy).
+        """Leaky-filtered device stream at every read-out step.
 
         Below threshold the membrane is linear in the device states:
         ``V_t = leak * V_{t-1} + (dt / C) * (s_t - offset) W^T`` equals
@@ -199,23 +173,19 @@ class BatchLIFSimulator:
         filtered,
         n_rounds: int,
         chunk: int,
-    ) -> Iterator[Tuple[int, object]]:
+    ) -> Iterator[Tuple[int, np.ndarray]]:
         """Membrane read-outs ``(first_round, potentials)``, a chunk at a time.
 
         *filtered* is :meth:`filter_device_states`'s ``(trials, rounds,
         devices)`` output.  The first ``next()`` forms every read-out row
-        ``V = F W^T`` in the array namespace, one 2-D weight product per
-        trial over all of *filtered*'s rounds, so a trial's rows depend
-        neither on its block-mates nor on *n_rounds*.  Each yield is the
+        ``V = F W^T``, one 2-D weight product per trial over all of
+        *filtered*'s rounds, so a trial's rows depend neither on its
+        block-mates nor on *n_rounds*.  Each yield is the
         ``(trials, rounds, neurons)`` slice of up to *chunk* consecutive
         rounds, stopping after round ``n_rounds - 1``.
         """
-        xp = self._xp
-        filtered = xp.asarray(filtered)
         n_trials = filtered.shape[0]
-        potentials = xp.empty(
-            (n_trials, filtered.shape[1], self._n_neurons), dtype="float64"
-        )
+        potentials = np.empty((n_trials, filtered.shape[1], self._n_neurons))
         # The filtered states are already centred: the drive's offset is 0.
         for b in range(n_trials):
             self._backend.drive(filtered[b], 0.0, out=potentials[b])
@@ -228,22 +198,21 @@ class BatchLIFSimulator:
         burn_in: int,
         interval: int,
         n_rounds: int,
-    ) -> Iterator[Tuple[int, object]]:
+    ) -> Iterator[Tuple[int, np.ndarray]]:
         """Spiking integration yielding ``(round, fired)`` boolean masks.
 
         A crossing of ``threshold`` resets the membrane to
         ``reset_potential`` (during burn-in too); the yielded mask is the
         spike raster row at each read-out step.
         """
-        xp = self._xp
         params = self._params
         leak = params.leak_factor
         threshold, reset = params.threshold, params.reset_potential
-        xp.multiply(currents, params.dt / params.capacitance, out=currents)
-        potentials = xp.zeros((currents.shape[0], self._n_neurons), dtype="float64")
+        np.multiply(currents, params.dt / params.capacitance, out=currents)
+        potentials = np.zeros((currents.shape[0], self._n_neurons))
         for t in range(burn_in):
-            xp.multiply(potentials, leak, out=potentials)
-            xp.add(potentials, currents[:, t], out=potentials)
+            np.multiply(potentials, leak, out=potentials)
+            np.add(potentials, currents[:, t], out=potentials)
             fired = potentials >= threshold
             if fired.any():
                 potentials[fired] = reset
@@ -252,8 +221,8 @@ class BatchLIFSimulator:
             # interval >= 1 (validated in BatchPlan), so the loop always
             # assigns `fired` before the yield below.
             for k in range(interval):
-                xp.multiply(potentials, leak, out=potentials)
-                xp.add(potentials, currents[:, base + k], out=potentials)
+                np.multiply(potentials, leak, out=potentials)
+                np.add(potentials, currents[:, base + k], out=potentials)
                 fired = potentials >= threshold
                 if fired.any():
                     potentials[fired] = reset
@@ -265,29 +234,28 @@ class BatchLIFSimulator:
         burn_in: int,
         interval: int,
         n_rounds: int,
-    ) -> Iterator[Tuple[int, object]]:
+    ) -> Iterator[Tuple[int, np.ndarray]]:
         """Subthreshold integration yielding every round's full row block.
 
         Yields ``(round, rows)`` with ``rows`` of shape ``(trials, interval,
         neurons)`` — the post-burn-in membrane trajectory segment the
         LIF-Trevisan plasticity rule consumes step by step.
         """
-        xp = self._xp
         leak = self._params.leak_factor
-        xp.multiply(currents, self._params.dt / self._params.capacitance, out=currents)
+        np.multiply(currents, self._params.dt / self._params.capacitance, out=currents)
         n_trials = currents.shape[0]
-        potentials = xp.zeros((n_trials, self._n_neurons), dtype="float64")
+        potentials = np.zeros((n_trials, self._n_neurons))
         for t in range(burn_in):
-            xp.multiply(potentials, leak, out=potentials)
-            xp.add(potentials, currents[:, t], out=potentials)
+            np.multiply(potentials, leak, out=potentials)
+            np.add(potentials, currents[:, t], out=potentials)
         for r in range(n_rounds):
             base = burn_in + r * interval
-            rows = xp.empty((n_trials, interval, self._n_neurons), dtype="float64")
+            rows = np.empty((n_trials, interval, self._n_neurons))
             # Each step writes straight into its row of the round's block,
             # reading the previous row as V: no per-step state copy.
             for k in range(interval):
                 row = rows[:, k]
-                xp.multiply(potentials, leak, out=row)
-                xp.add(row, currents[:, base + k], out=row)
+                np.multiply(potentials, leak, out=row)
+                np.add(row, currents[:, base + k], out=row)
                 potentials = row
             yield r, rows

@@ -125,7 +125,7 @@ class SolveSpec:
     timeout_seconds:
         Queue-admission deadline: if the request has not *started* executing
         within this window it is answered with a timeout error instead of
-        occupying a batch slot.
+        taking a batch slot.
     deadline_seconds:
         Engine wall-clock deadline forwarded to
         :attr:`repro.engine.SolveRequest.deadline_seconds` (partial-but-valid

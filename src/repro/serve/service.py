@@ -49,7 +49,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.engine import SolveRequest, SolveResult, solve_instance_block
-from repro.engine.xp import parse_backend_spec
+from repro.engine.backends import check_backend
 from repro.obs.metrics import MetricsRegistry, nearest_rank_percentile
 from repro.obs.trace import span
 from repro.serve.cache import ContentAddressedCache, content_key
@@ -101,7 +101,7 @@ class ServiceConfig:
     default_timeout_seconds:
         Admission deadline applied when a request carries no
         ``timeout_seconds``: a job still queued past it is answered with a
-        timeout error instead of occupying a batch slot.
+        timeout error instead of taking a batch slot.
     circuit_cache_entries / compile_cache_entries / result_cache_entries:
         Bounds of the three content-addressed caches (built circuits —
         including the LIF-GW SDP stage — compiled problems, and served
@@ -396,11 +396,10 @@ class SolverService:
             self._count_rejection("draining")
             raise AdmissionError("draining", "service is draining; not accepting requests")
         try:
-            # Reject unknown backend specs at the door with a machine-readable
-            # reason — availability (e.g. torch not installed) is probed when
-            # the batch runs, but a name that can never resolve should not
-            # occupy a queue slot only to fail in the worker.
-            parse_backend_spec(spec.backend)
+            # Reject unknown backends at the door with a machine-readable
+            # reason, so they never take a queue slot only to fail in the
+            # worker.
+            check_backend(spec.backend)
         except ValidationError as exc:
             self._count_rejection("bad_backend")
             raise AdmissionError("bad_backend", str(exc)) from exc

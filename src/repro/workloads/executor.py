@@ -211,8 +211,6 @@ def _engine_unit_payload(result: SolveResult) -> Tuple[List[float], int, dict]:
         "n_rounds": int(result.n_rounds),
         "early_stopped": bool(result.early_stopped),
     }
-    if result.metadata.get("array_backend", "numpy") != "numpy":
-        metadata["array_backend"] = str(result.metadata["array_backend"])
     block = result.metadata.get("instance_block")
     if block:
         metadata["instance_block"] = {

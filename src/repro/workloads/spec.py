@@ -295,15 +295,11 @@ class ExecutionPolicy(ValidatedConfig):
     Attributes
     ----------
     backend:
-        Engine backend spec for batchable solvers, resolved by
-        :func:`repro.engine.xp.resolve_backend`: ``"auto"``, a weight
-        backend (``"dense"``/``"sparse"``), an array backend
-        (``"numpy"``/``"torch"``/``"cupy"``), or ``"<array>:<weight>"``
-        (e.g. ``"torch:dense"``).  An explicit weight name always
-        overrides the engine's density heuristic, so ``--backend sparse``
-        is honoured even on small graphs.  Validated at policy
-        construction (spec syntax and registry names; array availability
-        is probed at solve time).
+        Engine backend for batchable solvers: ``"auto"``, ``"dense"`` or
+        ``"sparse"`` (:data:`repro.engine.backends.BACKENDS`), validated at
+        policy construction.  An explicit ``"dense"`` or ``"sparse"``
+        always overrides the engine's density heuristic, so
+        ``--backend sparse`` is honoured even on small graphs.
     n_workers:
         Process workers for per-trial execution (``None`` = cpu count).
     """
@@ -312,11 +308,9 @@ class ExecutionPolicy(ValidatedConfig):
     n_workers: Optional[int] = 1
 
     def validate(self) -> None:
-        # Parse-only check: unknown names fail fast here; whether an
-        # accelerator is importable is probed when the engine resolves it.
-        from repro.engine.xp import parse_backend_spec
+        from repro.engine.backends import check_backend
 
-        parse_backend_spec(self.backend)
+        check_backend(self.backend)
         if self.n_workers is not None and self.n_workers < 0:
             raise ValidationError(
                 f"n_workers must be >= 0 or None, got {self.n_workers}"

@@ -126,11 +126,11 @@ class TestCliHelp:
         ["workloads", "--help"],
         ["solve", "--help"],
         ["engine", "--help"],
-        ["backends", "--help"],
         ["merge", "--help"],
         ["bench", "--help"],
         ["profile", "--help"],
         ["serve", "--help"],
+        ["graphs", "--help"],
     ])
     def test_help_exits_zero(self, argv, capsys):
         from repro.cli import main

@@ -507,9 +507,10 @@ class TestEngineCli:
     def test_engine_command_rejects_unknown_backend_before_solving(self, capsys):
         from repro.cli import main
 
-        code = main(["engine", "--er", "20", "0.3", "--backend", "spare"])
-        assert code == 2
-        assert "unknown backend spec 'spare'" in capsys.readouterr().err
+        for backend in ("spare", "torch"):
+            code = main(["engine", "--er", "20", "0.3", "--backend", backend])
+            assert code == 2
+            assert f"unknown backend spec {backend!r}" in capsys.readouterr().err
 
     def test_engine_command_early_stop_fires_on_short_runs(self, capsys):
         """--early-stop-patience must be able to fire below 64 samples."""

@@ -1,11 +1,12 @@
 """Unit tests for the engine's building blocks.
 
-Covers the backend registry (dense/sparse selection and extension), the
-trial-seeded device sampler, the streaming best-cut tracker, the batched cut
-evaluator, and the batched ``DevicePool.sample_batch`` API.
+Covers the backend choice (dense/sparse selection), the trial-seeded device
+sampler, the streaming best-cut tracker and the batched cut evaluator.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,20 +14,16 @@ import pytest
 from repro.circuits.config import LIFTrevisanConfig
 from repro.circuits.lif_trevisan import LIFTrevisanCircuit
 from repro.cuts.cut import BatchCutEvaluator, cut_weights_batch
-from repro.devices.base import DevicePool
-from repro.devices.bernoulli import BiasedCoinPool, FairCoinPool
-from repro.devices.correlated import CorrelatedDevicePool
-from repro.devices.drift import DriftingDevicePool
-from repro.devices.telegraph import TelegraphNoisePool
+from repro.devices.bernoulli import FairCoinPool
 from repro.engine import (
+    BACKENDS,
     BatchDeviceSampler,
     BestCutTracker,
     DenseBackend,
     EarlyStopConfig,
     SolveRequest,
     WeightBackend,
-    list_backends,
-    register_backend,
+    check_backend,
     solve,
     trial_seed_sequences,
 )
@@ -37,25 +34,26 @@ from repro.utils.validation import ValidationError
 
 
 class TestBackends:
-    def test_registry_lists_builtins(self):
-        assert {"dense", "sparse"} <= set(list_backends())
+    def test_backend_choices(self):
+        assert BACKENDS == ("auto", "dense", "sparse")
+        for name in BACKENDS:
+            assert check_backend(name) == name
+
+    @pytest.mark.parametrize("spec", [
+        "torch", "cupy", "numpy", "numpy:dense", "torch:dense", ":sparse",
+        "Dense", pytest.param(" auto", id="padded-auto"),
+        pytest.param("", id="empty"), None, 123,
+    ])
+    def test_check_backend_rejects_every_other_spec(self, spec):
+        with pytest.raises(ValidationError, match="unknown backend spec"):
+            check_backend(spec)
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValidationError):
-            WeightBackend.for_graph(None, np.eye(3), policy="no-such-backend")
-
-    def test_register_custom_backend(self):
-        class Doubling(DenseBackend):
-            name = "doubling-test"
-
-        register_backend("doubling-test", Doubling)
-        try:
-            backend = WeightBackend.for_graph(None, np.eye(3), policy="doubling-test")
-            assert isinstance(backend, Doubling)
-        finally:
-            from repro.engine import backends as backends_module
-
-            backends_module._REGISTRY.pop("doubling-test", None)
+            WeightBackend.for_graph(None, np.eye(3), backend="no-such-backend")
+        with pytest.raises(ValidationError):
+            SolveRequest(circuit="lif_tr", graph=erdos_renyi(8, 0.5, seed=0),
+                         backend="torch")
 
     def test_dense_matches_sequential_drive(self):
         rng = np.random.default_rng(0)
@@ -79,7 +77,7 @@ class TestBackends:
     def test_auto_selects_dense_for_small_or_dense_graphs(self):
         graph = erdos_renyi(40, 0.3, seed=0)
         backend = WeightBackend.for_graph(
-            graph, np.eye(40), policy="auto", sparse_weights=lambda: np.eye(40)
+            graph, np.eye(40), backend="auto", sparse_weights=lambda: np.eye(40)
         )
         assert backend.name == "dense"
 
@@ -91,13 +89,13 @@ class TestBackends:
         )
         plan = circuit.engine_plan()
         backend = WeightBackend.for_graph(
-            graph, plan.weights, policy="auto", sparse_weights=plan.sparse_weights
+            graph, plan.weights, backend="auto", sparse_weights=plan.sparse_weights
         )
         assert backend.name == "sparse"
 
     def test_auto_never_selects_sparse_without_sparse_weights(self):
         graph = erdos_renyi(200, 0.01, seed=0)
-        backend = WeightBackend.for_graph(graph, np.eye(200), policy="auto")
+        backend = WeightBackend.for_graph(graph, np.eye(200), backend="auto")
         assert backend.name == "dense"
 
     def test_sparse_engine_run_matches_dense_cuts(self):
@@ -113,6 +111,72 @@ class TestBackends:
         assert auto.backend_name == "sparse"
         assert dense.backend_name == "dense"
         assert np.array_equal(auto.trajectories, dense.trajectories)
+
+    def test_explicit_sparse_overrides_small_graph_heuristic(self):
+        # "--backend sparse" is honoured even on graphs the auto heuristic
+        # would route dense (small and/or dense ones).
+        graph = erdos_renyi(16, 0.5, seed=0)
+        assert graph.n_vertices < SPARSE_MIN_VERTICES
+        weights = np.eye(graph.n_vertices)
+        backend = WeightBackend.for_graph(
+            graph, weights, backend="sparse", sparse_weights=lambda: weights,
+        )
+        assert isinstance(backend, SparseBackend)
+
+    def test_engine_sparse_spec_end_to_end_on_small_graph(self):
+        # Same override through the full engine path: a SolveRequest naming
+        # sparse reports the sparse backend even under the size floor.
+        graph = erdos_renyi(24, 0.5, seed=1)
+        result = solve(SolveRequest(
+            circuit="lif_tr", graph=graph, n_trials=2, n_samples=4,
+            seed=0, backend="sparse",
+        ))
+        assert result.backend_name == "sparse"
+
+    def test_sparse_and_dense_weights_give_the_same_cuts(self):
+        # LIF-TR on a low-density graph: the two weight backends agree on
+        # every read-out (their round-off never flips a sign here).
+        graph = erdos_renyi(256, 0.015, seed=3)
+        circuit = LIFTrevisanCircuit(
+            graph, config=LIFTrevisanConfig(burn_in_steps=50, sample_interval=5)
+        )
+        dense, sparse = (
+            solve(SolveRequest(
+                circuit=circuit, n_trials=8, n_samples=64, seed=4, backend=backend,
+            ))
+            for backend in ("dense", "sparse")
+        )
+        assert (dense.backend_name, sparse.backend_name) == ("dense", "sparse")
+        assert np.array_equal(dense.trajectories, sparse.trajectories)
+
+    def test_dense_bit_identical_across_block_sizes(self):
+        """An explicit dense run equals its trials run one block at a time."""
+        graph = erdos_renyi(30, 0.4, seed=2)
+        request = SolveRequest(
+            circuit="lif_tr", graph=graph, n_trials=3, n_samples=6,
+            seed=11, backend="dense",
+        )
+        engine = solve(request)
+        reference = solve(replace(request, max_block_bytes=1))
+        assert np.array_equal(engine.trajectories, reference.trajectories)
+        assert np.array_equal(
+            engine.trial_best_weights, reference.trial_best_weights
+        )
+        assert np.array_equal(
+            engine.trial_best_assignments, reference.trial_best_assignments
+        )
+
+    def test_dense_equals_default_auto_run(self):
+        graph = erdos_renyi(30, 0.4, seed=3)
+        common = dict(
+            circuit="lif_tr", graph=graph, n_trials=2, n_samples=5, seed=4
+        )
+        auto = solve(SolveRequest(backend="auto", **common))
+        explicit = solve(SolveRequest(backend="dense", **common))
+        assert np.array_equal(auto.trajectories, explicit.trajectories)
+        assert np.array_equal(
+            auto.trial_best_assignments, explicit.trial_best_assignments
+        )
 
 
 class TestSampler:
@@ -241,96 +305,3 @@ class TestBatchCutEvaluator:
         assert np.array_equal(
             BatchCutEvaluator(empty_graph).weights(assignments), np.zeros(4)
         )
-
-
-class TestSampleBatch:
-    POOLS = [
-        lambda: FairCoinPool(6, seed=0),
-        lambda: BiasedCoinPool(0.7, n_devices=6, seed=0),
-        lambda: TelegraphNoisePool(6, switch_up=0.2, seed=0),
-        lambda: DriftingDevicePool(6, seed=0),
-        lambda: CorrelatedDevicePool(6, 0.3, seed=0),
-    ]
-
-    @pytest.mark.parametrize("make_pool", POOLS, ids=[
-        "fair", "biased", "telegraph", "drifting", "correlated",
-    ])
-    def test_shape_dtype_and_binary_values(self, make_pool):
-        pool = make_pool()
-        batch = pool.sample_batch(3, 7, rng=123)
-        assert batch.shape == (3, 7, 6)
-        assert batch.dtype == np.int8
-        assert set(np.unique(batch)) <= {0, 1}
-
-    @pytest.mark.parametrize("make_pool", POOLS, ids=[
-        "fair", "biased", "telegraph", "drifting", "correlated",
-    ])
-    def test_reproducible_given_rng(self, make_pool):
-        a = make_pool().sample_batch(2, 9, rng=7)
-        b = make_pool().sample_batch(2, 9, rng=7)
-        assert np.array_equal(a, b)
-
-    def test_zero_trials_and_zero_steps(self):
-        pool = FairCoinPool(4, seed=0)
-        assert pool.sample_batch(0, 5, rng=1).shape == (0, 5, 4)
-        assert pool.sample_batch(3, 0, rng=1).shape == (3, 0, 4)
-
-    def test_negative_trials_rejected(self):
-        with pytest.raises(ValidationError):
-            FairCoinPool(4, seed=0).sample_batch(-1, 5)
-
-    def test_statistics_match_expected_mean(self):
-        pool = BiasedCoinPool(0.8, n_devices=4, seed=0)
-        batch = pool.sample_batch(20, 500, rng=5)
-        np.testing.assert_allclose(batch.mean(axis=(0, 1)), 0.8, atol=0.02)
-
-    def test_telegraph_trials_are_independent_replicas(self):
-        """Batched trials start fresh; the pool's own state is untouched."""
-        pool = TelegraphNoisePool(3, switch_up=0.05, seed=0)
-        state_before = pool._state.copy()
-        pool.sample_batch(4, 50, rng=9)
-        assert np.array_equal(pool._state, state_before)
-
-    def test_default_loop_fallback_for_custom_pools(self):
-        class ConstantPool(DevicePool):
-            def sample(self, n_steps):
-                n_steps = self._check_steps(n_steps)
-                return np.ones((n_steps, self.n_devices), dtype=np.int8)
-
-            def expected_mean(self):
-                return np.ones(self.n_devices)
-
-        batch = ConstantPool(3).sample_batch(2, 4)
-        assert batch.shape == (2, 4, 3)
-        assert np.all(batch == 1)
-        # An explicit rng cannot be honoured without an _rng slot: loud error
-        # beats silently sampling from the wrong stream.
-        with pytest.raises(ValidationError):
-            ConstantPool(3).sample_batch(2, 4, rng=7)
-
-    def test_default_fallback_honours_rng_for_rng_idiom_pools(self):
-        """The base fallback substitutes rng into the standard _rng slot."""
-        from repro.utils.rng import as_generator
-
-        class CustomCoinPool(DevicePool):
-            def __init__(self, n_devices, seed=None):
-                super().__init__(n_devices)
-                self._rng = as_generator(seed)
-
-            def sample(self, n_steps):
-                n_steps = self._check_steps(n_steps)
-                return self._rng.integers(
-                    0, 2, size=(n_steps, self.n_devices), dtype=np.int8
-                )
-
-            def expected_mean(self):
-                return np.full(self.n_devices, 0.5)
-
-        pool = CustomCoinPool(4, seed=0)
-        state_probe = pool._rng
-        a = CustomCoinPool(4, seed=0).sample_batch(3, 8, rng=42)
-        b = CustomCoinPool(4, seed=999).sample_batch(3, 8, rng=42)
-        assert np.array_equal(a, b)  # rng, not the pool's seed, decides
-        assert pool._rng is state_probe  # original stream restored untouched
-        c = CustomCoinPool(4, seed=0).sample_batch(3, 8, rng=43)
-        assert not np.array_equal(a, c)

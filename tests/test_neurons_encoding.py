@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine.xp import get_array_backend
-from repro.neurons.encoding import (
-    membrane_sign_assignments,
-    membrane_sign_assignments_xp,
-    spikes_to_assignments,
-    spikes_to_assignments_xp,
-)
+from repro.neurons.encoding import membrane_sign_assignments, spikes_to_assignments
 from repro.utils.validation import ValidationError
 
 
@@ -31,6 +25,12 @@ class TestSpikesToAssignments:
         with pytest.raises(ValidationError):
             spikes_to_assignments(np.zeros(4, dtype=bool))
 
+    def test_matches_where_on_a_random_mask(self, rng):
+        spikes = rng.random((7, 9)) < 0.5
+        out = spikes_to_assignments(spikes)
+        assert out.dtype == np.int8
+        np.testing.assert_array_equal(out, np.where(spikes, 1, -1))
+
 
 class TestMembraneSignAssignments:
     def test_threshold_zero(self):
@@ -51,22 +51,10 @@ class TestMembraneSignAssignments:
         with pytest.raises(ValidationError):
             membrane_sign_assignments(np.zeros(3))
 
-
-class TestArrayNamespaceVariants:
-    """The engine's namespace variants give the host functions' int8 values."""
-
-    def test_spike_variant_matches_host(self, rng):
-        spikes = rng.random((7, 9)) < 0.5
-        out = spikes_to_assignments_xp(get_array_backend("numpy"), spikes)
-        assert out.dtype == np.int8
-        np.testing.assert_array_equal(out, spikes_to_assignments(spikes))
-
-    def test_membrane_variant_matches_host_on_a_chunk_of_rounds(self, rng):
-        potentials = rng.standard_normal((3, 5, 8))
-        potentials[0, 0, :3] = [0.0, -0.0, 0.25]
-        out = membrane_sign_assignments_xp(get_array_backend("numpy"), potentials, 0.1)
-        assert out.dtype == np.int8 and out.shape == (3, 5, 8)
-        for trial in range(3):
-            np.testing.assert_array_equal(
-                out[trial], membrane_sign_assignments(potentials[trial], 0.1)
-            )
+    def test_matches_where_on_signed_zeros_and_a_threshold(self, rng):
+        potentials = rng.standard_normal((5, 8))
+        potentials[0, :3] = [0.0, -0.0, 0.1]
+        for threshold in (0.0, 0.1):
+            out = membrane_sign_assignments(potentials, threshold)
+            assert out.dtype == np.int8
+            np.testing.assert_array_equal(out, np.where(potentials > threshold, 1, -1))

@@ -277,7 +277,9 @@ class TestDeviceSpaceMembrane:
         rng = np.random.default_rng(rank * 1000 + burn_in * 10 + interval)
         weights = 2.5 * rng.standard_normal((12, rank))
         params = LIFParameters(capacitance=0.7, resistance=9.0, dt=0.2, input_offset=0.4)
-        states = FairCoinPool(rank, seed=n_rounds).sample_batch(3, burn_in + n_rounds * interval)
+        states = np.random.default_rng(n_rounds).integers(
+            0, 2, size=(3, burn_in + n_rounds * interval, rank), dtype=np.int8
+        )
         simulator = _simulator(weights, params)
         filtered = simulator.filter_device_states(states, burn_in, interval)
         ((first, rows),) = simulator.iter_membrane_readouts(filtered, n_rounds, n_rounds)
@@ -291,7 +293,9 @@ class TestDeviceSpaceMembrane:
     def test_readouts_do_not_depend_on_block_mates_or_round_limit(self, rng):
         """A trial's rows are bitwise the same alone, in a block and cut short."""
         simulator = _simulator(rng.standard_normal((30, 4)))
-        states = FairCoinPool(4, seed=11).sample_batch(5, 25 + 4 * 40)
+        states = np.random.default_rng(11).integers(
+            0, 2, size=(5, 25 + 4 * 40, 4), dtype=np.int8
+        )
         block = simulator.filter_device_states(states, 25, 4)
         alone = simulator.filter_device_states(states[2:3], 25, 4)
         assert np.array_equal(block[2], alone[0])

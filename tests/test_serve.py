@@ -357,6 +357,27 @@ class TestAdmission:
         assert excinfo.value.reason == "too_large"
         service.shutdown()
 
+    @pytest.mark.parametrize("backend", ["torch", "cupy", "numpy:dense", "warp"])
+    def test_unknown_backend_rejected_at_the_door(self, backend):
+        g = _graph(seed=13)
+        with SolverService() as service:
+            with pytest.raises(AdmissionError) as excinfo:
+                service.submit(_payload(g, backend=backend))
+            assert excinfo.value.reason == "bad_backend"
+            assert service.stats()["rejected"] == {"bad_backend": 1}
+            server = serve_http(service, port=0)
+            threading.Thread(target=server.serve_forever, daemon=True).start()
+            try:
+                client = ServeClient(port=server.server_address[1], timeout=30)
+                with pytest.raises(ServeClientError) as excinfo:
+                    client.solve(_payload(g, backend=backend))
+                assert excinfo.value.status == 400
+                assert excinfo.value.reason == "bad_backend"
+            finally:
+                server.shutdown()
+                server.server_close()
+            assert service.stats()["rejected"] == {"bad_backend": 2}
+
     def test_queue_timeout_expires_stale_jobs(self):
         g = _graph(seed=13)
         service = SolverService(autostart=False)

@@ -107,8 +107,9 @@ class TestBudgetAndPolicy:
         assert ExecutionPolicy(n_workers=3).parallel_config().n_workers == 3
         with pytest.raises(ValidationError):
             ExecutionPolicy(n_workers=-1)
-        with pytest.raises(ValidationError):
-            ExecutionPolicy(backend="warp")
+        for backend in ("torch", "cupy", "numpy:dense", "warp"):
+            with pytest.raises(ValidationError):
+                ExecutionPolicy(backend=backend)
 
 
 class TestWorkloadSpec:
