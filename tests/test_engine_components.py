@@ -39,6 +39,9 @@ class TestBackends:
         for name in BACKENDS:
             assert check_backend(name) == name
 
+    def test_registry_lists_builtins(self):
+        assert {"dense", "sparse"} <= set(BACKENDS)
+
     @pytest.mark.parametrize("spec", [
         "torch", "cupy", "numpy", "numpy:dense", "torch:dense", ":sparse",
         "Dense", pytest.param(" auto", id="padded-auto"),
