@@ -6,14 +6,18 @@ The MAXCUT objective used throughout the paper is
 
 Every cut weight in the program — engine read-outs, hyperplane rounding,
 the random baseline, the exact solver, the Trevisan sweep — is computed by
-:class:`BatchCutEvaluator` as a quadratic form on the graph's cached CSR
-adjacency ``A``: for ``(k, n)`` ±1 rows ``S``,
+:class:`BatchCutEvaluator` as a quadratic form on the graph's adjacency
+``A``: for ``(k, n)`` ±1 rows ``S``,
 
-    q(S) = rowdot(S, S A),   cut(S) = (q(1) - q(S)) / 4,
+    q(S) = rowdot(S, S A),   cut(S) = (q(1) - q(S)) / 4.
 
-with sparse products over blocks of rows and one dot per row.
-:func:`cut_weights_batch` and :func:`cut_weight` validate their input and
-call the same kernel.
+One contract, two routes.  A dense graph (not
+:func:`~repro.graphs.properties.is_large_and_sparse`) whose integer weights
+keep ``2 sum|w| <= 2**24`` takes one float32 GEMM on its cached dense
+adjacency, where every partial sum is an exact integer; every other graph
+takes sparse products on its cached CSR adjacency in float64.  Where both
+routes apply they give the same bits.  :func:`cut_weights_batch` and
+:func:`cut_weight` validate their input and call the same kernel.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graphs.graph import Graph
+from repro.graphs.properties import is_large_and_sparse
 from repro.obs.trace import accumulate, tracing_enabled
 from repro.utils.validation import ValidationError, check_spin_vector
 
@@ -97,34 +102,52 @@ def cut_weights_batch(graph: Graph, assignments: np.ndarray) -> np.ndarray:
     return BatchCutEvaluator(graph).weights(assignments)
 
 
-#: Rows per sparse product inside :class:`BatchCutEvaluator`.
+#: Rows per sparse product on the CSR route of :class:`BatchCutEvaluator`.
 _ROW_BLOCK = 128
 
 
 class BatchCutEvaluator:
-    """The cut-weight kernel: a quadratic form on the cached CSR adjacency.
+    """The cut-weight kernel: a quadratic form ``q(S) = rowdot(S, S A)``.
 
-    For ``(k, n)`` ±1 rows ``S`` (cast to float64), ``q(S)`` is the SciPy
-    CSR product ``A S^T`` followed by one ``np.vecdot`` per C-contiguous
-    row, and a cut weighs ``(q(1) - q(S)) / 4``; ``q(1) = 2 sum(w)`` is
-    computed once, by the same kernel.  Callers guarantee ±1 rows of the
-    right width (no validation here).
+    A cut of ±1 rows ``S`` weighs ``(q(1) - q(S)) / 4``.  Callers guarantee
+    ±1 rows of the right width (no validation here).  The route is fixed
+    per graph at construction:
 
-    Numerics.  Every product ``A_ij s_j`` is exact, and each output entry
-    of the CSR product sums in CSR order whatever the number of rows, so a
-    cut's weight never depends on which rows share its call.  An all-one-
-    side cut is exactly ``0.0`` and ``cut(s) == cut(-s)`` bitwise.  On
-    integer (or dyadic) weights every partial sum is an exact integer, so
-    the result is the exact crossing weight; on real weights it differs
-    from a plain edge sum by round-off only.  :class:`~repro.graphs.graph.Graph`
-    keeps ``4 sum|w|`` finite, so no partial sum can overflow.
+    * **dense float32** when the graph is not
+      :func:`~repro.graphs.properties.is_large_and_sparse` and
+      :meth:`~repro.graphs.graph.Graph.exact_float32_adjacency` exists
+      (integer weights, ``2 sum|w| <= 2**24``): ``S`` cast to float32, one
+      ``sgemm`` ``S A`` and one ``np.vecdot`` per row, cast to float64;
+      ``q(1)`` is the exact ``2 sum(w)``.  Every partial sum is an integer
+      of magnitude at most ``2**24``, so the result is exact whatever the
+      row count, summation order, BLAS kernel or BLAS thread count.
+    * **CSR float64** otherwise (real weights, large sparse graphs):
+      ``S`` cast to float64, the SciPy CSR product ``A S^T`` over blocks of
+      128 rows and one ``np.vecdot`` per C-contiguous row; ``q(1)`` comes
+      from the same kernel once.  Every product ``A_ij s_j`` is exact and
+      each output entry sums in CSR order whatever the number of rows.
+
+    Numerics.  On both routes a cut's weight never depends on which rows
+    share its call, an all-one-side cut is exactly ``0.0`` and
+    ``cut(s) == cut(-s)`` bitwise.  On integer (or dyadic) weights the
+    result is the exact crossing weight, so the two routes agree bit for
+    bit; on real weights (CSR only) it differs from a plain edge sum by
+    round-off.  :class:`~repro.graphs.graph.Graph` keeps ``4 sum|w|``
+    finite, so no partial sum can overflow.
     """
 
-    __slots__ = ("_adjacency", "_uncut")
+    __slots__ = ("_adjacency", "_uncut", "route")
 
     def __init__(self, graph: Graph) -> None:
-        self._adjacency = graph.to_csr()
-        self._uncut = self._quadratic_form(np.ones((1, graph.n_vertices)))[0]
+        dense = None if is_large_and_sparse(graph) else graph.exact_float32_adjacency()
+        #: ``"dense"`` (float32 GEMM) or ``"csr"`` (float64 sparse products).
+        self.route = "csr" if dense is None else "dense"
+        if dense is not None:
+            self._adjacency = dense
+            self._uncut = 2.0 * graph.total_weight
+        else:
+            self._adjacency = graph.to_csr()
+            self._uncut = self._quadratic_form(np.ones((1, graph.n_vertices)))[0]
 
     def weights(self, assignments: np.ndarray) -> np.ndarray:
         """Cut weights of a ``(k, n)`` block of ±1 assignments (unvalidated).
@@ -144,10 +167,13 @@ class BatchCutEvaluator:
             accumulate("cut_evaluations", 1)
 
     def _weights_of(self, assignments: np.ndarray) -> np.ndarray:
-        spins = np.ascontiguousarray(assignments, dtype=np.float64)
+        dtype = np.float32 if self.route == "dense" else np.float64
+        spins = np.ascontiguousarray(assignments, dtype=dtype)
         return (self._uncut - self._quadratic_form(spins)) / 4.0
 
     def _quadratic_form(self, spins: np.ndarray) -> np.ndarray:
+        if self.route == "dense":
+            return np.vecdot(spins, spins @ self._adjacency).astype(np.float64)
         q = np.empty(spins.shape[0])
         # Row blocks keep the product's operands in cache: one 1024-row
         # product takes about twice as long as eight 128-row ones.

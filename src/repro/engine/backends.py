@@ -21,9 +21,11 @@ The backend choice is one of :data:`BACKENDS`, checked by
 ``ExecutionPolicy.backend``, the ``--backend`` flags, serve's ``"backend"``
 key).  :meth:`WeightBackend.for_graph` builds the backend for a graph: an
 explicit ``"dense"`` or ``"sparse"`` is **always honoured**; only ``"auto"``
-consults the density heuristic — ``sparse`` when the weights are square,
-the graph is large (>= ``SPARSE_MIN_VERTICES``) and its edge density is
-below ``SPARSE_DENSITY_THRESHOLD``, ``dense`` otherwise.
+consults the density heuristic — ``sparse`` when the weights are square
+and the graph is large and sparse
+(:func:`repro.graphs.properties.is_large_and_sparse`: at least
+``SPARSE_MIN_VERTICES`` vertices, edge density below
+``SPARSE_DENSITY_THRESHOLD``), ``dense`` otherwise.
 """
 
 from __future__ import annotations
@@ -31,6 +33,11 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from repro.graphs.properties import (
+    SPARSE_DENSITY_THRESHOLD,
+    SPARSE_MIN_VERTICES,
+    is_large_and_sparse,
+)
 from repro.utils.validation import ValidationError
 
 __all__ = [
@@ -46,12 +53,6 @@ __all__ = [
 #: The backend choices: ``"auto"`` routes by graph density, ``"dense"`` and
 #: ``"sparse"`` force one weight backend.
 BACKENDS = ("auto", "dense", "sparse")
-
-#: Graphs at least this dense always use the dense backend under ``"auto"``.
-SPARSE_DENSITY_THRESHOLD: float = 0.05
-
-#: Graphs smaller than this always use the dense backend under ``"auto"``.
-SPARSE_MIN_VERTICES: int = 128
 
 
 def check_backend(backend) -> str:
@@ -113,8 +114,7 @@ class WeightBackend:
                 sparse_weights is not None
                 and n_rows == n_cols
                 and graph is not None
-                and graph.n_vertices >= SPARSE_MIN_VERTICES
-                and graph.density() < SPARSE_DENSITY_THRESHOLD
+                and is_large_and_sparse(graph)
             )
             name = "sparse" if use_sparse else "dense"
         if name == "sparse":

@@ -20,8 +20,9 @@ one row per (request, trial):
    at the read-out steps; the spike and plasticity read-outs drive neuron
    currents and step every neuron,
 5. signs the read-outs in chunks of rounds, evaluates each chunk with its
-   segment's CSR cut kernel (:class:`repro.cuts.cut.BatchCutEvaluator`) and
-   streams the weights, one round at a time, through a
+   segment's cut kernel (:class:`repro.cuts.cut.BatchCutEvaluator`: one
+   exact float32 GEMM on dense integer-weight graphs, CSR products
+   otherwise) and streams the weights, one round at a time, through a
    :class:`repro.engine.tracker.BestCutTracker`, optionally terminating
    early once the best-cut distribution plateaus, and
 6. splits the rows back into one :class:`SolveResult` per request, each

@@ -63,6 +63,7 @@ class Graph:
         "name",
         "_adjacency",
         "_adjacency_sparse",
+        "_adjacency_float32",
         "_normalized_sparse",
         "_degrees",
         "_fingerprint",
@@ -115,6 +116,7 @@ class Graph:
         self._weights = weights
         self._adjacency: Optional[np.ndarray] = None
         self._adjacency_sparse: Optional[sp.csr_matrix] = None
+        self._adjacency_float32 = None
         self._normalized_sparse: Optional[sp.csr_matrix] = None
         self._degrees: Optional[np.ndarray] = None
         self._fingerprint: Optional[str] = None
@@ -219,6 +221,7 @@ class Graph:
         graph._weights = summed
         graph._adjacency = None
         graph._adjacency_sparse = None
+        graph._adjacency_float32 = None
         graph._normalized_sparse = None
         graph._degrees = None
         graph._fingerprint = None
@@ -354,6 +357,30 @@ class Graph:
         if normalized:
             return self.normalized_adjacency_sparse()
         return self.adjacency_sparse()
+
+    def exact_float32_adjacency(self) -> Optional[np.ndarray]:
+        """Dense float32 adjacency when float32 sums over it are exact, else ``None``.
+
+        Given only when every weight is an integer and ``2 sum|w| <= 2**24``:
+        then every partial sum of ``s^T A s`` for a ±1 vector ``s``, in any
+        order, is an integer no larger than ``2**24`` in magnitude, which
+        float32 holds exactly.  Built from the edge arrays (never through
+        the float64 :meth:`adjacency`) and cached, as is a ``None`` answer,
+        so an inexact graph never holds an ``n x n`` float32 matrix.
+        Callers must not mutate the returned matrix.
+        """
+        if self._adjacency_float32 is None:
+            w = self._weights
+            exact = bool(np.all(w == np.rint(w))) and 2.0 * np.abs(w).sum() <= 2.0**24
+            # False marks a graph already found inexact.
+            self._adjacency_float32 = False
+            if exact:
+                A = np.zeros((self._n, self._n), dtype=np.float32)
+                u, v = self._edges[:, 0], self._edges[:, 1]
+                A[u, v] = w
+                A[v, u] = w
+                self._adjacency_float32 = A
+        return self._adjacency_float32 if self._adjacency_float32 is not False else None
 
     def degrees(self) -> np.ndarray:
         """Weighted degree vector ``d_i = sum_j A_ij`` (cached)."""

@@ -16,7 +16,32 @@ __all__ = [
     "DegreeStatistics",
     "graph_summary",
     "is_bipartite",
+    "is_large_and_sparse",
+    "SPARSE_DENSITY_THRESHOLD",
+    "SPARSE_MIN_VERTICES",
 ]
+
+#: Graphs at least this dense count as dense, whatever their size.
+SPARSE_DENSITY_THRESHOLD: float = 0.05
+
+#: Graphs smaller than this count as dense, whatever their density.
+SPARSE_MIN_VERTICES: int = 128
+
+
+def is_large_and_sparse(graph: Graph) -> bool:
+    """Whether *graph* is large and sparse enough for CSR products to pay.
+
+    True when it has at least ``SPARSE_MIN_VERTICES`` vertices and an edge
+    density below ``SPARSE_DENSITY_THRESHOLD``.  The one density test of
+    the program: the engine's ``auto`` weight backend
+    (:meth:`repro.engine.backends.WeightBackend.for_graph`) goes sparse on
+    it, and the cut kernel (:class:`repro.cuts.cut.BatchCutEvaluator`)
+    keeps its CSR route on it.  Everything else counts as dense.
+    """
+    return (
+        graph.n_vertices >= SPARSE_MIN_VERTICES
+        and graph.density() < SPARSE_DENSITY_THRESHOLD
+    )
 
 
 def connected_components(graph: Graph) -> List[Set[int]]:

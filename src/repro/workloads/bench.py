@@ -32,8 +32,10 @@ default) a CI gate can diff against a committed tolerance baseline
     Graph-axis batching (:func:`repro.engine.solve_instance_block`): K
     same-shape instances × trials run as the row segments of one engine
     group vs solving the K requests through the engine one at a time.
-    ``speedup`` is the per-instance / fused wall-time ratio; fused results
-    must be bit-identical to the per-instance solves.
+    ``speedup`` is the per-instance / fused wall-time ratio; timed like the
+    ``engine:*`` legs (one warm-up solve, medians of 7 alternating pairs),
+    and the fused results of every pair must be bit-identical to its
+    per-instance solves.
 ``scale-generate``
     The CSR-native vectorised Barabási–Albert generator
     (:func:`repro.scale.generators.scale_barabasi_albert`) vs the legacy
@@ -111,8 +113,9 @@ _ENGINE_KEYS = ("lif_gw", "lif_gw:spike", "lif_tr")
 #: The engine scenarios' graph: ER(n, p), seeded by the bench seed.
 _ENGINE_GRAPH = (100, 0.25)
 
-#: Alternating (engine, one-trial) pairs per ``engine:*`` scenario; each leg's
-#: time is the median over the pairs.
+#: Alternating (optimised, reference) pairs per ``engine:*`` and
+#: ``engine-instance-batch`` scenario; each leg's time is the median over
+#: the pairs.
 _ENGINE_TIMING_PAIRS = 7
 
 
@@ -376,22 +379,35 @@ def _run_instance_block_scenario(spec: WorkloadSpec) -> Dict[str, Any]:
         for index, circuit in enumerate(circuits)
     ]
 
-    started = time.perf_counter()
-    per_instance = [solve(request) for request in requests]
-    per_instance_elapsed = time.perf_counter() - started
+    def timed(run):
+        started = time.perf_counter()
+        results = run()
+        return results, time.perf_counter() - started
 
-    started = time.perf_counter()
-    fused = solve_instance_block(requests)
-    fused_elapsed = time.perf_counter() - started
+    def per_instance():
+        return [solve(request) for request in requests]
 
+    def fused():
+        return solve_instance_block(requests)
+
+    # Like the engine:* legs: one warm-up solve, then each leg's time is the
+    # median of alternating (per-instance, fused) pairs, every pair checked
+    # bit for bit.
+    fused()
+    pairs = [(timed(per_instance), timed(fused)) for _ in range(_ENGINE_TIMING_PAIRS)]
+    per_instance_elapsed, fused_elapsed = (
+        float(np.median([elapsed for _, elapsed in leg])) for leg in zip(*pairs)
+    )
     fused_for_real = all(
-        result.metadata.get("instance_block") for result in fused
+        result.metadata.get("instance_block")
+        for _, (results, _) in pairs for result in results
     )
     results_match = fused_for_real and all(
         np.array_equal(a.trial_best_weights, b.trial_best_weights)
         and np.array_equal(a.trial_best_assignments, b.trial_best_assignments)
         and np.array_equal(a.trajectories, b.trajectories)
-        for a, b in zip(per_instance, fused)
+        for (singles, _), (block, _) in pairs
+        for a, b in zip(singles, block)
     )
     return {
         "scenario": "engine-instance-batch",
