@@ -420,8 +420,8 @@ class BatchedSolverEngine:
             if plan.readout == "plasticity":
                 # One learner per piece, one weight row per trial, each row
                 # seeded from its own trial's auxiliary stream.  A one-trial
-                # piece builds a 1-D learner, whose per-row values stay NumPy
-                # scalars (its fast path); a row evolves bitwise alike either
+                # piece builds a 1-D learner, whose per-step values are Python
+                # floats (its fast path); a row evolves bitwise alike either
                 # way.
                 for segment, a, b in pieces:
                     aux = [
@@ -536,15 +536,14 @@ class BatchedSolverEngine:
             if plan.readout == "spike":
                 pending[:, n_pending] = _signs(payload)
             else:
-                # Each learner steps every trial of its piece at once, one
-                # call per interval step.
+                # Each learner trains every trial of its piece on the round's
+                # interval steps in one call.
                 if potentials_out is not None:
                     potentials_out[:, r] = payload[:, -1]
                 step_start = time.perf_counter()
                 for (_, a, b), learner in zip(pieces, learners):
                     piece = payload[a - lo:b - lo]
-                    for x in piece[0] if b - a == 1 else piece.swapaxes(0, 1):
-                        learner.step(x)
+                    learner.train(piece[0] if b - a == 1 else piece.swapaxes(0, 1))
                     pending[a - lo:b - lo, n_pending] = learner.sign_assignment()
                 # No-ops unless tracing is enabled.
                 accumulate("plasticity_seconds", time.perf_counter() - step_start)

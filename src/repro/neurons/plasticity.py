@@ -15,18 +15,23 @@ Each rule is provided both as a pure update function (for property tests) and
 as a small stateful learner class used by the circuits.
 
 Every rule is rank-agnostic: weights and inputs are ``(..., n)`` arrays of
-equal shape and each leading index is an independent row.  The engine steps
+equal shape and each leading index is an independent row.  The engine trains
 a 1-D learner for a one-trial block and one ``(trials, n)`` learner per
-larger trial block, through the *same* code.  Row dots use
-``np.vecdot``, which calls BLAS ``ddot`` once per row exactly as ``w @ x``
-does on a 1-D pair, and the per-row means and norms reduce along the
-contiguous last axis, so a batched row is bitwise identical to the same row
-stepped alone (``np.einsum`` and ``(w * x).sum(-1)`` are *not*: they sum in
-a different order).
+larger trial block.  The anti-Hebbian learner's rule runs in one loop,
+:meth:`AntiHebbianMinorComponent.train`, which the engine calls once per
+read-out round on that round's ``(interval, *weights.shape)`` block;
+:meth:`~AntiHebbianMinorComponent.step` is a one-step ``train``.  Row dots
+use BLAS ``ddot`` once per row (``np.vecdot``, or ``w.dot(x)`` on a 1-D
+pair, exactly as ``w @ x`` does), and the per-row means and norms reduce
+along the contiguous last axis, so a batched row is bitwise identical to the
+same row stepped alone, and a block bitwise identical to its steps taken one
+at a time (``np.einsum`` and ``(w * x).sum(-1)`` are *not*: they sum in a
+different order).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -54,29 +59,9 @@ def _check_pair(w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, x
 
 
-def _per_row(values):
-    """Give per-row values a trailing unit axis to broadcast over ``(..., n)``.
-
-    A 1-D pair has one row, whose value stays a NumPy scalar: scalar
-    arithmetic is IEEE-identical and much cheaper than on 1-element arrays.
-    """
-    return values[..., None] if values.ndim else values
-
-
-def _or_one(keep, values):
-    """Per-row *values* where *keep* holds, else an exact 1.0.
-
-    The learner's guards divide by this, and dividing by 1.0 leaves a row's
-    bits unchanged; a 1-D learner's scalar skips ``np.where``.
-    """
-    if values.ndim:
-        return np.where(keep, values, 1.0)
-    return values if keep else 1.0
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray):
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-row dot ``a . b`` (BLAS ``ddot`` per row), ready to broadcast."""
-    return _per_row(np.vecdot(a, b))
+    return np.vecdot(a, b)[..., None]
 
 
 def _oja(w: np.ndarray, x: np.ndarray, y: np.ndarray, learning_rate: float) -> np.ndarray:
@@ -229,48 +214,120 @@ class AntiHebbianMinorComponent:
         """Apply one anti-Hebbian update per weight row; returns ``y = w . x``.
 
         *x* has the shape of :attr:`weights`; the result is a float for a 1-D
-        learner and one output per row for a batch.
+        learner and one output per row for a batch.  This is a one-step
+        :meth:`train`.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != self.weights.shape:
             raise ValidationError(
                 f"x must have shape {self.weights.shape}, got {x.shape}"
             )
-        if self.normalize_inputs:
-            # np.mean's own reduction and division, minus its Python wrapper.
-            rms = _per_row(np.sqrt(np.add.reduce(x * x, axis=-1) / x.shape[-1]))
-            x = x / _or_one(rms > 1e-12, rms)
-        y = np.vecdot(self.weights, x)
-        w = _anti_hebbian(self.weights, x, _per_row(y), self.current_learning_rate())
-        # Guard against numerical blow-up: the rule is stable for small eta,
-        # but a hard renormalisation above norm 10 keeps pathological settings
-        # (huge eta) from overflowing without affecting normal operation.
-        # A norm above 10 needs a squared norm above 100, so the usual step
-        # with no such row skips the guard; rows under the threshold are
-        # divided by 1.0, which is exact.  Every renormalised row counts in
-        # guard_firings.
-        squared = _rowdot(w, w)
-        if np.count_nonzero(squared > 100.0):
-            norm = np.sqrt(squared)
-            fired = norm > 10.0
-            w /= _or_one(fired, norm)
-            self.guard_firings += np.reshape(fired, self.guard_firings.shape)
-        self.weights = w
-        self.n_updates += 1
-        return y
+        return self.train(x[np.newaxis])[0]
 
     def train(self, inputs: np.ndarray) -> np.ndarray:
-        """Apply anti-Hebbian updates over the leading axis of *inputs*; returns outputs."""
+        """Apply anti-Hebbian updates over the leading axis of *inputs*; returns outputs.
+
+        *inputs* is ``(n_steps, *weights.shape)``; a strided view (the
+        engine's swapped read-out block) is read in place.  Each step is
+        bitwise the rule ``w + eta * ((y^2 + 1 - w.w) w - y x)``, however
+        the steps are split across calls.
+        """
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.shape[1:] != self.weights.shape:
             raise ValidationError(
                 f"inputs must have shape (n_steps, *{self.weights.shape}), "
                 f"got {inputs.shape}"
             )
+        if self.normalize_inputs:
+            # Each row to unit RMS: np.mean's own reduction and division along
+            # the contiguous last axis, minus its Python wrapper.  Rows with
+            # no signal are divided by an exact 1.0.
+            rms = np.sqrt(np.add.reduce(inputs * inputs, axis=-1) / inputs.shape[-1])
+            inputs = inputs / np.where(rms > 1e-12, rms, 1.0)[..., None]
         outputs = np.empty(inputs.shape[:-1])
-        for t in range(inputs.shape[0]):
-            outputs[t] = self.step(inputs[t])
+        if self.weights.ndim == 1:
+            self._train_row(inputs, outputs)
+        else:
+            self._train_rows(inputs, outputs)
+        self.n_updates += inputs.shape[0]
         return outputs
+
+    def _learning_rates(self, n_steps: int) -> list:
+        """The learning rate of each of the next *n_steps* updates."""
+        return [
+            self.learning_rate / (1.0 + self.learning_rate_decay * (self.n_updates + t))
+            for t in range(n_steps)
+        ]
+
+    # Guard against numerical blow-up: the rule is stable for small eta, but
+    # a hard renormalisation above norm 10 keeps pathological settings (huge
+    # eta) from overflowing without affecting normal operation.  A norm above
+    # 10 needs a squared norm above 100, so the usual step skips the guard.
+    # The squared norm the guard reads is the ``w.w`` the next step needs; it
+    # is recomputed only after a renormalisation.  The update runs in place,
+    # ``((c w) - (y x)) * eta + w``, which is bitwise ``w + eta (c w - y x)``:
+    # IEEE multiplication and addition commute.  It works on a copy of the
+    # weights, so an array once read from :attr:`weights` is never written.
+
+    def _train_row(self, inputs: np.ndarray, outputs: np.ndarray) -> None:
+        """The loop of a 1-D learner, its per-step scalars Python floats.
+
+        The scalars ``c``, ``y`` and ``eta`` reach the ufuncs as 0-d arrays:
+        a ufunc takes those faster than a Python float, which it converts on
+        every call.
+        """
+        w = self.weights.copy()
+        new, yx = np.empty_like(w), np.empty_like(w)
+        c, y0, eta0 = np.empty(()), np.empty(()), np.empty(())
+        ww = float(w.dot(w))
+        fired = 0
+        for t, (x, eta) in enumerate(zip(inputs, self._learning_rates(len(inputs)))):
+            y = float(w.dot(x))
+            outputs[t] = y
+            y0[()] = y
+            c[()] = y * y + 1.0 - ww
+            eta0[()] = eta
+            np.multiply(w, c, new)
+            np.multiply(x, y0, yx)
+            new -= yx
+            new *= eta0
+            new += w
+            ww = float(new.dot(new))
+            if ww > 100.0:
+                norm = math.sqrt(ww)
+                if norm > 10.0:
+                    new /= norm
+                    fired += 1
+                    ww = float(new.dot(new))
+            w, new = new, w
+        self.weights = w
+        if fired:
+            self.guard_firings += fired
+
+    def _train_rows(self, inputs: np.ndarray, outputs: np.ndarray) -> None:
+        """The loop of a ``(rows, n)`` learner, one ``ddot`` per row."""
+        w = self.weights.copy()
+        new, yx = np.empty_like(w), np.empty_like(w)
+        ww = np.vecdot(w, w)
+        fired = np.zeros(w.shape[0], dtype=np.int64)
+        for t, (x, eta) in enumerate(zip(inputs, self._learning_rates(len(inputs)))):
+            y = np.vecdot(w, x)
+            outputs[t] = y
+            np.multiply(w, (y * y + 1.0 - ww)[:, None], new)
+            np.multiply(x, y[:, None], yx)
+            new -= yx
+            new *= eta
+            new += w
+            ww = np.vecdot(new, new)
+            if np.count_nonzero(ww > 100.0):
+                norm = np.sqrt(ww)
+                tripped = norm > 10.0
+                new /= np.where(tripped, norm, 1.0)[:, None]
+                fired += tripped
+                ww = np.vecdot(new, new)
+            w, new = new, w
+        self.weights = w
+        self.guard_firings += fired
 
     def sign_assignment(self) -> np.ndarray:
         """±1 MAXCUT assignment from the sign of the weights (zeros map to -1)."""

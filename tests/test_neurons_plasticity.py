@@ -301,3 +301,140 @@ class TestBatchedAntiHebbian:
             batched = update(w, x, 0.05)
             rows = np.array([update(w[i], x[i], 0.05) for i in range(4)])
             assert np.array_equal(batched, rows)
+
+
+def _reference_train(learner, inputs):
+    """Step every row of *learner*'s weights through *inputs* with the verbatim
+    reference step; returns ``(weights, outputs, renormalisations per row)``."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    rows = np.array(learner.weights, copy=True).reshape(-1, learner.n_inputs)
+    steps = inputs.reshape(inputs.shape[0], -1, learner.n_inputs)
+    outputs = np.empty(steps.shape[:2])
+    fired = np.zeros(rows.shape[0], dtype=np.int64)
+    for t, x in enumerate(steps):
+        eta = learner.learning_rate / (
+            1.0 + learner.learning_rate_decay * (learner.n_updates + t)
+        )
+        for i in range(rows.shape[0]):
+            rows[i], outputs[t, i], tripped = _reference_anti_hebbian_step(
+                rows[i], x[i], eta, learner.normalize_inputs
+            )
+            fired[i] += tripped
+    shape = learner.weights.shape
+    return rows.reshape(shape), outputs.reshape(inputs.shape[:-1]), fired.reshape(shape[:-1])
+
+
+def _learner(n_rows, n=24, **params):
+    seed = 41 if n_rows is None else [41 + i for i in range(n_rows)]
+    return AntiHebbianMinorComponent(n, seed=seed, **params)
+
+
+def _block(rng, n_steps, n_rows, n=24, scale=1.0):
+    """A read-out block as the engine passes it: ``(steps, n)`` for a 1-D
+    learner, a swapped, non-contiguous ``(steps, rows, n)`` view otherwise."""
+    if n_rows is None:
+        return scale * rng.standard_normal((n_steps, n))
+    return (scale * rng.standard_normal((n_rows, n_steps, n))).swapaxes(0, 1)
+
+
+def _assert_same_state(a, b):
+    assert np.array_equal(a.weights, b.weights)
+    assert a.n_updates == b.n_updates
+    assert np.array_equal(a.guard_firings, b.guard_firings)
+    assert a.guard_firings.shape == b.guard_firings.shape
+
+
+class TestTrainBitwise:
+    """``train`` is the rule's one loop: pinned bitwise to the reference step."""
+
+    @pytest.mark.parametrize("decay", [0.0, 0.01])
+    @pytest.mark.parametrize("normalize_inputs", [True, False])
+    @pytest.mark.parametrize("n_rows", [None, 1, 5])
+    def test_matches_reference_step(self, rng, n_rows, normalize_inputs, decay):
+        learner = _learner(
+            n_rows, learning_rate=0.05, learning_rate_decay=decay,
+            normalize_inputs=normalize_inputs,
+        )
+        scale = 1.0 if normalize_inputs else 0.1
+        expected_fired = np.zeros_like(learner.guard_firings)
+        for _ in range(3):
+            inputs = _block(rng, 40, n_rows, scale=scale)
+            # Zero the whole input at one step: the rms guard on every row.
+            inputs[7] = 0.0
+            expected_w, expected_y, fired = _reference_train(learner, inputs)
+            expected_fired += fired
+            before = learner.n_updates
+            outputs = learner.train(inputs)
+            assert outputs.shape == inputs.shape[:-1]
+            assert np.array_equal(outputs, expected_y)
+            assert np.array_equal(learner.weights, expected_w)
+            assert learner.n_updates == before + 40
+        assert np.array_equal(learner.guard_firings, expected_fired)
+
+    @pytest.mark.parametrize("n_rows", [None, 4])
+    def test_guard_firings_per_row(self, rng, n_rows):
+        learner = _learner(n_rows, learning_rate=0.05, normalize_inputs=False)
+        inputs = _block(rng, 60, n_rows, scale=0.1)
+        huge = (slice(None),) if n_rows is None else (slice(None), 2)
+        inputs[huge] *= 1e3  # only this row crosses the guard's norm
+        expected_w, expected_y, fired = _reference_train(learner, inputs)
+        learner.train(inputs)
+        assert np.array_equal(learner.weights, expected_w)
+        assert np.array_equal(learner.train(inputs[:0]), expected_y[:0])
+        assert np.array_equal(learner.guard_firings, fired)
+        assert learner.guard_firings.shape == learner.weights.shape[:-1]
+        assert fired.sum() > 0
+        if n_rows is not None:
+            assert fired[2] > 0 and np.delete(fired, 2).sum() == 0
+
+    @pytest.mark.parametrize("normalize_inputs", [True, False])
+    @pytest.mark.parametrize("n_rows", [None, 3])
+    def test_split_invariance(self, rng, n_rows, normalize_inputs):
+        params = dict(
+            learning_rate=0.05, learning_rate_decay=0.02,
+            normalize_inputs=normalize_inputs,
+        )
+        inputs = _block(rng, 30, n_rows, scale=1.0 if normalize_inputs else 0.1)
+        inputs[4] *= 1e3  # the guard fires mid-block
+        whole = _learner(n_rows, **params)
+        expected = whole.train(inputs)
+        assert whole.guard_firings.sum() > 0 or normalize_inputs
+        for j in (0, 1, 4, 5, 17, 30):
+            split = _learner(n_rows, **params)
+            outputs = np.concatenate([split.train(inputs[:j]), split.train(inputs[j:])])
+            assert np.array_equal(outputs, expected)
+            _assert_same_state(split, whole)
+        stepped = _learner(n_rows, **params)
+        outputs = np.array([stepped.step(x) for x in inputs])
+        assert np.array_equal(outputs, expected)
+        _assert_same_state(stepped, whole)
+
+    @pytest.mark.parametrize("n_rows", [None, 3])
+    def test_weights_reassigned_between_calls(self, rng, n_rows):
+        learner = _learner(n_rows, learning_rate=0.05)
+        learner.train(_block(rng, 10, n_rows))
+        learner.weights = 2.5 * learner.weights  # a new norm the next call must see
+        inputs = _block(rng, 10, n_rows)
+        expected_w, expected_y, _ = _reference_train(learner, inputs)
+        assert np.array_equal(learner.train(inputs), expected_y)
+        assert np.array_equal(learner.weights, expected_w)
+        learner.weights[...] = 0.5 * learner.weights  # written in place, too
+        expected_w, expected_y, _ = _reference_train(learner, inputs)
+        assert np.array_equal(learner.train(inputs), expected_y)
+        assert np.array_equal(learner.weights, expected_w)
+
+    @pytest.mark.parametrize("n_rows", [None, 3])
+    def test_read_weights_never_written(self, rng, n_rows):
+        learner = _learner(n_rows)
+        held = learner.weights
+        kept = held.copy()
+        learner.train(_block(rng, 10, n_rows))
+        learner.step(_block(rng, 1, n_rows)[0])
+        assert np.array_equal(held, kept)
+
+    def test_step_return_types(self):
+        single = _learner(None)
+        assert isinstance(single.step(np.ones(24)), float)
+        batch = _learner(3)
+        y = batch.step(np.ones((3, 24)))
+        assert isinstance(y, np.ndarray) and y.shape == (3,)

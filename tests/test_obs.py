@@ -223,7 +223,7 @@ class TestEngineIntegration:
         assert integrate.attrs.get("cut_evaluations", 0) > 0
         assert integrate.attrs.get("cut_eval_seconds", 0.0) >= 0.0
         assert integrate.attrs["rounds_completed"] == 12
-        # The block's batched plasticity steps: one call per interval step.
+        # The block's plasticity steps: `interval` per round, one train call.
         interval = LIFTrevisanConfig().sample_interval
         assert integrate.attrs["plasticity_steps"] == 12 * interval
         assert integrate.attrs["plasticity_seconds"] > 0.0
