@@ -28,7 +28,6 @@ from repro.circuits.config import LIFTrevisanConfig
 from repro.devices.base import DevicePool
 from repro.devices.bernoulli import FairCoinPool
 from repro.graphs.graph import Graph
-from repro.neurons.plasticity import AntiHebbianMinorComponent
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import ValidationError
 
@@ -84,9 +83,10 @@ class LIFTrevisanCircuit(NeuromorphicCircuit):
     def engine_plan(self):
         """Batch-execution recipe for :class:`repro.engine.BatchedSolverEngine`.
 
-        The read-out is ``"plasticity"``: each trial block shares one
-        anti-Hebbian learner with one weight row per trial (each row seeded
-        from its trial's auxiliary stream), which consumes every
+        The read-out is ``"plasticity"``: the engine builds the
+        :class:`~repro.engine.plan.LearnerSpec`'s anti-Hebbian learner once
+        per trial block, with one weight row per trial (each row seeded
+        from its trial's auxiliary stream), and it consumes every
         post-burn-in membrane row of all trials at once.  A sparse
         Trevisan weight builder is provided so the engine's ``auto`` backend
         can switch to CSR products on large low-density graphs; it reuses the
@@ -94,7 +94,7 @@ class LIFTrevisanCircuit(NeuromorphicCircuit):
         """
         import scipy.sparse as sp
 
-        from repro.engine.plan import BatchPlan
+        from repro.engine.plan import BatchPlan, LearnerSpec
 
         config = self.config
         n = self.graph.n_vertices
@@ -112,18 +112,11 @@ class LIFTrevisanCircuit(NeuromorphicCircuit):
             readout="plasticity",
             n_devices=n,
             pool_builder=self.build_device_pool,
-            plasticity_builder=self._build_learner,
+            learner=LearnerSpec(
+                learning_rate=config.learning_rate,
+                learning_rate_decay=config.learning_rate_decay,
+                normalize_inputs=config.normalize_plasticity_inputs,
+            ),
             sparse_weights=sparse_weights,
             metadata={"learning_rate": config.learning_rate},
-        )
-
-    def _build_learner(self, seed) -> AntiHebbianMinorComponent:
-        """The plasticity learner: one seed gives a 1-D learner, a list one row each."""
-        config = self.config
-        return AntiHebbianMinorComponent(
-            n_inputs=self.graph.n_vertices,
-            learning_rate=config.learning_rate,
-            learning_rate_decay=config.learning_rate_decay,
-            normalize_inputs=config.normalize_plasticity_inputs,
-            seed=seed,
         )

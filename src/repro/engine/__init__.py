@@ -28,7 +28,7 @@ from repro.engine.backends import (
 )
 from repro.engine.engine import BatchedSolverEngine, solve
 from repro.engine.instances import solve_instance_block
-from repro.engine.plan import BatchPlan
+from repro.engine.plan import BatchPlan, LearnerSpec
 from repro.engine.request import EarlyStopConfig, SolveRequest, SolveResult
 from repro.engine.sampler import (
     BatchDeviceSampler,
@@ -47,6 +47,7 @@ __all__ = [
     "BestCutTracker",
     "DenseBackend",
     "EarlyStopConfig",
+    "LearnerSpec",
     "SolveRequest",
     "SolveResult",
     "SparseBackend",

@@ -7,8 +7,7 @@ one row per (request, trial):
 
 1. resolves each request's circuit (building it — SDP solve included — when
    given a name); consecutive requests sharing a circuit instance form one
-   *segment*, with one drive backend, one cut evaluator and, for plasticity
-   read-outs, one learner per trial block,
+   *segment*, with one drive backend and one cut evaluator,
 2. gives every row its request's per-trial ``SeedSequence``
    (:func:`repro.engine.sampler.request_trial_seeds`),
 3. draws every row's device states through its circuit's own pool factory
@@ -18,7 +17,9 @@ one row per (request, trial):
    product routed through a pluggable dense/sparse backend: the membrane
    read-out filters the rank-wide device stream and applies the weights only
    at the read-out steps; the spike and plasticity read-outs drive neuron
-   currents and step every neuron,
+   currents and step every neuron, and a plasticity block trains one
+   learner over all its rows, whatever their segment, a chunk of read-out
+   rounds per call,
 5. signs the read-outs in chunks of rounds, evaluates each chunk with its
    segment's cut kernel (:class:`repro.cuts.cut.BatchCutEvaluator`: one
    exact float32 GEMM on dense integer-weight graphs, CSR products
@@ -37,7 +38,7 @@ Numerical contract: every row is computed on its own — per-row device
 filters and per-trial weight products, elementwise integration, per-row
 plasticity and per-row cut quadratic forms — so results are bitwise
 invariant to the trial-block size (``max_block_bytes``), to group
-composition and to the cut-evaluation chunking, and ``sample_cuts`` equals
+composition and to the cut-evaluation and plasticity chunking, and ``sample_cuts`` equals
 trial 0 of a solve with the same seed.
 
 Rows are processed in memory-bounded blocks: a membrane block holds each
@@ -75,6 +76,10 @@ _logger = get_logger("engine")
 #: Cut evaluation covers up to this many (read-out row, edge) pairs per call.
 CUT_CHUNK_ELEMENTS = 1 << 21
 
+#: A plasticity block trains on up to this many membrane values (steps x
+#: trials x neurons) per learner call, and at least one round.
+PLASTICITY_CHUNK_VALUES = 1 << 15
+
 
 @dataclass(frozen=True)
 class ResolvedRequest:
@@ -95,8 +100,9 @@ class ResolvedRequest:
         plan, request = self.plan, self.request
         return (
             plan.n_neurons, plan.n_devices, plan.burn_in, plan.interval,
-            plan.readout, plan.lif, request.n_samples, self.backend.name,
-            request.record_potentials, request.record_assignments,
+            plan.readout, plan.lif, plan.learner, request.n_samples,
+            self.backend.name, request.record_potentials,
+            request.record_assignments,
         )
 
 
@@ -411,36 +417,36 @@ class BatchedSolverEngine:
             if request.record_assignments
             else None
         )
-        learners = []
+        learner = None
         if membrane:
             chunks = self._membrane_chunks(
                 pieces, lo, drive, rounds_limit, chunk, potentials_out
             )
+        elif plan.readout == "spike":
+            chunks = self._spike_chunks(
+                simulator.iter_spike_readouts(
+                    drive, plan.burn_in, plan.interval, rounds_limit
+                ),
+                n_trials, n_neurons, rounds_limit, chunk,
+            )
         else:
-            if plan.readout == "plasticity":
-                # One learner per piece, one weight row per trial, each row
-                # seeded from its own trial's auxiliary stream.  A one-trial
-                # piece builds a 1-D learner, whose per-step values are Python
-                # floats (its fast path); a row evolves bitwise alike either
-                # way.
-                for segment, a, b in pieces:
-                    aux = [
-                        segment.sampler.aux_generator(t - segment.lo)
-                        for t in range(a, b)
-                    ]
-                    learners.append(
-                        segment.plan.plasticity_builder(aux if b - a > 1 else aux[0])
-                    )
-                rounds = simulator.iter_subthreshold_rounds(
-                    drive, plan.burn_in, plan.interval, rounds_limit
-                )
-            else:
-                rounds = simulator.iter_spike_readouts(
-                    drive, plan.burn_in, plan.interval, rounds_limit
-                )
-            chunks = self._stepped_chunks(
-                plan, pieces, lo, n_trials, rounds, learners, rounds_limit,
-                chunk, potentials_out,
+            # One learner for the whole block, one weight row per trial, each
+            # row seeded from its own trial's auxiliary stream.  A one-trial
+            # block builds a 1-D learner, whose per-step values are Python
+            # floats (its fast path); a row evolves bitwise alike either way.
+            aux = [
+                segment.sampler.aux_generator(t - segment.lo)
+                for segment, a, b in pieces for t in range(a, b)
+            ]
+            learner = plan.learner.build(n_neurons, aux if n_trials > 1 else aux[0])
+            chunk = min(chunk, max(
+                1, PLASTICITY_CHUNK_VALUES // (plan.interval * n_trials * n_neurons)
+            ))
+            chunks = self._plasticity_chunks(
+                simulator.iter_subthreshold_rounds(
+                    drive, plan.burn_in, plan.interval, rounds_limit, chunk
+                ),
+                learner, plan.interval, potentials_out,
             )
 
         trial_index = np.arange(lo, hi)
@@ -480,14 +486,14 @@ class BatchedSolverEngine:
                 if stop_at is not None:
                     break
             integrate_span.set(rounds_completed=completed)
-            if learners:
-                integrate_span.set(plasticity_guard_firings=sum(
-                    int(learner.guard_firings.sum()) for learner in learners
-                ))
+            if learner is not None:
+                integrate_span.set(
+                    plasticity_guard_firings=int(learner.guard_firings.sum())
+                )
 
-        for (_, a, b), learner in zip(pieces, learners):
-            rows.learner_weights[a:b] = learner.weights
-            rows.guard_firings[a:b] = learner.guard_firings
+        if learner is not None:
+            rows.learner_weights[lo:hi] = learner.weights
+            rows.guard_firings[lo:hi] = learner.guard_firings
         rows.trajectories.append(trajectories[:, :completed])
         if potentials_out is not None:
             rows.potentials.append(potentials_out[:, :completed])
@@ -520,38 +526,43 @@ class BatchedSolverEngine:
             yield first, signs
 
     @staticmethod
-    def _stepped_chunks(
-        plan, pieces, lo, n_trials, rounds, learners, rounds_limit, chunk,
-        potentials_out,
-    ):
-        """Yield ``(first_round, int8 read-outs)`` of a stepped read-out.
+    def _spike_chunks(rounds, n_trials, n_neurons, rounds_limit, chunk):
+        """Yield ``(first_round, int8 read-outs)`` of the spike read-out.
 
-        Spike masks and plasticity sign read-outs arrive one round at a
-        time from the simulator's loop and are gathered into chunks.
+        Spike masks arrive one round at a time from the simulator's loop and
+        are gathered into chunks.
         """
-        n_neurons = plan.n_neurons
         pending = np.empty((n_trials, chunk, n_neurons), dtype=np.int8)
         n_pending = 0
-        for r, payload in rounds:
-            if plan.readout == "spike":
-                pending[:, n_pending] = _signs(payload)
-            else:
-                # Each learner trains every trial of its piece on the round's
-                # interval steps in one call.
-                if potentials_out is not None:
-                    potentials_out[:, r] = payload[:, -1]
-                step_start = time.perf_counter()
-                for (_, a, b), learner in zip(pieces, learners):
-                    piece = payload[a - lo:b - lo]
-                    learner.train(piece[0] if b - a == 1 else piece.swapaxes(0, 1))
-                    pending[a - lo:b - lo, n_pending] = learner.sign_assignment()
-                # No-ops unless tracing is enabled.
-                accumulate("plasticity_seconds", time.perf_counter() - step_start)
-                accumulate("plasticity_steps", plan.interval * len(learners))
+        for r, fired in rounds:
+            pending[:, n_pending] = _signs(fired)
             n_pending += 1
             if n_pending == chunk or r + 1 == rounds_limit:
                 yield r + 1 - n_pending, pending[:, :n_pending]
                 n_pending = 0
+
+    @staticmethod
+    def _plasticity_chunks(rounds, learner, interval, potentials_out):
+        """Yield ``(first_round, int8 read-outs)`` of the plasticity read-out.
+
+        The block's one learner trains every trial on a chunk of rounds'
+        membrane rows in one call and returns the sign read-out of each of
+        those rounds.
+        """
+        one_trial = learner.weights.ndim == 1
+        for first, rows in rounds:
+            # rows: (count * interval, trials, neurons), step-major.
+            count = len(rows) // interval
+            if potentials_out is not None:
+                potentials_out[:, first:first + count] = (
+                    rows[interval - 1::interval].swapaxes(0, 1)
+                )
+            started = time.perf_counter()
+            signs = learner.train_readouts(rows[:, 0] if one_trial else rows, interval)
+            # No-ops unless tracing is enabled.
+            accumulate("plasticity_seconds", time.perf_counter() - started)
+            accumulate("plasticity_steps", len(rows))
+            yield first, (signs[:, None] if one_trial else signs).swapaxes(0, 1)
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -26,8 +26,8 @@ def solve_instance_block(requests: Sequence[SolveRequest]) -> List[SolveResult]:
     """Solve *requests*, sharing engine runs wherever their shapes allow.
 
     Requests are partitioned by exact execution shape (neurons, devices,
-    burn-in, interval, read-out, LIF parameters, samples, weight and array
-    backend, record flags); each partition runs as one group of rows.  A
+    burn-in, interval, read-out, LIF parameters, learner spec, samples,
+    weight backend, record flags); each partition runs as one group of rows.  A
     request with an early-stop rule, a deadline or no trials runs alone: a
     stop decided over shared rows would couple it to its batch-mates.
     Results come back in input order.  A group of more than one request

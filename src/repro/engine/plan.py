@@ -4,9 +4,9 @@ A circuit that supports trial-parallel execution exposes
 ``engine_plan() -> BatchPlan`` describing everything the engine needs to
 replay it in batch: the weight matrix, LIF parameters, read-out cadence and
 mode, how to build one trial's device pool, and (for plasticity read-outs)
-how to build a trial block's learner.  The plan deliberately lives in its own
-dependency-free module so :mod:`repro.circuits` can import it without
-creating a cycle with :mod:`repro.engine`.
+the parameters of the learner the engine trains.  The plan deliberately
+lives in its own module, free of engine imports, so :mod:`repro.circuits`
+can import it without creating a cycle with :mod:`repro.engine`.
 """
 
 from __future__ import annotations
@@ -17,12 +17,36 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.neurons.lif import LIFParameters
+from repro.neurons.plasticity import AntiHebbianMinorComponent
 from repro.utils.validation import ValidationError
 
-__all__ = ["BatchPlan", "READOUT_MODES"]
+__all__ = ["BatchPlan", "LearnerSpec", "READOUT_MODES"]
 
 #: Read-out modes the engine knows how to batch.
 READOUT_MODES = ("membrane", "spike", "plasticity")
+
+
+@dataclass(frozen=True)
+class LearnerSpec:
+    """Parameters of a plasticity read-out's anti-Hebbian learner.
+
+    Frozen and hashable: requests whose learners differ have different
+    execution shapes, so a trial block's rows always share one learner.
+    """
+
+    learning_rate: float
+    learning_rate_decay: float = 0.0
+    normalize_inputs: bool = True
+
+    def build(self, n_inputs: int, seed) -> AntiHebbianMinorComponent:
+        """A learner with one weight row per seed of a list, or 1-D for one seed."""
+        return AntiHebbianMinorComponent(
+            n_inputs=n_inputs,
+            learning_rate=self.learning_rate,
+            learning_rate_decay=self.learning_rate_decay,
+            normalize_inputs=self.normalize_inputs,
+            seed=seed,
+        )
 
 
 @dataclass(frozen=True)
@@ -48,16 +72,15 @@ class BatchPlan:
         Devices per trial (pool width).
     pool_builder:
         ``(rng) -> DevicePool`` building one trial's device pool.
-    plasticity_builder:
-        ``(rngs) -> learner`` for ``"plasticity"`` read-outs, called once per
-        trial block with one generator per trial (that trial's auxiliary
-        stream).  The learner holds ``(len(rngs), n_neurons)`` weights, row
-        ``i`` seeded from ``rngs[i]``; ``step(x)`` takes one ``(trials,
-        n_neurons)`` membrane row per trial and ``sign_assignment()`` returns
-        the ``(trials, n_neurons)`` int8 read-out.  A one-trial block passes
-        its single generator instead of a list and steps the resulting 1-D
-        learner.  Rows must evolve exactly as a single trial's learner would
-        on its own.
+    learner:
+        For ``"plasticity"`` read-outs, the :class:`LearnerSpec` of the
+        learner the engine trains.  The engine builds one learner per trial
+        block, with one weight row per trial seeded from that trial's
+        auxiliary stream (a 1-D learner for a one-trial block), and trains
+        it on a chunk of read-out rounds per
+        :meth:`~repro.neurons.plasticity.AntiHebbianMinorComponent.train_readouts`
+        call.  Each row evolves exactly as a single trial's learner would on
+        its own.
     sparse_weights:
         Optional zero-argument builder of a sparse (CSR-compatible) weight
         matrix, enabling the ``sparse`` backend for low-density graphs.
@@ -72,7 +95,7 @@ class BatchPlan:
     readout: str
     n_devices: int
     pool_builder: Callable
-    plasticity_builder: Optional[Callable] = None
+    learner: Optional[LearnerSpec] = None
     sparse_weights: Optional[Callable] = None
     metadata: dict = field(default_factory=dict)
 
@@ -81,10 +104,8 @@ class BatchPlan:
             raise ValidationError(
                 f"readout must be one of {READOUT_MODES}, got {self.readout!r}"
             )
-        if self.readout == "plasticity" and self.plasticity_builder is None:
-            raise ValidationError(
-                "plasticity readout requires a plasticity_builder"
-            )
+        if self.readout == "plasticity" and self.learner is None:
+            raise ValidationError("plasticity readout requires a learner spec")
         if self.burn_in < 0:
             raise ValidationError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.interval < 1:

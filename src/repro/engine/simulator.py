@@ -234,12 +234,16 @@ class BatchLIFSimulator:
         burn_in: int,
         interval: int,
         n_rounds: int,
+        chunk: int,
     ) -> Iterator[Tuple[int, np.ndarray]]:
-        """Subthreshold integration yielding every round's full row block.
+        """Subthreshold integration yielding a chunk of rounds' rows at a time.
 
-        Yields ``(round, rows)`` with ``rows`` of shape ``(trials, interval,
-        neurons)`` — the post-burn-in membrane trajectory segment the
-        LIF-Trevisan plasticity rule consumes step by step.
+        Yields ``(first_round, rows)`` for up to *chunk* consecutive rounds,
+        stopping after round ``n_rounds - 1``.  ``rows`` is the step-major
+        ``(count * interval, trials, neurons)`` post-burn-in membrane
+        trajectory of those rounds — what the LIF-Trevisan plasticity rule
+        consumes step by step.  It is a contiguous view of one buffer that
+        the next yield overwrites.
         """
         leak = self._params.leak_factor
         np.multiply(currents, self._params.dt / self._params.capacitance, out=currents)
@@ -248,14 +252,17 @@ class BatchLIFSimulator:
         for t in range(burn_in):
             np.multiply(potentials, leak, out=potentials)
             np.add(potentials, currents[:, t], out=potentials)
-        for r in range(n_rounds):
-            base = burn_in + r * interval
-            rows = np.empty((n_trials, interval, self._n_neurons))
-            # Each step writes straight into its row of the round's block,
-            # reading the previous row as V: no per-step state copy.
-            for k in range(interval):
-                row = rows[:, k]
+        buffer = np.empty((min(chunk, n_rounds) * interval, n_trials, self._n_neurons))
+        for first in range(0, n_rounds, chunk):
+            n_rows = (min(first + chunk, n_rounds) - first) * interval
+            base = burn_in + first * interval
+            # Each step writes straight into its row of the buffer, reading
+            # the previous row as V: no per-step state copy.  The first step
+            # reads the previous chunk's last row before anything overwrites
+            # it.
+            for k in range(n_rows):
+                row = buffer[k]
                 np.multiply(potentials, leak, out=row)
                 np.add(row, currents[:, base + k], out=row)
                 potentials = row
-            yield r, rows
+            yield first, buffer[:n_rows]

@@ -18,9 +18,11 @@ Every rule is rank-agnostic: weights and inputs are ``(..., n)`` arrays of
 equal shape and each leading index is an independent row.  The engine trains
 a 1-D learner for a one-trial block and one ``(trials, n)`` learner per
 larger trial block.  The anti-Hebbian learner's rule runs in one loop,
-:meth:`AntiHebbianMinorComponent.train`, which the engine calls once per
-read-out round on that round's ``(interval, *weights.shape)`` block;
-:meth:`~AntiHebbianMinorComponent.step` is a one-step ``train``.  Row dots
+:meth:`AntiHebbianMinorComponent.train`;
+:meth:`~AntiHebbianMinorComponent.train_readouts`, which the engine calls
+once per chunk of read-out rounds, is that loop with a sign read-out after
+every ``interval``-th step, and :meth:`~AntiHebbianMinorComponent.step` is a
+one-step ``train``.  Row dots
 use BLAS ``ddot`` once per row (``np.vecdot``, or ``w.dot(x)`` on a 1-D
 pair, exactly as ``w @ x`` does), and the per-row means and norms reduce
 along the contiguous last axis, so a batched row is bitwise identical to the
@@ -37,6 +39,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from repro.neurons.encoding import _signs
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import ValidationError, check_positive
 
@@ -232,6 +235,28 @@ class AntiHebbianMinorComponent:
         bitwise the rule ``w + eta * ((y^2 + 1 - w.w) w - y x)``, however
         the steps are split across calls.
         """
+        return self._train(inputs, 0)[0]
+
+    def train_readouts(self, inputs: np.ndarray, interval: int) -> np.ndarray:
+        """Train on *inputs* as :meth:`train` does; return the sign read-outs.
+
+        The read-out after every *interval*-th step is what
+        :meth:`sign_assignment` would return there: a ``(n_steps //
+        interval, *weights.shape)`` int8 ±1 array.  The steps and the
+        weights are bitwise those of :meth:`train`, however the steps are
+        split across calls.
+        """
+        if interval < 1:
+            raise ValidationError(f"interval must be >= 1, got {interval}")
+        return _signs(self._train(inputs, interval)[1])
+
+    def _train(self, inputs: np.ndarray, interval: int) -> tuple:
+        """The rule's one loop; returns the outputs and the read-out masks.
+
+        With ``interval >= 1`` the loop records ``weights > 0`` after every
+        *interval*-th step into a ``(n_steps // interval, *weights.shape)``
+        boolean array; with 0 it records nothing and the mask is None.
+        """
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.shape[1:] != self.weights.shape:
             raise ValidationError(
@@ -245,12 +270,16 @@ class AntiHebbianMinorComponent:
             rms = np.sqrt(np.add.reduce(inputs * inputs, axis=-1) / inputs.shape[-1])
             inputs = inputs / np.where(rms > 1e-12, rms, 1.0)[..., None]
         outputs = np.empty(inputs.shape[:-1])
+        mask = (
+            np.empty((len(inputs) // interval, *self.weights.shape), dtype=bool)
+            if interval else None
+        )
         if self.weights.ndim == 1:
-            self._train_row(inputs, outputs)
+            self._train_row(inputs, outputs, mask, interval)
         else:
-            self._train_rows(inputs, outputs)
+            self._train_rows(inputs, outputs, mask, interval)
         self.n_updates += inputs.shape[0]
-        return outputs
+        return outputs, mask
 
     def _learning_rates(self, n_steps: int) -> list:
         """The learning rate of each of the next *n_steps* updates."""
@@ -268,8 +297,12 @@ class AntiHebbianMinorComponent:
     # ``((c w) - (y x)) * eta + w``, which is bitwise ``w + eta (c w - y x)``:
     # IEEE multiplication and addition commute.  It works on a copy of the
     # weights, so an array once read from :attr:`weights` is never written.
+    # A read-out is taken at step ``snap`` into the next row of *mask*;
+    # without a mask *interval* is 0 and ``snap`` -1, which no step equals.
 
-    def _train_row(self, inputs: np.ndarray, outputs: np.ndarray) -> None:
+    def _train_row(
+        self, inputs: np.ndarray, outputs: np.ndarray, mask, interval: int
+    ) -> None:
         """The loop of a 1-D learner, its per-step scalars Python floats.
 
         The scalars ``c``, ``y`` and ``eta`` reach the ufuncs as 0-d arrays:
@@ -281,6 +314,7 @@ class AntiHebbianMinorComponent:
         c, y0, eta0 = np.empty(()), np.empty(()), np.empty(())
         ww = float(w.dot(w))
         fired = 0
+        snap, r = interval - 1, 0
         for t, (x, eta) in enumerate(zip(inputs, self._learning_rates(len(inputs)))):
             y = float(w.dot(x))
             outputs[t] = y
@@ -300,16 +334,22 @@ class AntiHebbianMinorComponent:
                     fired += 1
                     ww = float(new.dot(new))
             w, new = new, w
+            if t == snap:
+                np.greater(w, 0.0, out=mask[r])
+                snap, r = snap + interval, r + 1
         self.weights = w
         if fired:
             self.guard_firings += fired
 
-    def _train_rows(self, inputs: np.ndarray, outputs: np.ndarray) -> None:
+    def _train_rows(
+        self, inputs: np.ndarray, outputs: np.ndarray, mask, interval: int
+    ) -> None:
         """The loop of a ``(rows, n)`` learner, one ``ddot`` per row."""
         w = self.weights.copy()
         new, yx = np.empty_like(w), np.empty_like(w)
         ww = np.vecdot(w, w)
         fired = np.zeros(w.shape[0], dtype=np.int64)
+        snap, r = interval - 1, 0
         for t, (x, eta) in enumerate(zip(inputs, self._learning_rates(len(inputs)))):
             y = np.vecdot(w, x)
             outputs[t] = y
@@ -326,6 +366,9 @@ class AntiHebbianMinorComponent:
                 fired += tripped
                 ww = np.vecdot(new, new)
             w, new = new, w
+            if t == snap:
+                np.greater(w, 0.0, out=mask[r])
+                snap, r = snap + interval, r + 1
         self.weights = w
         self.guard_firings += fired
 

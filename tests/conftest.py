@@ -101,8 +101,11 @@ def subthreshold_membranes():
         )
         currents = simulator.drive_currents(np.asarray(states)[None])
         n_rounds = currents.shape[1] - burn_in
-        rows = [r for _, r in simulator.iter_subthreshold_rounds(currents, burn_in, 1, n_rounds)]
-        return np.concatenate(rows, axis=1)[0] if rows else np.zeros((0, weights.shape[0]))
+        # Every round in one chunk: the one yield holds all the rows.
+        chunks = simulator.iter_subthreshold_rounds(
+            currents, burn_in, 1, n_rounds, max(1, n_rounds)
+        )
+        return next((rows[:, 0] for _, rows in chunks), np.zeros((0, weights.shape[0])))
 
     return run
 

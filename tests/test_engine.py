@@ -12,6 +12,7 @@ with no edges); ``tests/test_engine_goldens.py`` pins the absolute bits.
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -643,6 +644,78 @@ class TestDeadline:
             SolveRequest(
                 circuit=_tr(small_er_graph), n_trials=1, deadline_seconds=-1.0
             )
+
+
+class TestPlasticityStop:
+    """A LIF-TR run that stops early trains its learner to the stop round only.
+
+    The plasticity read-out trains a chunk of rounds per learner call; a run
+    that may stop takes one round per call, so its learner rows, guard
+    counts and trajectories are bitwise an unconstrained run of the rounds
+    it completed.
+    """
+
+    #: A learning rate large enough for the norm guard to fire.
+    CONFIG = LIFTrevisanConfig(
+        burn_in_steps=25, sample_interval=4, learning_rate=1.0,
+        normalize_plasticity_inputs=False,
+    )
+
+    def _assert_learner_prefix(self, stopped, circuit, n_trials, seed, **options):
+        reference = solve(SolveRequest(
+            circuit=circuit, n_trials=n_trials, n_samples=stopped.n_rounds,
+            seed=seed, **options,
+        ))
+        assert np.array_equal(stopped.trajectories, reference.trajectories)
+        assert np.array_equal(stopped.learner_weights, reference.learner_weights)
+        for key in ("plasticity_guard_firings", "n_plasticity_updates"):
+            assert stopped.metadata[key] == reference.metadata[key]
+        return reference
+
+    @pytest.mark.parametrize("config", [TR_CONFIG, CONFIG], ids=["default", "guard"])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_plateau_stop(self, medium_er_graph, config, blocks):
+        circuit = _tr(medium_er_graph, config)
+        n_samples = 300
+        # Two trials per block when split: the later block replays the
+        # first block's stop round.
+        options = dict(max_block_bytes=(
+            8 * medium_er_graph.n_vertices
+            * (config.burn_in_steps + n_samples * config.sample_interval)
+            * (4 if blocks == 1 else 2)
+        ))
+        stopped = solve(SolveRequest(
+            circuit=circuit, n_trials=4, n_samples=n_samples, seed=5,
+            early_stop=EarlyStopConfig(patience=6, min_rounds=10), **options,
+        ))
+        assert stopped.early_stopped and stopped.n_rounds < n_samples
+        assert stopped.metadata["n_blocks"] == blocks
+        reference = self._assert_learner_prefix(stopped, circuit, 4, 5, **options)
+        if config is self.CONFIG:
+            assert reference.metadata["plasticity_guard_firings"] > 0
+
+    @pytest.mark.parametrize("config", [TR_CONFIG, CONFIG], ids=["default", "guard"])
+    def test_deadline_stop(self, monkeypatch, medium_er_graph, config):
+        # The tracker reads the clock once per round: this clock makes the
+        # deadline fire at round 20, whatever the host's speed.
+        from repro.engine import tracker
+
+        class Clock:
+            calls = 0
+
+            def perf_counter(self):
+                self.calls += 1
+                return math.inf if self.calls > 20 else -math.inf
+
+        monkeypatch.setattr(tracker, "time", Clock())
+        circuit = _tr(medium_er_graph, config)
+        stopped = solve(SolveRequest(
+            circuit=circuit, n_trials=3, n_samples=400, seed=3,
+            deadline_seconds=3600.0,
+        ))
+        assert stopped.metadata["deadline_exceeded"] and stopped.n_rounds == 21
+        monkeypatch.undo()
+        self._assert_learner_prefix(stopped, circuit, 3, 3)
 
 
 class TestPlasticityGuardCount:

@@ -9,6 +9,9 @@ engine runs rather than erroring, again with identical results.
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,7 @@ from repro.engine import (
     solve,
     solve_instance_block,
 )
+from repro.engine import engine as engine_module
 from repro.graphs.generators import erdos_renyi
 from repro.obs.trace import capture
 
@@ -50,6 +54,17 @@ def _assert_identical(fused, solo):
     assert fused.best_weight == solo.best_weight
     if solo.learner_weights is not None:
         assert np.array_equal(fused.learner_weights, solo.learner_weights)
+
+
+def _digest(result) -> str:
+    h = hashlib.sha256()
+    for array in (
+        result.trajectories, result.trial_best_weights,
+        result.trial_best_assignments, result.learner_weights,
+    ):
+        h.update(np.ascontiguousarray(array).tobytes())
+    h.update(str(result.metadata["plasticity_guard_firings"]).encode())
+    return h.hexdigest()
 
 
 class TestFusedEqualsPerInstance:
@@ -101,8 +116,8 @@ class TestFusedEqualsPerInstance:
             assert np.array_equal(result.assignments, solo.assignments)
 
     def test_plasticity_readout_fuses_across_graphs(self):
-        # Two LIF-TR circuits on different graphs: one learner per segment
-        # per block, each row bitwise its standalone trial.
+        # Two LIF-TR circuits on different graphs: one learner for the whole
+        # block across both segments, each row bitwise its standalone trial.
         requests = _requests(count=2, circuit="lif_tr", trials=3)
         fused = solve_instance_block(requests)
         for result, request in zip(fused, requests):
@@ -110,6 +125,37 @@ class TestFusedEqualsPerInstance:
             assert block["segments"] == 2
             assert block["segment_trials"] == 3
             _assert_identical(result, solve(request))
+
+    def test_learners_that_differ_run_in_separate_groups(self):
+        # Equal graphs and LIF parameters, different learning rates: a block
+        # trains one learner, so these cannot share one.
+        graph = erdos_renyi(24, 0.5, seed=100)
+        requests = [
+            SolveRequest(
+                circuit=LIFTrevisanCircuit(
+                    graph, config=replace(TR_CONFIG, learning_rate=rate)
+                ),
+                n_trials=2, n_samples=6, seed=7,
+            )
+            for rate in (0.01, 0.02)
+        ]
+        results = solve_instance_block(requests)
+        for result, request in zip(results, requests):
+            assert "instance_block" not in result.metadata
+            _assert_identical(result, solve(request))
+        assert not np.array_equal(results[0].learner_weights, results[1].learner_weights)
+
+    @pytest.mark.parametrize("cap", [1, 1 << 30])
+    def test_plasticity_chunk_cap_moves_no_bit(self, monkeypatch, cap):
+        # One block over three segments, one learner trained a round per
+        # call (cap 1) or every round in one call (2^30).
+        requests = _requests(count=3, circuit="lif_tr", trials=2, samples=9)
+        expected = [_digest(result) for result in solve_instance_block(requests)]
+        monkeypatch.setattr(engine_module, "PLASTICITY_CHUNK_VALUES", cap)
+        fused = solve_instance_block(requests)
+        assert fused[0].metadata["instance_block"]["segments"] == 3
+        assert fused[0].metadata["n_blocks"] == 1
+        assert [_digest(result) for result in fused] == expected
 
     def test_coalesced_batch_is_bit_identical_per_request(self):
         # Same-circuit requests with mixed trial counts form one segment:

@@ -438,3 +438,95 @@ class TestTrainBitwise:
         batch = _learner(3)
         y = batch.step(np.ones((3, 24)))
         assert isinstance(y, np.ndarray) and y.shape == (3,)
+
+
+def _per_round(learner, inputs, interval):
+    """Per-round ``train`` then ``sign_assignment``: the reference read-outs."""
+    n_rounds = len(inputs) // interval
+    readouts = np.empty((n_rounds, *learner.weights.shape), dtype=np.int8)
+    for r in range(n_rounds):
+        learner.train(inputs[r * interval:(r + 1) * interval])
+        readouts[r] = learner.sign_assignment()
+    learner.train(inputs[n_rounds * interval:])  # steps past the last read-out
+    return readouts
+
+
+class TestTrainReadouts:
+    """``train_readouts`` is ``train`` with a sign read-out every *interval* steps."""
+
+    @pytest.mark.parametrize("interval", [1, 3, 10])
+    @pytest.mark.parametrize("decay", [0.0, 0.02])
+    @pytest.mark.parametrize("normalize_inputs", [True, False])
+    @pytest.mark.parametrize("n_rows", [None, 1, 4])
+    def test_matches_per_round_train(
+        self, rng, n_rows, normalize_inputs, decay, interval
+    ):
+        params = dict(
+            learning_rate=0.05, learning_rate_decay=decay,
+            normalize_inputs=normalize_inputs,
+        )
+        # Six rounds, and steps past the last read-out unless interval is 1.
+        inputs = _block(
+            rng, 6 * interval + interval // 2, n_rows,
+            scale=1.0 if normalize_inputs else 0.1,
+        )
+        inputs[4] *= 1e3  # the guard fires mid-chunk without normalisation
+        inputs[2] = 0.0  # and the rms guard with it
+        chunked, reference = _learner(n_rows, **params), _learner(n_rows, **params)
+        readouts = chunked.train_readouts(inputs, interval)
+        assert readouts.dtype == np.int8
+        assert readouts.shape == (6, *chunked.weights.shape)
+        assert np.array_equal(readouts, _per_round(reference, inputs, interval))
+        _assert_same_state(chunked, reference)
+        assert chunked.n_updates == len(inputs)
+        assert reference.guard_firings.sum() > 0 or normalize_inputs
+
+    @pytest.mark.parametrize(
+        "split", [[6], [0, 6], [1, 1, 1, 1, 1, 1], [2, 4], [3, 0, 3], [5, 1]]
+    )
+    @pytest.mark.parametrize("n_rows", [None, 3])
+    def test_any_split_of_the_rounds(self, rng, n_rows, split):
+        params = dict(learning_rate=0.05, learning_rate_decay=0.01, normalize_inputs=False)
+        interval = 4
+        inputs = _block(rng, 6 * interval, n_rows, scale=0.1)
+        inputs[9] *= 1e3
+        whole = _learner(n_rows, **params)
+        expected = whole.train_readouts(inputs, interval)
+        parts = _learner(n_rows, **params)
+        readouts, first = [], 0
+        for count in split:
+            steps = inputs[first * interval:(first + count) * interval]
+            readouts.append(parts.train_readouts(steps, interval))
+            first += count
+        assert np.array_equal(np.concatenate(readouts), expected)
+        _assert_same_state(parts, whole)
+        assert whole.guard_firings.sum() > 0
+        trained = _learner(n_rows, **params)
+        trained.train(inputs)
+        _assert_same_state(trained, whole)
+
+    @pytest.mark.parametrize("n_rows", [None, 2])
+    def test_zero_steps(self, rng, n_rows):
+        learner = _learner(n_rows)
+        before = learner.weights.copy()
+        readouts = learner.train_readouts(_block(rng, 0, n_rows), 5)
+        assert readouts.shape == (0, *learner.weights.shape)
+        assert readouts.dtype == np.int8
+        assert np.array_equal(learner.weights, before)
+        assert learner.n_updates == 0
+
+    def test_fewer_steps_than_an_interval(self, rng):
+        learner, reference = _learner(2), _learner(2)
+        inputs = _block(rng, 3, 2)
+        assert learner.train_readouts(inputs, 5).shape == (0, 2, 24)
+        reference.train(inputs)
+        _assert_same_state(learner, reference)
+
+    def test_interval_must_be_positive(self, rng):
+        learner = _learner(None)
+        with pytest.raises(ValidationError):
+            learner.train_readouts(_block(rng, 4, None), 0)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValidationError):
+            _learner(3).train_readouts(np.ones((4, 2, 24)), 2)
