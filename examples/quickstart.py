@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 
 import repro
+from repro.analysis import running_best
 from repro.cuts import exact_maxcut_value
 from repro.utils.logging import configure_logging
 
@@ -68,7 +69,7 @@ def main() -> None:
             print(f"  {label:<22}: {value / optimum:.3f}")
 
     # Convergence of the LIF-TR circuit (the paper's orange curve).
-    running = tr_result.trajectory.running_best()
+    running = running_best(tr_result.trajectories[0])
     checkpoints = [1, len(running) // 10, len(running) // 3, len(running)]
     print("\nLIF-Trevisan running best (cut weight after k samples)")
     for k in checkpoints:

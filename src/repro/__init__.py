@@ -70,7 +70,6 @@ from repro.circuits import (
     LIFTrevisanCircuit,
     LIFGWConfig,
     LIFTrevisanConfig,
-    CircuitResult,
 )
 from repro.engine import (
     BatchedSolverEngine,
@@ -174,7 +173,6 @@ __all__ = [
     "LIFTrevisanCircuit",
     "LIFGWConfig",
     "LIFTrevisanConfig",
-    "CircuitResult",
     # batched engine
     "BatchedSolverEngine",
     "EarlyStopConfig",

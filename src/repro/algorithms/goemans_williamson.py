@@ -50,12 +50,6 @@ class GWResult:
     def best_weight(self) -> float:
         return self.best_cut.weight
 
-    def running_best(self) -> np.ndarray:
-        """Running maximum of the rounding samples."""
-        if self.sample_weights.size == 0:
-            return np.zeros(0)
-        return np.maximum.accumulate(self.sample_weights)
-
 
 def goemans_williamson(
     graph: Graph,

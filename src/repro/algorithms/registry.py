@@ -131,7 +131,7 @@ class SolverSpec:
         run only a single trial).
     batchable:
         True when the solver can be routed through the trial-parallel batched
-        engine (:func:`repro.experiments.runner.run_circuit_trials`).
+        engine (:func:`repro.engine.solve`).
     circuit:
         Engine circuit name (``"lif_gw"`` / ``"lif_tr"``) for batchable
         solvers; ``None`` otherwise.
@@ -191,11 +191,11 @@ class SolverSpec:
 
 
 def _solve_lif_gw(graph: Graph, n_samples: int = 100, seed: RandomState = None, **kwargs) -> Cut:
-    return LIFGWCircuit(graph, seed=seed, **kwargs).solve(n_samples, seed=seed)
+    return LIFGWCircuit(graph, seed=seed, **kwargs).sample_cuts(n_samples, seed=seed).best_cut
 
 
 def _solve_lif_tr(graph: Graph, n_samples: int = 100, seed: RandomState = None, **kwargs) -> Cut:
-    return LIFTrevisanCircuit(graph, **kwargs).solve(n_samples, seed=seed)
+    return LIFTrevisanCircuit(graph, **kwargs).sample_cuts(n_samples, seed=seed).best_cut
 
 
 def _solve_gw(graph: Graph, n_samples: int = 100, seed: RandomState = None, **kwargs) -> Cut:

@@ -12,15 +12,13 @@ Two circuits are provided:
   stage-2 weight vector, whose sign is the cut.
 """
 
-from repro.circuits.base import CircuitResult, NeuromorphicCircuit, SampleTrajectory
+from repro.circuits.base import NeuromorphicCircuit
 from repro.circuits.config import LIFGWConfig, LIFTrevisanConfig
 from repro.circuits.lif_gw import LIFGWCircuit
 from repro.circuits.lif_trevisan import LIFTrevisanCircuit
 
 __all__ = [
-    "CircuitResult",
     "NeuromorphicCircuit",
-    "SampleTrajectory",
     "LIFGWConfig",
     "LIFTrevisanConfig",
     "LIFGWCircuit",

@@ -40,6 +40,7 @@ graphs      List the empirical graphs in the Table I registry.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Any, Dict, Optional, Sequence
 
@@ -682,14 +683,13 @@ def _command_solve(args: argparse.Namespace) -> int:
             )
             return 2
         try:
-            from repro.engine import check_backend
-            from repro.experiments.runner import run_circuit_trials
+            from repro.engine import SolveRequest, check_backend, solve
 
             check_backend(args.backend)  # fail fast, before the SDP solve
-            result = run_circuit_trials(
-                graph=graph, circuit=spec.circuit, n_trials=1,
+            result = solve(SolveRequest(
+                circuit=spec.circuit, graph=graph, n_trials=1,
                 n_samples=args.samples, seed=args.seed, backend=args.backend,
-            )
+            ))
         except ValidationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -711,7 +711,7 @@ def _command_solve(args: argparse.Namespace) -> int:
 
 def _solve_problem(args: argparse.Namespace) -> int:
     """``repro solve --problem``: compile → solve → lift → certify."""
-    from repro.experiments.runner import run_circuit_trials
+    from repro.engine import SolveRequest, solve
     from repro.problems import (
         compile_to_maxcut,
         load_problem,
@@ -742,11 +742,11 @@ def _solve_problem(args: argparse.Namespace) -> int:
         print(f"compiled   : {graph.name} ({graph.n_vertices} vertices, "
               f"{graph.n_edges} edges)")
         if spec.batchable:
-            result = run_circuit_trials(
-                graph=graph, circuit=spec.circuit, n_trials=args.trials,
+            result = solve(SolveRequest(
+                circuit=spec.circuit, graph=graph, n_trials=args.trials,
                 n_samples=args.samples, seed=args.seed,
                 backend=args.backend,
-            )
+            ))
             cut = result.best_cut
             print(f"solver     : {spec.key} (batched engine, "
                   f"{result.n_trials} trials x {result.n_rounds} read-outs, "
@@ -791,8 +791,7 @@ def _solve_problem(args: argparse.Namespace) -> int:
 def _command_engine(args: argparse.Namespace) -> int:
     from repro.circuits.lif_gw import LIFGWCircuit
     from repro.circuits.lif_trevisan import LIFTrevisanCircuit
-    from repro.engine import EarlyStopConfig, check_backend
-    from repro.experiments.runner import run_circuit_trials
+    from repro.engine import EarlyStopConfig, SolveRequest, check_backend, solve
 
     # Fail fast on a bad backend, before the (possibly expensive) graph load
     # and offline SDP solve.
@@ -819,15 +818,15 @@ def _command_engine(args: argparse.Namespace) -> int:
         circuit = LIFGWCircuit(graph, seed=args.seed)
     else:
         circuit = LIFTrevisanCircuit(graph)
-    result = run_circuit_trials(
+    request = SolveRequest(
         circuit=circuit,
-        graph=None,
         n_trials=args.trials,
         n_samples=args.samples,
         seed=args.seed,
         backend=args.backend,
         early_stop=early_stop,
     )
+    result = solve(request)
     print(f"graph      : {graph.name} ({graph.n_vertices} vertices, {graph.n_edges} edges)")
     print(f"circuit    : {result.circuit_name}  backend: {result.backend_name}")
     print(f"batch      : {result.n_trials} trials x {result.n_rounds} read-outs"
@@ -843,16 +842,7 @@ def _command_engine(args: argparse.Namespace) -> int:
     if args.compare:
         # The reference is the engine one trial at a time: the same seeds,
         # so per-trial bests must match bit for bit.
-        reference = run_circuit_trials(
-            circuit=circuit,
-            graph=None,
-            n_trials=args.trials,
-            n_samples=args.samples,
-            seed=args.seed,
-            backend=args.backend,
-            early_stop=early_stop,
-            max_block_bytes=1,
-        )
+        reference = solve(dataclasses.replace(request, max_block_bytes=1))
         # Per-read-out throughput ratio, so an early-stopped (truncated)
         # engine run is not credited for the rounds it skipped.
         speedup = (result.samples_per_second / reference.samples_per_second

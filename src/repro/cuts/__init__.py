@@ -6,7 +6,6 @@ from repro.cuts.cut import (
     cut_weights_batch,
     spins_from_bits,
     bits_from_spins,
-    running_best_cuts,
 )
 from repro.cuts.random_cut import random_cut, random_cuts_batch, best_random_cut
 from repro.cuts.local_search import greedy_improve, local_search_maxcut
@@ -18,7 +17,6 @@ __all__ = [
     "cut_weights_batch",
     "spins_from_bits",
     "bits_from_spins",
-    "running_best_cuts",
     "random_cut",
     "random_cuts_batch",
     "best_random_cut",

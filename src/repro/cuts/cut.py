@@ -251,15 +251,3 @@ class Cut:
             f"Cut(graph={self.graph_name!r}, weight={self.weight:g}, "
             f"sides={self.side_sizes})"
         )
-
-
-def running_best_cuts(weights: np.ndarray) -> np.ndarray:
-    """Running maximum of a sequence of cut weights (the paper's Figures 3-4 y-axis).
-
-    ``running_best_cuts(w)[t]`` is the best cut weight observed in the first
-    ``t + 1`` samples.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 1:
-        raise ValidationError(f"weights must be 1-D, got shape {weights.shape}")
-    return np.maximum.accumulate(weights)

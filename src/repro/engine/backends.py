@@ -133,8 +133,9 @@ class DenseBackend(WeightBackend):
             raise ValidationError(f"weights must be 2-D, got shape {weights.shape}")
         if not np.all(np.isfinite(weights)):
             raise ValidationError("weights must be finite")
-        # The transpose *view* of the float64 weights: the operand the
-        # pinned goldens were computed with.
+        # The transpose *view* of the float64 weights: the operand of every
+        # drive product, one per trial over all its steps, with which the
+        # pinned goldens were computed.
         self._weights_t = weights.T
 
     def drive(self, device_block, input_offset: float, out=None):

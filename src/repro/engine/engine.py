@@ -390,11 +390,10 @@ class BatchedSolverEngine:
             # Blocks that replay an earlier block's truncated round count
             # only pay the weight product for the steps they integrate.
             needed_steps = plan.burn_in + rounds_limit * plan.interval
-            split = plan.burn_in if plan.readout == "spike" else 0
             drive = np.empty((n_trials, needed_steps, n_neurons))
             for (segment, a, b), block in zip(pieces, states):
                 segment.simulator.drive_currents(
-                    block[:, :needed_steps], split_at=split, out=drive[a - lo:b - lo],
+                    block[:, :needed_steps], out=drive[a - lo:b - lo],
                 )
         del states
 

@@ -28,7 +28,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.circuits.base import CircuitResult, NeuromorphicCircuit, SampleTrajectory
+from repro.circuits.base import NeuromorphicCircuit
 from repro.cuts.cut import Cut
 from repro.engine.backends import check_backend
 from repro.utils.validation import ValidationError
@@ -88,7 +88,9 @@ class SolveRequest:
         is required and the engine constructs the circuit itself, seeding any
         offline stage (the LIF-GW SDP solve) from ``seed``.
     graph:
-        Graph to cut (ignored when ``circuit`` is an instance).
+        Graph to cut.  With a circuit instance it may be omitted; if given
+        it must be the instance's own graph object, else
+        :class:`ValidationError`.
     n_trials:
         Number of independent trials.  ``0`` is allowed and produces an empty
         result.
@@ -108,7 +110,8 @@ class SolveRequest:
         trial's seed pins its whole computation, whatever requests share
         its engine run.
     config:
-        Circuit configuration forwarded when the engine builds the circuit.
+        Circuit configuration forwarded when the engine builds the circuit;
+        combining it with a circuit instance raises :class:`ValidationError`.
     backend:
         ``"auto"``, ``"dense"`` or ``"sparse"``
         (:data:`repro.engine.backends.BACKENDS`); anything else raises
@@ -205,6 +208,19 @@ class SolveRequest:
                 "circuit must be a circuit name or a NeuromorphicCircuit instance, "
                 f"got {type(self.circuit).__name__}"
             )
+        else:
+            # An instance carries its own graph and configuration; refuse
+            # conflicting arguments instead of silently ignoring them.
+            if self.config is not None:
+                raise ValidationError(
+                    "config cannot be combined with an already-built circuit; "
+                    "configure the circuit at construction time"
+                )
+            if self.graph is not None and self.graph is not self.circuit.graph:
+                raise ValidationError(
+                    "graph does not match the circuit instance's graph; "
+                    "pass graph=None (or the same graph) with a circuit instance"
+                )
 
 
 @dataclass(frozen=True)
@@ -277,35 +293,3 @@ class SolveResult:
         if self.elapsed_seconds <= 0.0:
             return float("inf") if total else 0.0
         return total / self.elapsed_seconds
-
-    def circuit_result(self, trial: int) -> CircuitResult:
-        """View one trial as a :class:`CircuitResult` (what ``sample_cuts`` returns).
-
-        The metadata carries the batch's metadata (the circuit's own keys
-        included: ``rank``/``sdp_objective`` for LIF-GW, ``learning_rate``
-        and ``n_plasticity_updates`` for LIF-TR), plus the trial's
-        ``final_plasticity_weights`` row for plasticity read-outs.
-        """
-        if not (0 <= trial < self.n_trials):
-            raise ValidationError(
-                f"trial must be in [0, {self.n_trials}), got {trial}"
-            )
-        weights = self.trajectories[trial]
-        best_index = int(np.argmax(weights)) if weights.size else 0
-        cut = Cut(
-            assignment=self.trial_best_assignments[trial].astype(np.int8),
-            weight=float(self.trial_best_weights[trial]),
-            graph_name=self.graph_name,
-        )
-        metadata = {**self.metadata, "engine": True, "backend": self.backend_name,
-                    "trial": trial, "best_round": best_index}
-        if self.learner_weights is not None:
-            metadata["final_plasticity_weights"] = self.learner_weights[trial].copy()
-        return CircuitResult(
-            graph_name=self.graph_name,
-            best_cut=cut,
-            trajectory=SampleTrajectory(weights=weights),
-            n_samples=int(weights.shape[0]),
-            n_steps=self.n_steps,
-            metadata=metadata,
-        )

@@ -73,15 +73,12 @@ class BatchLIFSimulator:
         self._n_neurons = int(n_neurons)
 
     # ------------------------------------------------------------------
-    def drive_currents(self, device_states, split_at: int = 0, out=None):
+    def drive_currents(self, device_states, out=None):
         """Synaptic currents ``(trials, steps, neurons)`` for a state block.
 
-        Each trial's currents come from its own 2-D weight application, so a
-        trial's currents do not depend on its block-mates.  ``split_at``
-        computes the first ``split_at`` steps and the rest as *separate*
-        products — the spike read-out passes its burn-in there (the split
-        its pinned goldens were computed with); the plasticity read-out uses
-        one product over all steps (``split_at=0``).
+        Each trial's currents come from its own 2-D weight application over
+        all its steps (burn-in and read-out rounds in one product), so a
+        trial's currents do not depend on its block-mates.
 
         ``out``, when given, receives the currents in place — a
         ``(trials, steps, neurons)`` float64 buffer.  The engine passes each
@@ -104,15 +101,7 @@ class BatchLIFSimulator:
             if currents is None:
                 currents = np.empty((n_trials, n_steps, self._n_neurons))
             for b in range(n_trials):
-                if 0 < split_at < n_steps:
-                    self._backend.drive(
-                        device_states[b, :split_at], offset, out=currents[b, :split_at]
-                    )
-                    self._backend.drive(
-                        device_states[b, split_at:], offset, out=currents[b, split_at:]
-                    )
-                else:
-                    self._backend.drive(device_states[b], offset, out=currents[b])
+                self._backend.drive(device_states[b], offset, out=currents[b])
             return currents
 
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.algorithms.goemans_williamson import goemans_williamson
 from repro.algorithms.random_baseline import random_baseline
-from repro.analysis.convergence import ConvergenceCurve, sample_points_log_spaced
+from repro.analysis.convergence import running_best, sample_points_log_spaced
 from repro.analysis.statistics import mean_and_sem
 from repro.circuits.lif_gw import LIFGWCircuit
 from repro.circuits.lif_trevisan import LIFTrevisanCircuit
@@ -66,7 +66,7 @@ class Figure3Cell:
 
 
 def _relative_running_best(weights: np.ndarray, counts: np.ndarray, reference: float) -> np.ndarray:
-    best = np.maximum.accumulate(np.asarray(weights, dtype=np.float64))
+    best = running_best(weights)
     values = best[np.minimum(counts, best.size) - 1]
     return values / reference if reference > 0 else np.ones_like(values)
 
@@ -131,8 +131,8 @@ def _run_graph_traced(
     )
     return {
         "sample_counts": counts,
-        "lif_gw": _relative_running_best(gw_result.trajectory.weights, counts, reference),
-        "lif_tr": _relative_running_best(tr_result.trajectory.weights, counts, reference),
+        "lif_gw": _relative_running_best(gw_result.trajectories[0], counts, reference),
+        "lif_tr": _relative_running_best(tr_result.trajectories[0], counts, reference),
         "solver": solver_curve,
         "random": _relative_running_best(random_weights, counts, reference),
         "solver_best": np.array([solver_best]),

@@ -78,8 +78,8 @@ def run_figure4_panel(
     )
 
     curves = {
-        "lif_gw": _relative_running_best(gw_result.trajectory.weights, counts, reference),
-        "lif_tr": _relative_running_best(tr_result.trajectory.weights, counts, reference),
+        "lif_gw": _relative_running_best(gw_result.trajectories[0], counts, reference),
+        "lif_tr": _relative_running_best(tr_result.trajectories[0], counts, reference),
         "solver": _relative_running_best(
             solver_result.sample_weights, np.minimum(counts, config.n_solver_samples), reference
         ),

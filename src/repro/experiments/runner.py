@@ -6,10 +6,6 @@ earlier results for comparison without re-running hours of sampling.  This
 module provides that thin layer: every experiment's result is converted to
 plain JSON-serialisable dictionaries with a metadata header (experiment id,
 configuration summary, library version, timestamp).
-
-It is also the experiments-layer entry point to the batched solver engine:
-:func:`run_circuit_trials` runs many trials of a circuit as one
-trial-parallel engine solve.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ __all__ = [
     "atomic_write_json",
     "load_results",
     "register_result_type",
-    "run_circuit_trials",
     "ExperimentRecord",
 ]
 
@@ -181,68 +176,6 @@ def atomic_write_json(path: PathLike, payload: Any) -> None:
     finally:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
-
-
-def run_circuit_trials(
-    graph=None,
-    circuit: str = "lif_gw",
-    n_trials: int = 8,
-    n_samples: int = 256,
-    seed: Optional[int] = 0,
-    config: Optional[Any] = None,
-    backend: str = "auto",
-    early_stop: Optional[Any] = None,
-    **request_options: Any,
-):
-    """Run *n_trials* independent circuit trials on one graph — batched.
-
-    One :class:`repro.engine.SolveRequest` is dispatched to the batched
-    engine, which simulates every trial's devices and membranes together.
-    Trial *i* equals ``sample_cuts(n_samples,
-    seed=SeedSequence(seed, spawn_key=(i,)))`` bit for bit (dense backend).
-
-    Parameters
-    ----------
-    graph:
-        Graph to cut; optional (and checked for consistency) when *circuit*
-        is an already-built instance, which carries its own graph.
-    circuit:
-        ``"lif_gw"``/``"lif_tr"``, or an already-built circuit instance.
-    n_trials, n_samples, seed:
-        Batch geometry and root seed (trial *i* uses
-        ``SeedSequence(seed, spawn_key=(i,))``).
-    config:
-        Circuit configuration forwarded when *circuit* is a name.
-    backend, early_stop, request_options:
-        Engine options; see :class:`repro.engine.SolveRequest`.
-    """
-    from repro.engine import SolveRequest, solve
-
-    if isinstance(circuit, str):
-        request = SolveRequest(
-            circuit=circuit, graph=graph, n_trials=n_trials, n_samples=n_samples,
-            seed=seed, config=config, backend=backend, early_stop=early_stop,
-            **request_options,
-        )
-    else:
-        # An instance carries its own graph and configuration; refuse
-        # conflicting arguments instead of silently ignoring them.
-        if config is not None:
-            raise ValidationError(
-                "config cannot be combined with an already-built circuit; "
-                "configure the circuit at construction time"
-            )
-        if graph is not None and graph is not circuit.graph:
-            raise ValidationError(
-                "graph does not match the circuit instance's graph; "
-                "pass graph=None (or the same graph) with a circuit instance"
-            )
-        request = SolveRequest(
-            circuit=circuit, n_trials=n_trials, n_samples=n_samples,
-            seed=seed, backend=backend, early_stop=early_stop,
-            **request_options,
-        )
-    return solve(request)
 
 
 def load_results(path: PathLike) -> ExperimentRecord:

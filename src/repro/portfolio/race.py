@@ -20,8 +20,8 @@ of *every* candidate draws from the same paired seed
   random trial stream, removing seed luck from the halving decisions.
 
 Batchable candidates run their rungs through the batched engine
-(:func:`repro.experiments.runner.run_circuit_trials` with
-``trial_offset`` for rung continuation); everything else runs per-trial
+(one :func:`repro.engine.solve` per rung, with ``trial_offset`` for
+rung continuation); everything else runs per-trial
 through :func:`repro.parallel.pool.parallel_map`.
 """
 
@@ -34,8 +34,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms.registry import SolverSpec, get_spec
 from repro.cuts.cut import Cut
+from repro.engine import SolveRequest, solve
 from repro.engine.sampler import trial_seed_sequences
-from repro.experiments.runner import run_circuit_trials
 from repro.parallel.pool import ParallelConfig, parallel_map
 from repro.utils.validation import ValidationError
 from repro.workloads.spec import Budget
@@ -163,11 +163,11 @@ def _run_rung(lane: _Lane, graph, n_new: int, n_samples: int, seed,
     """Advance *lane* by *n_new* trials (continuing at its trial offset)."""
     offset = lane.trials_done
     if lane.spec.batchable:
-        result = run_circuit_trials(
-            graph, circuit=lane.spec.circuit, n_trials=n_new,
+        result = solve(SolveRequest(
+            circuit=lane.spec.circuit, graph=graph, n_trials=n_new,
             n_samples=n_samples, seed=seed, backend=backend,
             trial_offset=offset,
-        )
+        ))
         lane.observe(result.best_cut)
     else:
         seqs = trial_seed_sequences(seed, n_new, start=offset)

@@ -1,6 +1,5 @@
-"""Spectral substrate: eigen-solvers and the Trevisan simple-spectral algorithm."""
+"""Spectral substrate: the minimum-eigenvector solver and Trevisan's simple-spectral MAXCUT."""
 
-from repro.spectral.lanczos import lanczos_tridiagonalize, lanczos_extreme_eigenpair
 from repro.spectral.trevisan import (
     trevisan_simple_spectral,
     trevisan_sweep_cut,
@@ -8,8 +7,6 @@ from repro.spectral.trevisan import (
 )
 
 __all__ = [
-    "lanczos_tridiagonalize",
-    "lanczos_extreme_eigenpair",
     "trevisan_simple_spectral",
     "trevisan_sweep_cut",
     "minimum_eigenvector",

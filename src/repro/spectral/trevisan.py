@@ -34,7 +34,6 @@ import scipy.sparse.linalg as spla
 from repro.cuts.cut import Cut
 from repro.graphs.graph import Graph
 from repro.scale.sketch import sweep_cut_from_scores
-from repro.spectral.lanczos import lanczos_extreme_eigenpair
 from repro.utils.rng import RandomState
 from repro.utils.validation import ValidationError
 
@@ -70,9 +69,8 @@ def minimum_eigenvector(
     ----------
     method:
         ``"dense"`` (numpy.linalg.eigh; refuses graphs above
-        :data:`DENSE_METHOD_MAX_VERTICES` vertices), ``"lanczos"`` (own
-        implementation), ``"arpack"`` (scipy eigsh), ``"sketch"``
-        (randomized subspace sketch,
+        :data:`DENSE_METHOD_MAX_VERTICES` vertices), ``"arpack"`` (scipy
+        eigsh), ``"sketch"`` (randomized subspace sketch,
         :func:`repro.scale.sketch.sketched_minimum_eigenpair`), or
         ``"auto"`` — dense below :data:`DENSE_AUTO_MAX_VERTICES`, ARPACK up
         to :data:`SKETCH_AUTO_MIN_VERTICES`, the sketch above that.  The
@@ -94,14 +92,11 @@ def minimum_eigenvector(
             raise ValidationError(
                 f"method='dense' would allocate a ({n}, {n}) matrix; graphs "
                 f"above {DENSE_METHOD_MAX_VERTICES} vertices must use "
-                f"'arpack', 'lanczos', 'sketch', or 'auto'"
+                f"'arpack', 'sketch', or 'auto'"
             )
         N = graph.normalized_adjacency()
         eigenvalues, eigenvectors = np.linalg.eigh(N)
         return float(eigenvalues[0]), eigenvectors[:, 0]
-    if method == "lanczos":
-        N = graph.to_csr(normalized=True)
-        return lanczos_extreme_eigenpair(N, which="smallest", seed=seed)
     if method == "arpack":
         if graph.n_edges == 0:
             # The normalized adjacency is the zero matrix: eigenvalue 0 with
@@ -122,7 +117,7 @@ def minimum_eigenvector(
 
         return sketched_minimum_eigenpair(graph, seed=seed)
     raise ValidationError(
-        f"method must be 'auto', 'dense', 'lanczos', 'arpack', or 'sketch'; "
+        f"method must be 'auto', 'dense', 'arpack', or 'sketch'; "
         f"got {method!r}"
     )
 

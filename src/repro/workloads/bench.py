@@ -77,12 +77,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.runner import register_result_type, run_circuit_trials
+from repro.engine import SolveRequest, solve, solve_instance_block
+from repro.experiments.runner import register_result_type
 from repro.obs.trace import capture, span, suspended
 from repro.utils.validation import ValidationError
 from repro.workloads.registry import ShardAdapter, Workload, register_workload
@@ -187,17 +188,18 @@ def _run_engine_scenario(spec: WorkloadSpec, key: str) -> Dict[str, Any]:
         instance = LIFGWCircuit(graph, config=config, seed=seed)
     else:
         instance = LIFTrevisanCircuit(graph)
-    common = dict(
-        circuit=instance, graph=None, n_trials=n_trials,
+    request = SolveRequest(
+        circuit=instance, n_trials=n_trials,
         n_samples=n_samples, seed=seed, backend=spec.policy.backend,
     )
+    reference_request = replace(request, max_block_bytes=1)
     # The reference is the same request one trial per block: what batching
     # buys, with per-trial bests that must match bit for bit.  A warm-up
     # solve keeps the first page faults of the current buffers out of both
     # legs, and each leg is the median of alternating pairs.
-    run_circuit_trials(**common)
+    solve(request)
     pairs = [
-        (run_circuit_trials(**common), run_circuit_trials(max_block_bytes=1, **common))
+        (solve(request), solve(reference_request))
         for _ in range(_ENGINE_TIMING_PAIRS)
     ]
     agree = all(
@@ -349,7 +351,6 @@ def _run_problems_scenario(spec: WorkloadSpec) -> Dict[str, Any]:
 
 def _run_instance_block_scenario(spec: WorkloadSpec) -> Dict[str, Any]:
     from repro.circuits.lif_gw import LIFGWCircuit
-    from repro.engine import SolveRequest, solve, solve_instance_block
     from repro.graphs.generators import erdos_renyi
 
     # K same-shape instances (distinct ER graphs, one size) × a few trials
@@ -488,21 +489,21 @@ def _run_obs_overhead_scenario(spec: WorkloadSpec) -> Dict[str, Any]:
     n_trials = spec.budget.n_trials
     n_samples = spec.budget.n_samples
     instance = LIFTrevisanCircuit(graph)
-    common = dict(
-        circuit=instance, graph=None, n_trials=n_trials,
+    request = SolveRequest(
+        circuit=instance, n_trials=n_trials,
         n_samples=n_samples, seed=spec.seed, backend=spec.policy.backend,
     )
 
     with suspended():
         # Warm-up outside both timed legs: caches, lazy imports, allocator.
-        run_circuit_trials(**common)
+        solve(request)
         started = time.perf_counter()
-        untraced = run_circuit_trials(**common)
+        untraced = solve(request)
         untraced_elapsed = time.perf_counter() - started
 
     with capture() as trace:
         started = time.perf_counter()
-        traced = run_circuit_trials(**common)
+        traced = solve(request)
         traced_elapsed = time.perf_counter() - started
     n_spans = len(trace.spans)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.goemans_williamson import GW_APPROXIMATION_RATIO, goemans_williamson
+from repro.analysis.convergence import running_best
 from repro.cuts.exact import exact_maxcut_value
 from repro.graphs.generators import complete_bipartite, complete_graph, cycle_graph, erdos_renyi
 from repro.sdp.burer_monteiro import solve_maxcut_sdp
@@ -19,7 +20,7 @@ class TestGoemansWilliamson:
 
     def test_running_best_monotone(self, small_er_graph):
         result = goemans_williamson(small_er_graph, n_samples=64, seed=1)
-        running = result.running_best()
+        running = running_best(result.sample_weights)
         assert np.all(np.diff(running) >= 0)
 
     def test_best_cut_below_optimum(self, small_er_graph):

@@ -68,9 +68,17 @@ class TestStatistics:
 class TestConvergence:
     def test_running_best(self):
         np.testing.assert_array_equal(running_best(np.array([2.0, 1.0, 5.0])), [2, 2, 5])
+        best = running_best(np.array([1.0, 3.0, 2.0, 5.0]))
+        np.testing.assert_array_equal(best, [1, 3, 3, 5])
+        # The best after 1, 2 and 4 samples (the figures' log-spaced counts).
+        np.testing.assert_array_equal(best[np.array([1, 2, 4]) - 1], [1, 3, 5])
 
     def test_running_best_empty(self):
         assert running_best(np.zeros(0)).shape == (0,)
+
+    def test_running_best_rejects_2d(self):
+        with pytest.raises(ValidationError):
+            running_best(np.zeros((2, 2)))
 
     def test_relative_to_reference(self):
         np.testing.assert_allclose(relative_to_reference(np.array([5.0, 10.0]), 10.0), [0.5, 1.0])

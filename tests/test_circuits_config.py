@@ -1,11 +1,8 @@
-"""Tests for circuit configuration dataclasses and result containers."""
+"""Tests for the circuit configuration dataclasses."""
 
-import numpy as np
 import pytest
 
-from repro.circuits.base import CircuitResult, SampleTrajectory
 from repro.circuits.config import LIFGWConfig, LIFTrevisanConfig
-from repro.cuts.cut import Cut
 from repro.neurons.lif import LIFParameters
 from repro.utils.validation import ValidationError
 
@@ -70,43 +67,3 @@ class TestLIFTrevisanConfig:
     def test_invalid_weight_scale(self):
         with pytest.raises(ValidationError):
             LIFTrevisanConfig(weight_scale=-1.0)
-
-
-class TestSampleTrajectory:
-    def test_running_best(self):
-        trajectory = SampleTrajectory(weights=np.array([1.0, 3.0, 2.0, 5.0]))
-        np.testing.assert_array_equal(trajectory.running_best(), [1, 3, 3, 5])
-        assert trajectory.best_weight() == 5.0
-        assert trajectory.n_samples == 4
-
-    def test_best_at(self):
-        trajectory = SampleTrajectory(weights=np.array([1.0, 3.0, 2.0, 5.0]))
-        np.testing.assert_array_equal(trajectory.best_at(np.array([1, 2, 4])), [1, 3, 5])
-
-    def test_best_at_out_of_range(self):
-        trajectory = SampleTrajectory(weights=np.array([1.0]))
-        with pytest.raises(ValidationError):
-            trajectory.best_at(np.array([2]))
-
-    def test_empty(self):
-        trajectory = SampleTrajectory(weights=np.zeros(0))
-        assert trajectory.best_weight() == 0.0
-        assert trajectory.running_best().shape == (0,)
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValidationError):
-            SampleTrajectory(weights=np.zeros((2, 2)))
-
-
-class TestCircuitResult:
-    def test_best_weight_property(self, triangle):
-        cut = Cut.from_assignment(triangle, np.array([1, 1, -1]))
-        result = CircuitResult(
-            graph_name="triangle",
-            best_cut=cut,
-            trajectory=SampleTrajectory(weights=np.array([2.0])),
-            n_samples=1,
-            n_steps=10,
-        )
-        assert result.best_weight == 2.0
-        assert result.metadata == {}

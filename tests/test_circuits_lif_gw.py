@@ -56,7 +56,7 @@ class TestSampling:
         circuit = LIFGWCircuit(small_er_graph, seed=5)
         result = circuit.sample_cuts(64, seed=6)
         assert result.n_samples == 64
-        assert result.trajectory.weights.shape == (64,)
+        assert result.trajectories[0].shape == (64,)
         assert result.best_cut.n_vertices == small_er_graph.n_vertices
 
     def test_best_cut_weight_consistent(self, small_er_graph):
@@ -65,7 +65,7 @@ class TestSampling:
         assert result.best_weight == pytest.approx(
             cut_weight(small_er_graph, result.best_cut.assignment)
         )
-        assert result.best_weight == pytest.approx(result.trajectory.weights.max())
+        assert result.best_weight == pytest.approx(result.trajectories[0].max())
 
     def test_requires_positive_samples(self, small_er_graph):
         circuit = LIFGWCircuit(small_er_graph, seed=9)
@@ -74,8 +74,8 @@ class TestSampling:
 
     def test_reproducible(self, small_er_graph):
         circuit = LIFGWCircuit(small_er_graph, seed=10)
-        a = circuit.sample_cuts(16, seed=11).trajectory.weights
-        b = circuit.sample_cuts(16, seed=11).trajectory.weights
+        a = circuit.sample_cuts(16, seed=11).trajectories[0]
+        b = circuit.sample_cuts(16, seed=11).trajectories[0]
         np.testing.assert_array_equal(a, b)
 
     def test_metadata(self, small_er_graph):
@@ -94,7 +94,7 @@ class TestSampling:
 
     def test_solve_returns_best_cut(self, small_er_graph):
         circuit = LIFGWCircuit(small_er_graph, seed=16)
-        cut = circuit.solve(32, seed=17)
+        cut = circuit.sample_cuts(32, seed=17).best_cut
         assert cut.weight <= exact_maxcut_value(small_er_graph) + 1e-9
 
 
@@ -127,7 +127,7 @@ class TestSolutionQuality:
         ra = a.sample_cuts(400, seed=29)
         rb = b.sample_cuts(400, seed=29)
         # identical seeds and scaled weights give identical membrane-sign cuts
-        np.testing.assert_array_equal(ra.trajectory.weights, rb.trajectory.weights)
+        np.testing.assert_array_equal(ra.trajectories[0], rb.trajectories[0])
 
     def test_biased_devices_still_work_reasonably(self, medium_er_graph):
         """Mild device bias should not destroy the circuit (Discussion robustness claim)."""

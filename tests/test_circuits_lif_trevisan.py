@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.convergence import running_best
 from repro.circuits.config import LIFTrevisanConfig
 from repro.circuits.lif_trevisan import LIFTrevisanCircuit
 from repro.cuts.cut import cut_weight
@@ -45,7 +46,7 @@ class TestSampling:
         circuit = LIFTrevisanCircuit(small_er_graph)
         result = circuit.sample_cuts(32, seed=1)
         assert result.n_samples == 32
-        assert result.trajectory.weights.shape == (32,)
+        assert result.trajectories[0].shape == (32,)
 
     def test_best_weight_consistent(self, small_er_graph):
         circuit = LIFTrevisanCircuit(small_er_graph)
@@ -60,13 +61,13 @@ class TestSampling:
 
     def test_reproducible(self, small_er_graph):
         circuit = LIFTrevisanCircuit(small_er_graph)
-        a = circuit.sample_cuts(16, seed=3).trajectory.weights
-        b = circuit.sample_cuts(16, seed=3).trajectory.weights
+        a = circuit.sample_cuts(16, seed=3).trajectories[0]
+        b = circuit.sample_cuts(16, seed=3).trajectories[0]
         np.testing.assert_array_equal(a, b)
 
     def test_metadata_contains_plasticity_state(self, small_er_graph):
         result = LIFTrevisanCircuit(small_er_graph).sample_cuts(8, seed=4)
-        weights = result.metadata["final_plasticity_weights"]
+        weights = result.learner_weights[0]
         assert weights.shape == (small_er_graph.n_vertices,)
         assert result.metadata["n_plasticity_updates"] > 0
 
@@ -81,7 +82,7 @@ class TestSolutionQuality:
         """The running best should improve as plasticity converges (Figure 3 shape)."""
         graph = erdos_renyi(40, 0.25, seed=10)
         result = LIFTrevisanCircuit(graph).sample_cuts(400, seed=11)
-        running = result.trajectory.running_best()
+        running = running_best(result.trajectories[0])
         early = running[: 20].max()
         late = running[-1]
         assert late >= early
@@ -114,7 +115,7 @@ class TestSolutionQuality:
         """The learned weight vector should align with the Trevisan eigenvector."""
         graph = erdos_renyi(25, 0.35, seed=20)
         result = LIFTrevisanCircuit(graph).sample_cuts(1000, seed=21)
-        learned = result.metadata["final_plasticity_weights"]
+        learned = result.learner_weights[0]
         learned = learned / np.linalg.norm(learned)
         eigenvector = trevisan_simple_spectral(graph).eigenvector
         eigenvector = eigenvector / np.linalg.norm(eigenvector)

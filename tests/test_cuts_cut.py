@@ -9,13 +9,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.convergence import running_best
 from repro.cuts.cut import (
     BatchCutEvaluator,
     Cut,
     bits_from_spins,
     cut_weight,
     cut_weights_batch,
-    running_best_cuts,
     spins_from_bits,
 )
 from repro.graphs.generators import complete_bipartite, erdos_renyi
@@ -147,15 +147,15 @@ class TestCutClass:
 
 class TestRunningBest:
     def test_monotone(self):
-        out = running_best_cuts(np.array([3.0, 1.0, 5.0, 2.0]))
+        out = running_best(np.array([3.0, 1.0, 5.0, 2.0]))
         np.testing.assert_array_equal(out, [3.0, 3.0, 5.0, 5.0])
 
     def test_rejects_2d(self):
         with pytest.raises(ValidationError):
-            running_best_cuts(np.zeros((2, 2)))
+            running_best(np.zeros((2, 2)))
 
     def test_empty(self):
-        assert running_best_cuts(np.zeros(0)).shape == (0,)
+        assert running_best(np.zeros(0)).shape == (0,)
 
 
 def _edge_sum(graph, assignments, scale=1):

@@ -89,9 +89,12 @@ class TestDocstrings:
             f"{module_name} has no module docstring"
         )
 
-    def test_exported_names_resolve(self):
-        for name in repro.__all__:
-            assert getattr(repro, name, None) is not None, name
+    @pytest.mark.parametrize("module_name", ALL_MODULES)
+    def test_exported_names_resolve(self, module_name):
+        # A name deleted from a module must leave its ``__all__`` too.
+        module = importlib.import_module(module_name)
+        for name in getattr(module, "__all__", ()):
+            assert getattr(module, name, None) is not None, f"{module_name}.{name}"
 
 
 class TestReadme:

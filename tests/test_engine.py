@@ -30,7 +30,6 @@ from repro.engine import (
     solve,
     trial_seed_sequences,
 )
-from repro.experiments.runner import run_circuit_trials
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.graph import Graph
 from repro.utils.rng import spawn_generators
@@ -198,13 +197,15 @@ class TestSeededEquivalence:
             _assert_bit_identical(many_blocks, _one_trial_at_a_time(request))
 
     def test_circuit_method_fast_path(self, medium_er_graph):
-        """The circuits' opt-in sample_cuts_batch wrapper hits the engine."""
+        """``sample_cuts`` is a one-trial solve: trial *i* of the batch, bitwise."""
         circuit = _tr(medium_er_graph)
-        result = circuit.sample_cuts_batch(3, 8, seed=21)
-        reference = _one_trial_at_a_time(
-            SolveRequest(circuit=circuit, n_trials=3, n_samples=8, seed=21)
-        )
-        _assert_bit_identical(result, reference)
+        batch = solve(SolveRequest(circuit=circuit, n_trials=3, n_samples=8, seed=21))
+        for trial, seed in enumerate(trial_seed_sequences(21, 3)):
+            one = circuit.sample_cuts(8, seed=seed)
+            assert one.n_trials == 1
+            assert np.array_equal(one.trajectories[0], batch.trajectories[trial])
+            assert np.array_equal(one.learner_weights[0], batch.learner_weights[trial])
+            assert one.best_weight == batch.trial_best_weights[trial]
 
 
 def _telegraph(n_devices, rng):
@@ -331,7 +332,7 @@ class TestEdgeCases:
         direct = circuit.sample_cuts(
             10, seed=np.random.SeedSequence(entropy=8, spawn_key=(0,))
         )
-        assert np.array_equal(result.trajectories[0], direct.trajectory.weights)
+        assert np.array_equal(result.trajectories[0], direct.trajectories[0])
         assert result.best_cut.weight == direct.best_cut.weight
         assert np.array_equal(result.best_cut.assignment, direct.best_cut.assignment)
 
@@ -436,28 +437,21 @@ class TestEarlyStop:
 
 
 class TestResultApi:
-    def test_circuit_result_view(self, medium_er_graph):
+    def test_sample_cuts_returns_a_one_trial_result(self, medium_er_graph):
         circuit = _gw(medium_er_graph)
-        result = solve(SolveRequest(circuit=circuit, n_trials=3, n_samples=8, seed=2))
-        view = result.circuit_result(1)
-        assert view.n_samples == 8
-        assert view.best_cut.weight == result.trial_best_weights[1]
-        assert view.trajectory.weights.shape == (8,)
-        assert {"rank", "n_devices", "sdp_objective", "readout"} <= set(view.metadata)
-        with pytest.raises(ValidationError):
-            result.circuit_result(3)
+        result = circuit.sample_cuts(8, seed=2)
+        assert (result.n_trials, result.n_samples, result.n_rounds) == (1, 8, 8)
+        assert result.trajectories.shape == (1, 8)
+        assert result.best_weight == result.trial_best_weights[0]
+        assert result.best_weight == result.trajectories[0].max()
+        assert {"rank", "n_devices", "sdp_objective", "readout"} <= set(result.metadata)
 
-    def test_circuit_result_carries_each_trials_learner_row(self, medium_er_graph):
+    def test_learner_weights_carry_each_trials_row(self, medium_er_graph):
         result = solve(SolveRequest(
             circuit=_tr(medium_er_graph), n_trials=3, n_samples=8, seed=2
         ))
         assert result.learner_weights.shape == (3, medium_er_graph.n_vertices)
-        for trial in range(3):
-            view = result.circuit_result(trial)
-            assert np.array_equal(
-                view.metadata["final_plasticity_weights"], result.learner_weights[trial]
-            )
-            assert view.metadata["n_plasticity_updates"] == 8 * TR_CONFIG.sample_interval
+        assert result.metadata["n_plasticity_updates"] == 8 * TR_CONFIG.sample_interval
         assert solve(SolveRequest(
             circuit=_gw(medium_er_graph), n_trials=1, n_samples=4, seed=2
         )).learner_weights is None
@@ -537,41 +531,39 @@ class TestEngineCli:
         assert "per-trial bests match: True" in out
 
 
-class TestRunnerIntegration:
-    def test_run_circuit_trials_engine_vs_sequential(self, small_er_graph):
-        engine_result = run_circuit_trials(
-            small_er_graph, circuit="lif_tr", n_trials=3, n_samples=6, seed=7,
-            config=TR_CONFIG,
+class TestRequestArguments:
+    def test_named_circuit_engine_vs_sequential(self, small_er_graph):
+        request = SolveRequest(
+            circuit="lif_tr", graph=small_er_graph, n_trials=3, n_samples=6,
+            seed=7, config=TR_CONFIG,
         )
-        reference = run_circuit_trials(
-            small_er_graph, circuit="lif_tr", n_trials=3, n_samples=6, seed=7,
-            config=TR_CONFIG, max_block_bytes=1,
-        )
-        _assert_bit_identical(engine_result, reference)
+        _assert_bit_identical(solve(request), _one_trial_at_a_time(request))
 
-    def test_run_circuit_trials_accepts_instance(self, small_er_graph):
-        circuit = _gw(small_er_graph)
-        result = run_circuit_trials(
-            circuit=circuit, graph=None, n_trials=2, n_samples=5, seed=1
-        )
+    def test_instance_needs_no_graph(self, small_er_graph):
+        result = solve(SolveRequest(
+            circuit=_gw(small_er_graph), n_trials=2, n_samples=5, seed=1
+        ))
         assert result.n_trials == 2
         assert result.graph_name == small_er_graph.name
 
-    def test_run_circuit_trials_rejects_conflicting_arguments(self, small_er_graph):
-        """config (or a foreign graph) with an instance circuit is an error."""
+    def test_instance_rejects_a_foreign_graph(self, small_er_graph):
+        """An instance solves its own graph; naming another one is an error."""
         circuit = _gw(small_er_graph)
-        with pytest.raises(ValidationError):
-            run_circuit_trials(
-                circuit=circuit, graph=None, config=GW_CONFIG, n_trials=1, n_samples=4
-            )
-        other = erdos_renyi(10, 0.5, seed=9)
-        with pytest.raises(ValidationError):
-            run_circuit_trials(circuit=circuit, graph=other, n_trials=1, n_samples=4)
+        with pytest.raises(ValidationError, match="graph does not match"):
+            SolveRequest(circuit=circuit, graph=erdos_renyi(10, 0.5, seed=9))
         # The instance's own graph is accepted.
-        result = run_circuit_trials(
+        result = solve(SolveRequest(
             circuit=circuit, graph=small_er_graph, n_trials=1, n_samples=4, seed=0
-        )
+        ))
         assert result.n_trials == 1
+
+    def test_instance_rejects_a_config(self, small_er_graph):
+        """An instance is configured at construction; a request config is an error."""
+        circuit = _gw(small_er_graph)
+        with pytest.raises(ValidationError, match="config cannot be combined"):
+            SolveRequest(circuit=circuit, config=GW_CONFIG)
+        with pytest.raises(ValidationError, match="config cannot be combined"):
+            SolveRequest(circuit=circuit, config=circuit.config)
 
 
 class TestCoalesce:
@@ -724,10 +716,10 @@ class TestPlasticityGuardCount:
     @pytest.mark.parametrize("n", [50, 100])
     def test_guard_never_fires_at_defaults(self, n):
         # A default 4-trial solve: 1024 read-outs, 10,240 plasticity steps.
-        result = run_circuit_trials(
-            erdos_renyi(n, 0.25, seed=0), circuit="lif_tr", n_trials=4,
+        result = solve(SolveRequest(
+            circuit="lif_tr", graph=erdos_renyi(n, 0.25, seed=0), n_trials=4,
             n_samples=1024, seed=0,
-        )
+        ))
         assert result.metadata["n_plasticity_updates"] == 10240
         assert result.metadata["plasticity_guard_firings"] == 0
 
@@ -735,16 +727,14 @@ class TestPlasticityGuardCount:
         config = LIFTrevisanConfig(
             burn_in_steps=25, sample_interval=4, learning_rate=1.0
         )
-        batched = run_circuit_trials(
-            small_er_graph, circuit="lif_tr", config=config, n_trials=3,
+        request = SolveRequest(
+            circuit="lif_tr", graph=small_er_graph, config=config, n_trials=3,
             n_samples=16, seed=1,
         )
+        batched = solve(request)
         assert batched.metadata["plasticity_guard_firings"] > 0
         # One trial per block counts the same firings as the batch.
-        one_by_one = run_circuit_trials(
-            small_er_graph, circuit="lif_tr", config=config, n_trials=3,
-            n_samples=16, seed=1, max_block_bytes=1,
-        )
+        one_by_one = _one_trial_at_a_time(request)
         assert np.array_equal(batched.trajectories, one_by_one.trajectories)
         assert (
             one_by_one.metadata["plasticity_guard_firings"]

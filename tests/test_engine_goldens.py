@@ -117,12 +117,12 @@ def _solve_digest(result) -> str:
 
 def _sample_cuts_digest(result) -> str:
     arrays = [
-        result.trajectory.weights,
+        result.trajectories[0],
         result.best_cut.assignment,
         np.array([result.best_cut.weight, result.n_samples, result.n_steps]),
     ]
-    if "final_plasticity_weights" in result.metadata:
-        arrays.append(result.metadata["final_plasticity_weights"])
+    if result.learner_weights is not None:
+        arrays.append(result.learner_weights[0])
         arrays.append(np.array([result.metadata["n_plasticity_updates"]]))
     return _digest(*arrays)
 
@@ -241,5 +241,6 @@ def test_sample_cuts_is_trial_zero_of_a_solve(name):
     circuit = build()
     direct = circuit.sample_cuts(n_samples, seed=np.random.SeedSequence(seed, spawn_key=(0,)))
     batch = solve(SolveRequest(circuit=circuit, n_trials=3, n_samples=n_samples, seed=seed))
-    assert np.array_equal(direct.trajectory.weights, batch.trajectories[0])
-    assert direct.best_cut == batch.circuit_result(0).best_cut
+    assert np.array_equal(direct.trajectories[0], batch.trajectories[0])
+    assert direct.best_weight == batch.trial_best_weights[0]
+    assert np.array_equal(direct.best_cut.assignment, batch.trial_best_assignments[0])

@@ -62,7 +62,7 @@ def _toy_instances():
     from repro.arena.results import ArenaEntry
     from repro.experiments.figure3 import Figure3Cell
     from repro.experiments.figure4 import Figure4Panel
-    from repro.experiments.runner import run_circuit_trials
+    from repro.engine import SolveRequest, solve
     from repro.distrib import ShardCheckpoint
     from repro.graphs.generators import erdos_renyi
     from repro.portfolio import PortfolioModel
@@ -70,9 +70,9 @@ def _toy_instances():
     from repro.workloads.evolving import EvolvingRecord
 
     graph = erdos_renyi(10, 0.5, seed=0, name="toy10")
-    solve_result = run_circuit_trials(
-        graph=graph, circuit="lif_tr", n_trials=2, n_samples=4, seed=0
-    )
+    solve_result = solve(SolveRequest(
+        circuit="lif_tr", graph=graph, n_trials=2, n_samples=4, seed=0
+    ))
     counts = np.array([1, 2, 4])
     curve = {"lif_gw": np.array([0.5, 0.7, 0.9])}
     arena_entry = ArenaEntry(

@@ -14,6 +14,7 @@ import pytest
 
 from repro.algorithms.goemans_williamson import goemans_williamson
 from repro.algorithms.random_baseline import random_baseline
+from repro.analysis.convergence import running_best
 from repro.circuits.config import LIFGWConfig, LIFTrevisanConfig
 from repro.circuits.lif_gw import LIFGWCircuit
 from repro.circuits.lif_trevisan import LIFTrevisanCircuit
@@ -98,9 +99,9 @@ class TestCovarianceMotif:
         graph = erdos_renyi(20, 0.4, seed=10)
         sdp = solve_maxcut_sdp(graph, rank=4, seed=11)
         circuit = LIFGWCircuit(graph, sdp_result=sdp, seed=12)
-        circuit_result = circuit.sample_cuts(800, seed=13)
+        sampled = circuit.sample_cuts(800, seed=13)
         software = goemans_williamson(graph, n_samples=800, seed=14, rank=4, sdp_result=sdp)
-        circuit_mean = circuit_result.trajectory.weights.mean()
+        circuit_mean = sampled.trajectories[0].mean()
         software_mean = software.sample_weights.mean()
         assert abs(circuit_mean - software_mean) < 0.1 * software_mean
 
@@ -111,7 +112,7 @@ class TestTrevisanCircuitConvergence:
         toward the software spectral value (the Figure 3 orange curve shape)."""
         graph = erdos_renyi(50, 0.2, seed=15)
         result = LIFTrevisanCircuit(graph).sample_cuts(600, seed=16)
-        running = result.trajectory.running_best()
+        running = running_best(result.trajectories[0])
         software = trevisan_simple_spectral(graph).cut.weight
         assert running[-1] >= running[4]
         assert running[-1] >= 0.85 * software
@@ -148,12 +149,12 @@ class TestDeterminism:
         graph = erdos_renyi(18, 0.4, seed=23)
         a = LIFGWCircuit(graph, seed=24).sample_cuts(64, seed=25)
         b = LIFGWCircuit(graph, seed=24).sample_cuts(64, seed=25)
-        np.testing.assert_array_equal(a.trajectory.weights, b.trajectory.weights)
+        np.testing.assert_array_equal(a.trajectories[0], b.trajectories[0])
         np.testing.assert_array_equal(a.best_cut.assignment, b.best_cut.assignment)
 
     def test_different_seeds_give_different_samples(self):
         graph = erdos_renyi(18, 0.4, seed=26)
         circuit = LIFGWCircuit(graph, seed=27)
-        a = circuit.sample_cuts(64, seed=28).trajectory.weights
-        b = circuit.sample_cuts(64, seed=29).trajectory.weights
+        a = circuit.sample_cuts(64, seed=28).trajectories[0]
+        b = circuit.sample_cuts(64, seed=29).trajectories[0]
         assert not np.array_equal(a, b)

@@ -24,15 +24,15 @@ def _simulator(weights, params=None):
     return BatchLIFSimulator(DenseBackend(weights), params or LIFParameters(), weights.shape[0])
 
 
-def _currents(simulator, states, split_at=0):
+def _currents(simulator, states):
     """Currents for one trial's ``(steps, devices)`` states."""
-    return simulator.drive_currents(np.asarray(states)[None], split_at=split_at)
+    return simulator.drive_currents(np.asarray(states)[None])
 
 
 def _spike_raster(weights, states, burn_in=0, params=None):
     """``(steps - burn_in, neurons)`` spike raster of one trial."""
     simulator = _simulator(weights, params)
-    currents = _currents(simulator, states, split_at=burn_in)
+    currents = _currents(simulator, states)
     n_rounds = currents.shape[1] - burn_in
     masks = [m[0] for _, m in simulator.iter_spike_readouts(currents, burn_in, 1, n_rounds)]
     return np.array(masks).reshape(n_rounds, np.shape(weights)[0])

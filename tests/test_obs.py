@@ -26,9 +26,9 @@ import pytest
 
 from repro.circuits.config import LIFTrevisanConfig
 from repro.cli import main
+from repro.engine import SolveRequest, solve
 from repro.experiments.config import Figure3Config
 from repro.experiments.figure3 import run_figure3_graph
-from repro.experiments.runner import run_circuit_trials
 from repro.graphs.generators import erdos_renyi
 from repro.obs import (
     Histogram,
@@ -198,12 +198,12 @@ class TestSummaries:
 class TestEngineIntegration:
     def test_traced_engine_run_is_bit_identical_and_fully_instrumented(self):
         graph = erdos_renyi(18, 0.3, seed=7)
-        kwargs = dict(
-            graph=graph, circuit="lif_tr", n_trials=3, n_samples=12, seed=5
+        request = SolveRequest(
+            circuit="lif_tr", graph=graph, n_trials=3, n_samples=12, seed=5
         )
-        untraced = run_circuit_trials(**kwargs)
+        untraced = solve(request)
         with capture() as trace:
-            traced = run_circuit_trials(**kwargs)
+            traced = solve(request)
         assert np.array_equal(
             untraced.trial_best_weights, traced.trial_best_weights
         )

@@ -27,8 +27,9 @@ import pytest
 
 from repro.algorithms.registry import get_spec, list_solvers
 from repro.arena import build_suite
+from repro.engine import SolveRequest, solve
 from repro.engine.sampler import trial_seed_sequences
-from repro.experiments.runner import run_circuit_trials, save_results
+from repro.experiments.runner import save_results
 from repro.graphs.generators import complete_bipartite, erdos_renyi
 from repro.graphs.graph import Graph
 from repro.graphs.io import graph_to_dict
@@ -171,8 +172,8 @@ class TestRace:
     def test_single_candidate_race_equals_engine_run(self, graph):
         result = race(graph, ["lif_tr"],
                       budget=Budget(n_trials=3, n_samples=16), seed=7)
-        solo = run_circuit_trials(graph, circuit="lif_tr", n_trials=3,
-                                  n_samples=16, seed=7)
+        solo = solve(SolveRequest(circuit="lif_tr", graph=graph, n_trials=3,
+                                  n_samples=16, seed=7))
         assert result.winner == "lif_tr"
         assert result.best_cut.weight == solo.best_cut.weight
         assert np.array_equal(result.best_cut.assignment,

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.cuts.cut import Cut, cut_weight, cut_weights_batch, running_best_cuts
+from repro.cuts.cut import Cut, cut_weight, cut_weights_batch
 from repro.cuts.local_search import greedy_improve
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.graph import Graph
@@ -103,7 +103,7 @@ class TestCutProperties:
     @given(st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=50))
     def test_running_best_monotone_and_dominating(self, weights):
         arr = np.array(weights)
-        best = running_best_cuts(arr)
+        best = running_best(arr)
         assert np.all(np.diff(best) >= 0)
         assert np.all(best >= arr)
         assert best[-1] == arr.max()

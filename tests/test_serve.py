@@ -22,7 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.experiments.runner import run_circuit_trials
+from repro.engine import SolveRequest, solve
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.graph import Graph
 from repro.graphs.io import graph_from_dict, graph_to_dict
@@ -211,9 +211,9 @@ class TestServiceIdentity:
                 response = service.solve(
                     _payload(g, trials=3, samples=12, seed=seed), timeout=60
                 )
-                direct = run_circuit_trials(
-                    graph=g, circuit="lif_tr", n_trials=3, n_samples=12, seed=seed
-                )
+                direct = solve(SolveRequest(
+                    circuit="lif_tr", graph=g, n_trials=3, n_samples=12, seed=seed
+                ))
                 assert response["status"] == "ok"
                 assert response["trial_best_weights"] == [
                     float(w) for w in direct.trial_best_weights
@@ -236,9 +236,9 @@ class TestServiceIdentity:
         # The service's reference point: the circuit built from setup_seed
         # (the SDP stage), sampled with the request seed.
         circuit = LIFGWCircuit(g, seed=2)
-        direct = run_circuit_trials(
-            circuit=circuit, graph=None, n_trials=2, n_samples=10, seed=6
-        )
+        direct = solve(SolveRequest(
+            circuit=circuit, n_trials=2, n_samples=10, seed=6
+        ))
         assert response["trial_best_weights"] == [
             float(w) for w in direct.trial_best_weights
         ]
@@ -297,9 +297,9 @@ class TestCoalescingConcurrency:
         assert invocations < n_requests / 2  # ISSUE floor: >= 2x fewer than serial
         for seed, response in enumerate(responses):
             assert response["status"] == "ok"
-            direct = run_circuit_trials(
-                graph=g, circuit="lif_tr", n_trials=trials, n_samples=10, seed=seed
-            )
+            direct = solve(SolveRequest(
+                circuit="lif_tr", graph=g, n_trials=trials, n_samples=10, seed=seed
+            ))
             assert response["trial_best_weights"] == [
                 float(w) for w in direct.trial_best_weights
             ]
@@ -436,10 +436,10 @@ class TestFailureIsolation:
         assert responses[1]["reason"] == "internal"
         for index in (0, 2):
             assert responses[index]["status"] == "ok"
-            direct = run_circuit_trials(
-                graph=graphs[index], circuit="lif_tr", n_trials=2, n_samples=8,
+            direct = solve(SolveRequest(
+                circuit="lif_tr", graph=graphs[index], n_trials=2, n_samples=8,
                 seed=index,
-            )
+            ))
             assert responses[index]["trial_best_weights"] == [
                 float(w) for w in direct.trial_best_weights
             ]
@@ -461,9 +461,9 @@ class TestTransports:
                 response = client.solve_graph(
                     g, circuit="lif_tr", trials=2, samples=8, seed=1
                 )
-                direct = run_circuit_trials(
-                    graph=g, circuit="lif_tr", n_trials=2, n_samples=8, seed=1
-                )
+                direct = solve(SolveRequest(
+                    circuit="lif_tr", graph=g, n_trials=2, n_samples=8, seed=1
+                ))
                 assert response["best_weight"] == float(direct.best_cut.weight)
                 problem = random_problem("ising", seed=1, n_variables=5)
                 presponse = client.solve_problem(problem, trials=2, samples=8)

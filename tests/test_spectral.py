@@ -1,11 +1,10 @@
-"""Tests for repro.spectral: Lanczos, eigensolver dispatch and the Trevisan algorithm."""
+"""Tests for repro.spectral: eigensolver dispatch and the Trevisan algorithm."""
 
 import numpy as np
 import pytest
 
 from repro.cuts.exact import exact_maxcut_value
 from repro.graphs.generators import complete_bipartite, cycle_graph, erdos_renyi
-from repro.spectral.lanczos import lanczos_extreme_eigenpair, lanczos_tridiagonalize
 from repro.spectral.trevisan import (
     minimum_eigenvector,
     trevisan_simple_spectral,
@@ -14,56 +13,8 @@ from repro.spectral.trevisan import (
 from repro.utils.validation import ValidationError
 
 
-def _random_symmetric(n, rng):
-    A = rng.standard_normal((n, n))
-    return 0.5 * (A + A.T)
-
-
-class TestLanczos:
-    def test_tridiagonal_similarity(self, rng):
-        M = _random_symmetric(15, rng)
-        result = lanczos_tridiagonalize(M, n_steps=15, seed=8)
-        # full Krylov space: eigenvalues of T match eigenvalues of M
-        np.testing.assert_allclose(
-            np.sort(np.linalg.eigvalsh(result.tridiagonal)),
-            np.sort(np.linalg.eigvalsh(M)),
-            atol=1e-6,
-        )
-
-    def test_basis_orthonormal(self, rng):
-        M = _random_symmetric(20, rng)
-        result = lanczos_tridiagonalize(M, n_steps=12, seed=9)
-        Q = result.basis
-        np.testing.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]), atol=1e-8)
-
-    def test_extreme_eigenpair_smallest(self, rng):
-        M = _random_symmetric(25, rng)
-        value, vector = lanczos_extreme_eigenpair(M, which="smallest", n_steps=25, seed=10)
-        assert value == pytest.approx(np.linalg.eigvalsh(M)[0], abs=1e-6)
-        residual = np.linalg.norm(M @ vector - value * vector)
-        assert residual < 1e-5
-
-    def test_extreme_eigenpair_largest(self, rng):
-        M = _random_symmetric(18, rng)
-        value, _ = lanczos_extreme_eigenpair(M, which="largest", n_steps=18, seed=11)
-        assert value == pytest.approx(np.linalg.eigvalsh(M)[-1], abs=1e-6)
-
-    def test_invalid_which_raises(self):
-        with pytest.raises(ValidationError):
-            lanczos_extreme_eigenpair(np.eye(3), which="middle")
-
-    def test_early_breakdown_on_identity(self):
-        result = lanczos_tridiagonalize(np.eye(6), n_steps=6, seed=12)
-        # Krylov space of the identity is 1-dimensional
-        assert result.alphas.shape[0] == 1
-
-    def test_empty_matrix(self):
-        result = lanczos_tridiagonalize(np.zeros((0, 0)))
-        assert result.alphas.size == 0
-
-
 class TestMinimumEigenvector:
-    @pytest.mark.parametrize("method", ["dense", "lanczos", "arpack"])
+    @pytest.mark.parametrize("method", ["dense", "arpack"])
     def test_methods_agree(self, method):
         g = erdos_renyi(30, 0.3, seed=13)
         dense_val, _ = minimum_eigenvector(g, method="dense")
@@ -76,6 +27,8 @@ class TestMinimumEigenvector:
     def test_invalid_method_raises(self, triangle):
         with pytest.raises(ValidationError):
             minimum_eigenvector(triangle, method="magic")
+        with pytest.raises(ValidationError):
+            minimum_eigenvector(triangle, method="lanczos")
 
     def test_empty_graph(self):
         from repro.graphs.graph import Graph
