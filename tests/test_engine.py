@@ -30,6 +30,7 @@ from repro.engine import (
     solve,
     trial_seed_sequences,
 )
+from repro.cuts.cut import Cut
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.graph import Graph
 from repro.utils.rng import spawn_generators
@@ -444,6 +445,15 @@ class TestResultApi:
         assert result.trajectories.shape == (1, 8)
         assert result.best_weight == result.trial_best_weights[0]
         assert result.best_weight == result.trajectories[0].max()
+        assert {"rank", "n_devices", "sdp_objective", "readout"} <= set(result.metadata)
+
+    def test_circuit_result_view(self, medium_er_graph):
+        # Trial 1 of a batch reads from its own rows of the result.
+        result = solve(SolveRequest(circuit=_gw(medium_er_graph), n_trials=3, n_samples=8, seed=2))
+        assert result.trajectories[1].shape == (8,)
+        assert result.trial_best_weights[1] == result.trajectories[1].max()
+        cut = Cut.from_assignment(medium_er_graph, result.trial_best_assignments[1])
+        assert cut.weight == result.trial_best_weights[1]
         assert {"rank", "n_devices", "sdp_objective", "readout"} <= set(result.metadata)
 
     def test_learner_weights_carry_each_trials_row(self, medium_er_graph):
