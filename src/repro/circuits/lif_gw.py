@@ -118,7 +118,6 @@ class LIFGWCircuit(NeuromorphicCircuit):
             interval=config.sample_interval,
             readout=config.readout,
             n_devices=config.rank,
-            pool_builder=self.build_device_pool,
             metadata={
                 "sdp_objective": self.sdp_result.objective,
                 "sdp_converged": self.sdp_result.converged,

@@ -111,7 +111,6 @@ class LIFTrevisanCircuit(NeuromorphicCircuit):
             interval=config.sample_interval,
             readout="plasticity",
             n_devices=n,
-            pool_builder=self.build_device_pool,
             learner=LearnerSpec(
                 learning_rate=config.learning_rate,
                 learning_rate_decay=config.learning_rate_decay,

@@ -24,7 +24,6 @@ persisted result.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
@@ -34,6 +33,7 @@ from repro.experiments.runner import (
     atomic_write_json,
     load_results,
     register_result_type,
+    results_from_jsonable,
     save_results,
 )
 from repro.utils.validation import ValidationError
@@ -149,28 +149,14 @@ class CheckpointStore:
         files: a half-written checkpoint from a crashed run without atomic
         IO, or a stray file, must not poison resume.
         """
-        path = self.shard_path(shard_index)
         try:
-            record = load_results(path)
+            record = load_results(self.shard_path(shard_index))
+            if len(record.results) != 1:
+                return None
+            (checkpoint,) = results_from_jsonable(record.results)
         except (OSError, json.JSONDecodeError, ValidationError, ValueError):
             return None
-        if len(record.results) != 1:
-            return None
-        payload = record.results[0]
-        if not isinstance(payload, dict) or payload.get("__type__") != "ShardCheckpoint":
-            return None
-        # Only copy fields the record actually carries: required-but-absent
-        # fields then fail construction (TypeError → treat as missing) and
-        # optional ones take their dataclass defaults, instead of every
-        # absent field silently becoming None.
-        fields = {
-            f.name: payload[f.name]
-            for f in dataclasses.fields(ShardCheckpoint)
-            if f.name in payload
-        }
-        try:
-            checkpoint = ShardCheckpoint(**fields)
-        except TypeError:
+        if not isinstance(checkpoint, ShardCheckpoint):
             return None
         if checkpoint.fingerprint != fingerprint:
             return None

@@ -70,8 +70,6 @@ class BatchPlan:
         weight signs are the read-out).
     n_devices:
         Devices per trial (pool width).
-    pool_builder:
-        ``(rng) -> DevicePool`` building one trial's device pool.
     learner:
         For ``"plasticity"`` read-outs, the :class:`LearnerSpec` of the
         learner the engine trains.  The engine builds one learner per trial
@@ -94,7 +92,6 @@ class BatchPlan:
     interval: int
     readout: str
     n_devices: int
-    pool_builder: Callable
     learner: Optional[LearnerSpec] = None
     sparse_weights: Optional[Callable] = None
     metadata: dict = field(default_factory=dict)

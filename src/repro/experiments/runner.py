@@ -6,6 +6,16 @@ earlier results for comparison without re-running hours of sampling.  This
 module provides that thin layer: every experiment's result is converted to
 plain JSON-serialisable dictionaries with a metadata header (experiment id,
 configuration summary, library version, timestamp).
+
+It is also the one record codec.  :func:`results_to_jsonable` writes a
+registered result type as a dict tagged with its ``__type__``, and
+:func:`results_from_jsonable` rebuilds it, field by field from the
+dataclass annotations: ``np.ndarray`` and ``Optional[np.ndarray]`` fields
+come back through ``np.asarray``, ``Dict[str, np.ndarray]`` as a dict of
+arrays, dataclass-typed fields (``SolveResult.best_cut``) recursively, and
+every other field (``Any`` included) as its JSON value.  A workload
+adapter's shard payload is the saved JSON form of its records, so shard
+files, checkpoints and model files all decode through this pair.
 """
 
 from __future__ import annotations
@@ -14,6 +24,7 @@ import dataclasses
 import json
 import os
 import time
+import typing
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -27,6 +38,7 @@ from repro.utils.validation import ValidationError
 
 __all__ = [
     "results_to_jsonable",
+    "results_from_jsonable",
     "save_results",
     "atomic_write_json",
     "load_results",
@@ -45,16 +57,26 @@ def register_result_type(cls: type) -> type:
     Extension point for downstream subsystems (the solver arena registers
     its :class:`repro.arena.results.ArenaEntry` this way) so this module
     never has to import them.  Returns *cls*, so it can be used as a class
-    decorator.  Idempotent.
+    decorator.  Idempotent; a different class whose ``__name__`` is taken
+    is refused, so a saved ``__type__`` names one class only.
     """
     global _RESULT_TYPES
     if not (dataclasses.is_dataclass(cls) and isinstance(cls, type)):
         raise ValidationError(
             f"result types must be dataclasses, got {cls!r}"
         )
-    if cls not in _RESULT_TYPES:
-        _RESULT_TYPES = _RESULT_TYPES + (cls,)
+    if cls in _RESULT_TYPES:
+        return cls
+    if _result_type_named(cls.__name__) is not None:
+        raise ValidationError(
+            f"result type name {cls.__name__!r} is already registered"
+        )
+    _RESULT_TYPES = _RESULT_TYPES + (cls,)
     return cls
+
+
+def _result_type_named(name: Any) -> Optional[type]:
+    return next((t for t in _RESULT_TYPES if t.__name__ == name), None)
 
 
 def _to_jsonable(value: Any) -> Any:
@@ -90,6 +112,59 @@ def results_to_jsonable(results: Sequence[Any]) -> List[Dict[str, Any]]:
                 f"{[t.__name__ for t in _RESULT_TYPES]}"
             )
         out.append(_to_jsonable(result))
+    return out
+
+
+def _from_jsonable(hint: Any, value: Any) -> Any:
+    """Rebuild one field value from its JSON form and type annotation."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is Union and type(None) in args:
+        if value is None:
+            return None
+        (hint,) = [arg for arg in args if arg is not type(None)]
+        args = typing.get_args(hint)
+    if hint is np.ndarray:
+        return np.asarray(value)
+    if typing.get_origin(hint) is dict and args[1:] == (np.ndarray,):
+        if not isinstance(value, dict):
+            raise ValidationError(f"expected a dict of arrays, got {value!r:.80}")
+        return {key: np.asarray(item) for key, item in value.items()}
+    if dataclasses.is_dataclass(hint):
+        return _record_from_jsonable(hint, value)
+    return value
+
+
+def _record_from_jsonable(cls: type, payload: Any) -> Any:
+    if not isinstance(payload, dict):
+        raise ValidationError(
+            f"a {cls.__name__} payload must be a dict, got {type(payload).__name__}"
+        )
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in dataclasses.fields(cls):
+        if f.name in payload:
+            values[f.name] = _from_jsonable(hints[f.name], payload[f.name])
+        elif f.default is dataclasses.MISSING \
+                and f.default_factory is dataclasses.MISSING:
+            raise ValidationError(f"{cls.__name__} payload is missing {f.name!r}")
+    return cls(**values)
+
+
+def results_from_jsonable(payloads: Sequence[Any]) -> List[Any]:
+    """Rebuild result objects from :func:`results_to_jsonable` output.
+
+    Each payload's ``__type__`` picks the registered result type, and each
+    field is rebuilt from its annotation (see the module docstring).  A
+    non-dict payload, an unknown ``__type__`` or a missing required field
+    raises :class:`ValidationError`.
+    """
+    out = []
+    for payload in payloads:
+        name = payload.get("__type__") if isinstance(payload, dict) else None
+        cls = _result_type_named(name)
+        if cls is None:
+            raise ValidationError(f"not a registered result payload: {payload!r:.80}")
+        out.append(_record_from_jsonable(cls, payload))
     return out
 
 
@@ -182,13 +257,17 @@ def load_results(path: PathLike) -> ExperimentRecord:
     """Load an :class:`ExperimentRecord` previously written by :func:`save_results`."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise ValidationError(f"result file {path!r} does not hold a JSON object")
     missing = {"experiment", "created_at", "config", "results"} - set(payload)
     if missing:
         raise ValidationError(f"result file {path!r} is missing fields: {sorted(missing)}")
+    if not isinstance(payload["results"], list):
+        raise ValidationError(f"result file {path!r} has non-list results")
     return ExperimentRecord(
         experiment=payload["experiment"],
         created_at=float(payload["created_at"]),
         config=payload["config"],
-        results=list(payload["results"]),
+        results=payload["results"],
         version=payload.get("version", ""),
     )

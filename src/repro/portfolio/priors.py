@@ -25,6 +25,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 from repro.experiments.runner import (
     load_results,
     register_result_type,
+    results_from_jsonable,
     save_results,
 )
 from repro.portfolio.features import InstanceFeatures, bucket_key
@@ -184,8 +185,7 @@ def load_model(path: Any) -> PortfolioModel:
             f"{path!r} is not a portfolio model file "
             f"(result type {record.result_type()!r})"
         )
-    payload = {k: v for k, v in record.results[0].items() if k != "__type__"}
-    model = PortfolioModel(**payload)
+    (model,) = results_from_jsonable(record.results)
     if model.schema != MODEL_SCHEMA:
         raise ValidationError(
             f"unsupported portfolio model schema {model.schema!r} "

@@ -20,12 +20,7 @@ Layering (each importable without the ones above it):
     Stdlib HTTP (TCP or unix-socket) shell and the matching client.
 """
 
-from repro.serve.cache import (
-    ContentAddressedCache,
-    content_key,
-    graph_key,
-    problem_key,
-)
+from repro.serve.cache import ContentAddressedCache, content_key
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.http import (
     ServeHTTPServer,
@@ -59,9 +54,7 @@ __all__ = [
     "SolverService",
     "content_key",
     "error_payload",
-    "graph_key",
     "parse_solve_payload",
-    "problem_key",
     "serve_http",
     "serve_unix",
     "solve_payload",

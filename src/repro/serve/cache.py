@@ -44,8 +44,6 @@ from repro.utils.validation import ValidationError
 __all__ = [
     "ContentAddressedCache",
     "content_key",
-    "graph_key",
-    "problem_key",
 ]
 
 
@@ -59,16 +57,6 @@ def content_key(*parts: Any) -> str:
     """
     canonical = json.dumps(list(parts), sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]
-
-
-def graph_key(graph, *parts: Any) -> str:
-    """Content key of a graph plus extra JSON-safe qualifiers."""
-    return content_key(graph.fingerprint(), *parts)
-
-
-def problem_key(problem, *parts: Any) -> str:
-    """Content key of a problem instance plus extra JSON-safe qualifiers."""
-    return content_key(problem.fingerprint(), *parts)
 
 
 _MISSING = object()

@@ -83,7 +83,11 @@ from typing import Any, Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.engine import SolveRequest, solve, solve_instance_block
-from repro.experiments.runner import register_result_type
+from repro.experiments.runner import (
+    register_result_type,
+    results_from_jsonable,
+    results_to_jsonable,
+)
 from repro.obs.trace import capture, span, suspended
 from repro.utils.validation import ValidationError
 from repro.workloads.registry import ShardAdapter, Workload, register_workload
@@ -583,8 +587,11 @@ def _dispatch_bench_scenario(spec: WorkloadSpec, scenario: str) -> Dict[str, Any
 def run_bench_units(
     spec: WorkloadSpec, units: Sequence[Tuple[str]]
 ) -> List[Dict[str, Any]]:
-    """Run the given scenario units; one measurement payload per unit."""
-    return [run_bench_scenario(spec, str(scenario)) for (scenario,) in units]
+    """Run the given scenario units; one saved :class:`BenchRecord` per unit."""
+    return results_to_jsonable([
+        BenchRecord(**run_bench_scenario(spec, str(scenario)))
+        for (scenario,) in units
+    ])
 
 
 def bench_outcome(
@@ -593,17 +600,7 @@ def bench_outcome(
     payloads: Sequence[Dict[str, Any]],
 ) -> WorkloadOutcome:
     """Fold every scenario's payload into :class:`BenchRecord` rows."""
-    records = [
-        BenchRecord(
-            scenario=str(payload["scenario"]),
-            suite=str(payload["suite"]),
-            wall_seconds=float(payload["wall_seconds"]),
-            baseline_seconds=float(payload["baseline_seconds"]),
-            speedup=float(payload["speedup"]),
-            detail=dict(payload["detail"]),
-        )
-        for payload in payloads
-    ]
+    records = results_from_jsonable(payloads)
     leaderboard = sorted(
         (
             {
@@ -616,7 +613,7 @@ def bench_outcome(
         key=lambda row: -row["score"],
     )
     return WorkloadOutcome(
-        records=list(records),
+        records=records,
         leaderboard=leaderboard,
         metadata={
             "schema": BENCH_SCHEMA,

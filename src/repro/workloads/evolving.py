@@ -25,7 +25,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.experiments.runner import register_result_type
+from repro.experiments.runner import (
+    register_result_type,
+    results_from_jsonable,
+    results_to_jsonable,
+)
 from repro.utils.rng import paired_seed
 from repro.utils.validation import ValidationError
 from repro.workloads.registry import ShardAdapter, Workload, register_workload
@@ -126,13 +130,15 @@ def _cold_solve(graph, method: str, seed, max_flips: int):
 
 def run_evolving_units(
     spec: WorkloadSpec, units: Sequence[Tuple[int, int]]
-) -> List[Dict[str, Any]]:
-    """Run (graph, trial) timelines; one JSON-safe payload per unit."""
-    return [_run_timeline(spec, unit) for unit in units]
+) -> List[List[Dict[str, Any]]]:
+    """Run (graph, trial) timelines; one list of saved records per unit."""
+    return [results_to_jsonable(_run_timeline(spec, unit)) for unit in units]
 
 
-def _run_timeline(spec: WorkloadSpec, unit: Tuple[int, int]) -> Dict[str, Any]:
-    """Run one (graph, trial) timeline and return its JSON-safe payload."""
+def _run_timeline(
+    spec: WorkloadSpec, unit: Tuple[int, int]
+) -> List[EvolvingRecord]:
+    """Run one (graph, trial) timeline: one record per graph version."""
     from repro.scale.stream import EdgeStream, GraphVersion, warm_resolve
     from repro.workloads.executor import build_spec_graphs
 
@@ -145,23 +151,22 @@ def _run_timeline(spec: WorkloadSpec, unit: Tuple[int, int]) -> Dict[str, Any]:
         seed=paired_seed(spec.seed, _EVOLVING_TAG, g, t, 1),
     )
 
-    records: List[Dict[str, Any]] = []
     version = GraphVersion.initial(graph)
     cut, elapsed = _cold_solve(
         version.graph, params["method"],
         paired_seed(spec.seed, _EVOLVING_TAG, g, t, 0, 0), max_flips,
     )
-    records.append({
-        "graph_name": graph.name, "trial": t, "step": 0,
-        "n_vertices": int(version.graph.n_vertices),
-        "n_edges": int(version.graph.n_edges),
-        "fingerprint": version.fingerprint(),
-        "method": params["method"],
-        "warm_weight": float(cut.weight), "warm_seconds": float(elapsed),
-        "cold_weight": float(cut.weight), "cold_seconds": float(elapsed),
-        "quality_ratio": 1.0, "compared": False,
-        "detail": {"parent_fingerprint": None},
-    })
+    records = [EvolvingRecord(
+        graph_name=graph.name, trial=t, step=0,
+        n_vertices=int(version.graph.n_vertices),
+        n_edges=int(version.graph.n_edges),
+        fingerprint=version.fingerprint(),
+        method=params["method"],
+        warm_weight=float(cut.weight), warm_seconds=float(elapsed),
+        cold_weight=float(cut.weight), cold_seconds=float(elapsed),
+        quality_ratio=1.0, compared=False,
+        detail={"parent_fingerprint": None},
+    )]
     previous = cut
     for step in range(1, params["steps"] + 1):
         version = version.apply(stream.step(step - 1))
@@ -187,53 +192,34 @@ def _run_timeline(spec: WorkloadSpec, unit: Tuple[int, int]) -> Dict[str, Any]:
         else:
             cold_cut, cold_elapsed = warm_cut, warm_elapsed
             ratio = 1.0
-        records.append({
-            "graph_name": graph.name, "trial": t, "step": step,
-            "n_vertices": int(version.graph.n_vertices),
-            "n_edges": int(version.graph.n_edges),
-            "fingerprint": version.fingerprint(),
-            "method": params["method"],
-            "warm_weight": float(warm_cut.weight),
-            "warm_seconds": float(warm_elapsed),
-            "cold_weight": float(cold_cut.weight),
-            "cold_seconds": float(cold_elapsed),
-            "quality_ratio": float(ratio),
-            "compared": bool(params["compare_cold"]),
-            "detail": {"parent_fingerprint": version.parent_fingerprint},
-        })
+        records.append(EvolvingRecord(
+            graph_name=graph.name, trial=t, step=step,
+            n_vertices=int(version.graph.n_vertices),
+            n_edges=int(version.graph.n_edges),
+            fingerprint=version.fingerprint(),
+            method=params["method"],
+            warm_weight=float(warm_cut.weight),
+            warm_seconds=float(warm_elapsed),
+            cold_weight=float(cold_cut.weight),
+            cold_seconds=float(cold_elapsed),
+            quality_ratio=float(ratio),
+            compared=bool(params["compare_cold"]),
+            detail={"parent_fingerprint": version.parent_fingerprint},
+        ))
         previous = warm_cut
-    return {"graph_index": g, "trial": t, "records": records}
-
-
-def _record_from_dict(payload: Dict[str, Any]) -> EvolvingRecord:
-    return EvolvingRecord(
-        graph_name=str(payload["graph_name"]),
-        trial=int(payload["trial"]),
-        step=int(payload["step"]),
-        n_vertices=int(payload["n_vertices"]),
-        n_edges=int(payload["n_edges"]),
-        fingerprint=str(payload["fingerprint"]),
-        method=str(payload["method"]),
-        warm_weight=float(payload["warm_weight"]),
-        warm_seconds=float(payload["warm_seconds"]),
-        cold_weight=float(payload["cold_weight"]),
-        cold_seconds=float(payload["cold_seconds"]),
-        quality_ratio=float(payload["quality_ratio"]),
-        compared=bool(payload["compared"]),
-        detail=dict(payload.get("detail", {})),
-    )
+    return records
 
 
 def evolving_outcome(
     spec: WorkloadSpec,
     units: Sequence[Tuple[int, int]],
-    payloads: Sequence[Dict[str, Any]],
+    payloads: Sequence[List[Dict[str, Any]]],
 ) -> WorkloadOutcome:
     """Fold the payloads of every timeline unit into the uniform outcome."""
-    ordered = sorted(payloads, key=lambda p: (int(p["graph_index"]), int(p["trial"])))
-    records = [
-        _record_from_dict(r) for payload in ordered for r in payload["records"]
-    ]
+    ordered = sorted(zip(units, payloads), key=lambda item: tuple(item[0]))
+    records = results_from_jsonable(
+        [record for _, payload in ordered for record in payload]
+    )
     by_graph: Dict[str, List[EvolvingRecord]] = {}
     for record in records:
         by_graph.setdefault(record.graph_name, []).append(record)

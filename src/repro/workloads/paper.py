@@ -27,7 +27,6 @@ from repro.experiments.ablations import (
     DEFAULT_LEARNING_RATES,
     DEFAULT_RANKS,
     DEVICE_MODELS,
-    AblationPoint,
     _ablation_graphs,
     _solver_references,
     run_device_imperfection_ablation,
@@ -45,7 +44,7 @@ from repro.experiments.figure3 import (
     figure3_cell_from_graph_results,
     run_figure3_graph,
 )
-from repro.experiments.figure4 import Figure4Panel, run_figure4_panel
+from repro.experiments.figure4 import run_figure4_panel
 from repro.experiments.reporting import (
     format_arena_report,
     format_figure3_report,
@@ -53,7 +52,8 @@ from repro.experiments.reporting import (
     format_table,
     format_table1_report,
 )
-from repro.experiments.table1 import Table1Row, run_table1_row
+from repro.experiments.runner import results_from_jsonable, results_to_jsonable
+from repro.experiments.table1 import run_table1_row
 from repro.graphs.repository import list_empirical_graphs
 from repro.parallel.pool import parallel_map
 from repro.utils.validation import ValidationError
@@ -218,54 +218,25 @@ def _figure4_config(spec: WorkloadSpec) -> Figure4Config:
     return Figure4Config(n_samples=int(spec.params["samples"]), seed=spec.seed)
 
 
+def _by_unit(units: Sequence[Tuple], payloads: Sequence[Any]) -> List[Any]:
+    """Decode one saved record per unit, ordered by unit key."""
+    ordered = sorted(zip(units, payloads), key=lambda item: tuple(item[0]))
+    return results_from_jsonable([payload for _, payload in ordered])
+
+
 def _figure4_run_units(spec: WorkloadSpec, units: Sequence[Tuple]) -> List[Any]:
     config = _figure4_config(spec)
     names = _empirical_names(spec)
-    payloads = []
-    for (g,) in units:
-        panel = run_figure4_panel(names[int(g)], config=config, graph_index=int(g))
-        payloads.append({
-            "graph_name": panel.graph_name,
-            "n_vertices": int(panel.n_vertices),
-            "n_edges": int(panel.n_edges),
-            "sample_counts": np.asarray(panel.sample_counts).tolist(),
-            "curves": {
-                method: np.asarray(curve).tolist()
-                for method, curve in panel.curves.items()
-            },
-            "solver_best_weight": float(panel.solver_best_weight),
-            "best_weights": {
-                method: float(weight)
-                for method, weight in panel.best_weights.items()
-            },
-            "metadata": dict(panel.metadata),
-        })
-    return payloads
+    return results_to_jsonable([
+        run_figure4_panel(names[int(g)], config=config, graph_index=int(g))
+        for (g,) in units
+    ])
 
 
 def _figure4_merge(
     spec: WorkloadSpec, units: Sequence[Tuple], payloads: Sequence[Any]
 ) -> WorkloadOutcome:
-    ordered = sorted(zip(units, payloads), key=lambda item: int(item[0][0]))
-    panels = [
-        Figure4Panel(
-            graph_name=str(p["graph_name"]),
-            n_vertices=int(p["n_vertices"]),
-            n_edges=int(p["n_edges"]),
-            sample_counts=np.asarray(p["sample_counts"]),
-            curves={
-                method: np.asarray(curve, dtype=np.float64)
-                for method, curve in p["curves"].items()
-            },
-            solver_best_weight=float(p["solver_best_weight"]),
-            best_weights={
-                method: float(weight)
-                for method, weight in p["best_weights"].items()
-            },
-            metadata=dict(p["metadata"]),
-        )
-        for _, p in ordered
-    ]
+    panels = _by_unit(units, payloads)
     leaderboard = _ranked([
         {
             "solver": method,
@@ -306,35 +277,16 @@ def _table1_config(spec: WorkloadSpec) -> Table1Config:
 def _table1_run_units(spec: WorkloadSpec, units: Sequence[Tuple]) -> List[Any]:
     config = _table1_config(spec)
     names = _empirical_names(spec)
-    payloads = []
-    for (g,) in units:
-        row = run_table1_row(names[int(g)], config=config, graph_index=int(g))
-        payloads.append({
-            "graph_name": row.graph_name,
-            "n_vertices": int(row.n_vertices),
-            "n_edges": int(row.n_edges),
-            "measured": {k: float(v) for k, v in row.measured.items()},
-            "paper": {k: int(v) for k, v in row.paper.items()},
-            "is_surrogate": bool(row.is_surrogate),
-        })
-    return payloads
+    return results_to_jsonable([
+        run_table1_row(names[int(g)], config=config, graph_index=int(g))
+        for (g,) in units
+    ])
 
 
 def _table1_merge(
     spec: WorkloadSpec, units: Sequence[Tuple], payloads: Sequence[Any]
 ) -> WorkloadOutcome:
-    ordered = sorted(zip(units, payloads), key=lambda item: int(item[0][0]))
-    rows = [
-        Table1Row(
-            graph_name=str(p["graph_name"]),
-            n_vertices=int(p["n_vertices"]),
-            n_edges=int(p["n_edges"]),
-            measured={k: float(v) for k, v in p["measured"].items()},
-            paper={k: int(v) for k, v in p["paper"].items()},
-            is_surrogate=bool(p["is_surrogate"]),
-        )
-        for _, p in ordered
-    ]
+    rows = _by_unit(units, payloads)
     leaderboard = _ranked([
         {
             "solver": method,
@@ -443,32 +395,13 @@ def _ablation_run_units(spec: WorkloadSpec, units: Sequence[Tuple]) -> List[Any]
             config=config, only=only, references=references
         )
     by_index = dict(zip(only, points))
-    return [
-        {
-            "setting_index": s,
-            "setting": by_index[s].setting,
-            "mean_relative_cut": float(by_index[s].mean_relative_cut),
-            "sem": float(by_index[s].sem),
-            "per_graph": np.asarray(by_index[s].per_graph).tolist(),
-            "metadata": dict(by_index[s].metadata),
-        }
-        for s in wanted
-    ]
+    return results_to_jsonable([by_index[s] for s in wanted])
 
 
 def _ablation_merge(
     spec: WorkloadSpec, units: Sequence[Tuple], payloads: Sequence[Any]
 ) -> WorkloadOutcome:
-    points = [
-        AblationPoint(
-            setting=str(p["setting"]),
-            mean_relative_cut=float(p["mean_relative_cut"]),
-            sem=float(p["sem"]),
-            per_graph=np.asarray(p["per_graph"], dtype=np.float64),
-            metadata=dict(p["metadata"]),
-        )
-        for p in sorted(payloads, key=lambda p: int(p["setting_index"]))
-    ]
+    points = _by_unit(units, payloads)
     leaderboard = _ranked([
         {
             "solver": point.setting,

@@ -16,7 +16,6 @@ nested inside other saved result lists.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -109,18 +108,3 @@ class RunReport:
     def save(self, path) -> Any:
         """Persist through :func:`repro.experiments.runner.save_results`."""
         return save_results(path, self.workload, self.records, config=self.header())
-
-    def record_dicts(self) -> List[Dict[str, Any]]:
-        """Records as plain dictionaries (dataclasses converted shallowly)."""
-        out = []
-        for record in self.records:
-            if dataclasses.is_dataclass(record) and not isinstance(record, type):
-                out.append(
-                    {
-                        f.name: getattr(record, f.name)
-                        for f in dataclasses.fields(record)
-                    }
-                )
-            else:
-                out.append(dict(record))
-        return out

@@ -311,6 +311,25 @@ class TestResume:
         assert isinstance(checkpoint, ShardCheckpoint)
         assert len(checkpoint.units) == len(checkpoint.payloads)
 
+    @pytest.mark.parametrize("text", [
+        "5",
+        '{"experiment": "x", "created_at": 0, "config": {}, "results": 5}',
+        '{"experiment": "x", "created_at": 0, "config": {}, "results": [7]}',
+        '{"experiment": "x", "created_at": 0, "config": {},'
+        ' "results": [{"__type__": "Table1Row", "graph_name": "g",'
+        ' "n_vertices": 1, "n_edges": 0, "measured": {}}]}',
+        '{"experiment": "x", "created_at": 0, "config": {},'
+        ' "results": [{"__type__": "Figure4Panel", "graph_name": "g",'
+        ' "n_vertices": 1, "n_edges": 0, "sample_counts": [1], "curves": 5,'
+        ' "solver_best_weight": 1.0, "best_weights": {}}]}',
+    ], ids=[
+        "number", "results-number", "results-not-records", "other-record-type",
+        "malformed-other-record",
+    ])
+    def test_non_checkpoint_json_is_rerun_not_crashed(self, tmp_path, text):
+        (tmp_path / "shard-0000.json").write_text(text)
+        assert CheckpointStore(str(tmp_path)).load_shard(0, "abc") is None
+
 
 class TestWorkerMode:
     """execute_single_shard: how a run actually spreads across processes."""

@@ -1,5 +1,6 @@
 """Tests for experiment result persistence (repro.experiments.runner)."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from repro.experiments.ablations import AblationPoint
 from repro.experiments.runner import (
     ExperimentRecord,
     load_results,
+    results_from_jsonable,
     results_to_jsonable,
     save_results,
 )
@@ -131,6 +133,19 @@ def _toy_instances():
     return {type(instance).__name__: instance for instance in instances}
 
 
+def _array_paths(value, path=""):
+    """Paths of every ndarray in *value*'s fields, dict values and nested records."""
+    if isinstance(value, np.ndarray):
+        return {path}
+    if isinstance(value, dict):
+        items = value.items()
+    elif dataclasses.is_dataclass(value):
+        items = ((f.name, getattr(value, f.name)) for f in dataclasses.fields(value))
+    else:
+        return set()
+    return set().union(*(_array_paths(v, f"{path}.{k}") for k, v in items))
+
+
 class TestEveryRegisteredTypeRoundTrips:
     """Satellite contract: load_results round-trips every registered type."""
 
@@ -141,11 +156,7 @@ class TestEveryRegisteredTypeRoundTrips:
         registered = {t.__name__ for t in _RESULT_TYPES}
         assert registered <= covered, f"missing toys for {registered - covered}"
 
-    @pytest.mark.parametrize("type_name", [
-        "Table1Row", "AblationPoint", "Figure3Cell", "Figure4Panel",
-        "SolveResult", "ArenaEntry", "RunReport", "ShardCheckpoint",
-        "BenchRecord", "PortfolioModel",
-    ])
+    @pytest.mark.parametrize("type_name", sorted(_toy_instances()))
     def test_round_trip(self, type_name, tmp_path):
         instance = _toy_instances()[type_name]
         path = tmp_path / f"{type_name}.json"
@@ -155,10 +166,13 @@ class TestEveryRegisteredTypeRoundTrips:
         assert loaded.config == {"type": type_name}
         # The payload is what a fresh JSON parse sees — fully JSON-safe.
         assert loaded.results == json.loads(path.read_text())["results"]
+        # ...and decodes back to the same type, JSON and array fields.
+        (decoded,) = results_from_jsonable(loaded.results)
+        assert type(decoded) is type(instance)
+        assert results_to_jsonable([decoded]) == loaded.results
+        assert _array_paths(decoded) == _array_paths(instance)
 
     def test_dynamically_registered_type_round_trips(self, tmp_path):
-        import dataclasses
-
         from repro.experiments import runner as runner_module
 
         @dataclasses.dataclass(frozen=True)
@@ -188,6 +202,40 @@ class TestEveryRegisteredTypeRoundTrips:
         assert nested["best_weight"] == 12.0
 
 
+class TestResultsFromJsonable:
+    def test_rejects_non_dict_payload(self):
+        with pytest.raises(ValidationError):
+            results_from_jsonable([["Table1Row"]])
+
+    def test_rejects_unknown_type(self):
+        payload = results_to_jsonable([_toy_row()])[0]
+        with pytest.raises(ValidationError):
+            results_from_jsonable([{**payload, "__type__": "NoSuchRecord"}])
+
+    def test_rejects_missing_required_field(self):
+        payload = results_to_jsonable([_toy_row()])[0]
+        del payload["n_edges"]
+        with pytest.raises(ValidationError, match="n_edges"):
+            results_from_jsonable([payload])
+
+    def test_absent_optional_field_takes_its_default(self):
+        payload = results_to_jsonable([_toy_row()])[0]
+        del payload["paper"]
+        (row,) = results_from_jsonable([payload])
+        assert row.paper == {}
+
+    def test_second_class_under_a_taken_name_is_refused(self):
+        from repro.experiments import runner as runner_module
+
+        @dataclasses.dataclass(frozen=True)
+        class Table1Row:
+            graph_name: str
+
+        with pytest.raises(ValidationError, match="already registered"):
+            runner_module.register_result_type(Table1Row)
+        assert Table1Row not in runner_module._RESULT_TYPES
+
+
 class TestSaveAndLoad:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "results.json"
@@ -210,6 +258,16 @@ class TestSaveAndLoad:
     def test_missing_fields_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"experiment": "x"}))
+        with pytest.raises(ValidationError):
+            load_results(path)
+
+    @pytest.mark.parametrize("text", [
+        "5",
+        '{"experiment": "x", "created_at": 0, "config": {}, "results": 5}',
+    ], ids=["number", "results-number"])
+    def test_malformed_files_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
         with pytest.raises(ValidationError):
             load_results(path)
 

@@ -145,7 +145,7 @@ class TestDynamics:
         with pytest.raises(ValidationError):
             BatchPlan(
                 weights=rng.standard_normal((6, 4)), lif=LIFParameters(), burn_in=-1,
-                interval=1, readout="membrane", n_devices=4, pool_builder=None,
+                interval=1, readout="membrane", n_devices=4,
             )
 
     def test_reset(self, rng, subthreshold_membranes):
